@@ -11,39 +11,41 @@
 //!   cycles per pair: A holds the lock of an earlier statement that
 //!   conflicts with B's later statement and vice versa (table-level
 //!   C-edges);
-//! * **Fine-grained phase** — [`fine_check`] models locks (Alg. 2),
+//! * **Fine-grained phase** — [`fine_check_pair`] models locks (Alg. 2),
 //!   requires a potentially conflicting lock pair per C-edge, generates
 //!   conflict conditions (Alg. 3), conjoins with both instances' path
-//!   conditions up to the waiting statements, and asks the SMT solver
-//!   (through the cross-pair verdict cache). SAT ⇒ deadlock reported with
-//!   a witness model.
+//!   conditions up to the waiting statements, and asks the pair's
+//!   persistent SMT solver. SAT ⇒ deadlock reported with a witness model.
+//!
+//! There is one driver, [`diagnose_with`]: the index oracle, the
+//! persistent store and the ordered report sink are its optional
+//! parameters, and [`diagnose`] is the call with none of them.
 //!
 //! ## Determinism under parallelism
 //!
-//! Phases 2 and 3 are *pure* per-unit functions — `(job, &PairCtx) ->
+//! Phases 2 and 3 are *pure* per-pair functions — `(job, &PairCtx) ->
 //! outcome` with no `&mut` threading — fanned out by
-//! [`crate::schedule::run_ordered`] and reduced sequentially in canonical
-//! pair order. The cross-pair `seen` dedup (which decides what reaches the
-//! solver) and the `max_reports` truncation run only in those ordered
-//! sweeps, and the SMT verdict cache returns answers that are pure
-//! functions of the canonicalized formula, so reports and funnel counters
-//! are bit-identical for any `threads` setting.
+//! [`crate::schedule::run_ordered`] and reduced in canonical pair order
+//! inside its in-order `on_ready` sweep. The cross-pair `seen` dedup
+//! (which decides what reaches the solver), the `max_reports` truncation
+//! and the report sink run only in those ordered sweeps, and every pair
+//! owns its solver, so reports, the sink sequence and funnel counters are
+//! bit-identical for any `threads` setting — and a streaming caller sees
+//! exactly the bytes a batch caller collects.
 
 use crate::encode::{gen_conflict_cond, Importer, Side};
 use crate::indexes::IndexOracle;
 use crate::locks::{gen_exclusive_locks, gen_shared_locks, potential_conflict};
-use crate::pairs::{generate_pairs, prune_unsat_prefixes, txn_tables, PairJob};
+use crate::pairs::{generate_pairs, prune_unsat_prefixes, PairJob};
 use crate::prefix::PrefixTable;
 use crate::report::{CycleId, DeadlockReport, ReportedStatement};
-use crate::schedule::{resolve_threads, run_ordered, run_sharded};
+use crate::schedule::{resolve_threads, run_ordered};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use weseer_concolic::{StmtRecord, Trace};
-use weseer_smt::{
-    check_tiered, Ctx, IncrementalSolver, Model, SolveResult, SolverConfig, TermId, VerdictCache,
-};
+use weseer_smt::{Ctx, IncrementalSolver, Model, SolveResult, SolverConfig, TermId};
 use weseer_sqlir::Catalog;
-use weseer_store::{codec, json::Json, site_hash, Lookup, Store};
+use weseer_store::{codec, json::Json, Lookup, Store};
 
 /// Version tag of the fine-grained lock model (Alg. 2/3 as implemented).
 /// Mixed into every persisted pair verdict's content key; bump it whenever
@@ -66,9 +68,7 @@ pub struct StoreCtx<'a> {
     /// trace indices and API names — Broadleaf and Shopizer both have a
     /// trace 0 called `Register` — so un-namespaced sites would collide
     /// in a shared store and ping-pong between the two apps'
-    /// fingerprints on every run. SMT entries are exempt: they are
-    /// keyed by canonical formula content, which is sound to share
-    /// across applications.
+    /// fingerprints on every run.
     pub namespace: &'a str,
 }
 
@@ -113,10 +113,6 @@ pub struct AnalyzerConfig {
     /// `available_parallelism`. `1` runs everything inline on the calling
     /// thread. Output is identical for every setting.
     pub threads: usize,
-    /// Memoize SMT verdicts across pairs keyed by the canonicalized
-    /// formula (traces from the same API template re-discharge
-    /// near-identical queries).
-    pub smt_cache: bool,
 }
 
 impl Default for AnalyzerConfig {
@@ -128,7 +124,6 @@ impl Default for AnalyzerConfig {
             skip_filter_phases: false,
             max_reports: 10_000,
             threads: 0,
-            smt_cache: true,
         }
     }
 }
@@ -156,9 +151,11 @@ pub struct DiagnosisStats {
     pub smt_unknown: usize,
     /// Wall time spent generating the phase-1 pair set.
     pub phase1_time: Duration,
-    /// CPU time summed over the per-pair coarse cycle scans (phase 2).
+    /// CPU time summed over the per-pair coarse cycle scans (phase 2) —
+    /// for a pair restored from the store, the time the lookup took.
     pub phase2_time: Duration,
-    /// CPU time summed over fine-grained lock modeling + SMT (phase 3).
+    /// CPU time summed over fine-grained lock modeling + SMT (phase 3),
+    /// likewise the lookup time for restored verdicts.
     pub phase3_time: Duration,
 }
 
@@ -170,10 +167,6 @@ impl DiagnosisStats {
         weseer_obs::add(
             "analyzer.pairs_after_phase1",
             self.pairs_after_phase1 as u64,
-        );
-        weseer_obs::add(
-            "analyzer.pairs_pruned",
-            self.txn_pairs.saturating_sub(self.pairs_after_phase1) as u64,
         );
         weseer_obs::add("smt.fastpath.prefix_kill", self.prefix_kills as u64);
         weseer_obs::add("analyzer.coarse_cycles", self.coarse_cycles as u64);
@@ -194,6 +187,10 @@ pub struct Diagnosis {
     pub deadlocks: Vec<DeadlockReport>,
     /// Counters.
     pub stats: DiagnosisStats,
+    /// The run stopped at [`AnalyzerConfig::max_reports`] with fine
+    /// candidates left unexamined: `deadlocks` is a prefix of the full
+    /// report list and the phase-3 counters cover only that prefix.
+    pub truncated: bool,
 }
 
 /// Run WeSEER's deadlock analysis over a set of collected traces.
@@ -202,84 +199,33 @@ pub fn diagnose(
     traces: &[CollectedTrace],
     config: &AnalyzerConfig,
 ) -> Diagnosis {
-    diagnose_with_oracle(catalog, traces, config, None)
+    diagnose_with(catalog, traces, config, None, None, None)
 }
 
-/// Like [`diagnose`], but consulting a concrete-plan oracle (`EXPLAIN`)
-/// so lock modeling only considers the index the database would actually
-/// use — the paper's Sec. V-D future work for cutting false positives.
-pub fn diagnose_with_oracle(
-    catalog: &Catalog,
-    traces: &[CollectedTrace],
-    config: &AnalyzerConfig,
-    oracle: Option<&dyn IndexOracle>,
-) -> Diagnosis {
-    diagnose_incremental(catalog, traces, config, oracle, None)
-}
-
-/// Like [`diagnose_with_oracle`], but consulting (and feeding) a
-/// persistent [`Store`] so a warm run over unchanged traces reuses every
-/// phase-2 scan, phase-3 verdict, prefix pre-solve, and SMT verdict from
-/// the previous run. Phases 1–2's pair generation and the cross-pair
-/// dedup sweep always run live (they are cheap and keep the funnel
-/// counters exact); stored outcomes replay the heavy work with the
-/// *original* measured wall times, so a warm diagnosis is byte-identical
-/// to the cold one that filled the store.
-pub fn diagnose_incremental(
-    catalog: &Catalog,
-    traces: &[CollectedTrace],
-    config: &AnalyzerConfig,
-    oracle: Option<&dyn IndexOracle>,
-    store: Option<&StoreCtx<'_>>,
-) -> Diagnosis {
-    let _span = weseer_obs::span("analyzer.diagnose");
-    if let Some(sc) = store {
-        assert_eq!(
-            sc.fingerprints.len(),
-            traces.len(),
-            "one fingerprint per trace"
-        );
-    }
-    let diagnosis = run_pipeline(
-        catalog,
-        traces,
-        config,
-        oracle,
-        store,
-        Exec::Pool,
-        &mut None,
-    );
-    diagnosis.stats.publish();
-    weseer_obs::add(
-        "analyzer.deadlocks_reported",
-        diagnosis.deadlocks.len() as u64,
-    );
-    diagnosis
-}
-
-/// Like [`diagnose_incremental`], but fanning the parallel phases out over
-/// `shards` table-keyed worker shards
-/// ([`run_sharded`](crate::schedule::run_sharded)) and emitting each
-/// confirmed report to `on_report` *while phase 3 is still running* — as
-/// soon as the completed prefix of the canonical cycle order reaches it.
-/// This is the serving plane's entry point: a daemon streams verdicts to
-/// the submitting client without waiting for the slowest shard.
+/// The diagnosis driver with every optional collaborator spelled out:
 ///
-/// Every pair (and every cycle group) is routed by [`pair_shard_key`] —
-/// the pair's smallest conflict table — so all work touching one entity
-/// lands on one shard and warm store entries written by that shard stay
-/// shard-local. Determinism is untouched: shard assignment only decides
-/// *where* a pure function runs, and both the report vector and the
-/// `on_report` sequence follow the canonical input order, so the result
-/// is byte-identical to [`diagnose_incremental`] at any shard count.
-pub fn diagnose_streaming(
+/// * `oracle` — a concrete-plan oracle (`EXPLAIN`), so lock modeling only
+///   considers the index the database would actually use (the paper's
+///   Sec. V-D future work for cutting false positives);
+/// * `store` — a persistent [`Store`] to consult and feed, so a warm run
+///   over unchanged traces reuses every prefix pre-solve, phase-2 scan
+///   and phase-3 verdict of the run that filled it. Pair generation and
+///   the cross-pair dedup sweep always run live (they are cheap and keep
+///   the funnel counters exact), and reports are rebuilt from the live
+///   traces plus the stored model, so a warm diagnosis is byte-identical
+///   to the cold one;
+/// * `sink` — called with each confirmed report, in canonical order,
+///   *while phase 3 is still running*: as soon as the completed prefix of
+///   the cycle order reaches it. A daemon writes a line per call; a batch
+///   caller just reads [`Diagnosis::deadlocks`], which holds the same
+///   sequence.
+pub fn diagnose_with(
     catalog: &Catalog,
     traces: &[CollectedTrace],
     config: &AnalyzerConfig,
     oracle: Option<&dyn IndexOracle>,
     store: Option<&StoreCtx<'_>>,
-    shards: usize,
-    on_report: &mut dyn FnMut(&DeadlockReport),
+    sink: Option<&mut dyn FnMut(&DeadlockReport)>,
 ) -> Diagnosis {
     let _span = weseer_obs::span("analyzer.diagnose");
     if let Some(sc) = store {
@@ -289,15 +235,7 @@ pub fn diagnose_streaming(
             "one fingerprint per trace"
         );
     }
-    let diagnosis = run_pipeline(
-        catalog,
-        traces,
-        config,
-        oracle,
-        store,
-        Exec::Shard(shards),
-        &mut Some(on_report),
-    );
+    let diagnosis = run_pipeline(catalog, traces, config, oracle, store, sink);
     diagnosis.stats.publish();
     weseer_obs::add(
         "analyzer.deadlocks_reported",
@@ -316,94 +254,9 @@ pub fn coarse_cycle_count(traces: &[CollectedTrace]) -> usize {
         max_reports: usize::MAX,
         ..AnalyzerConfig::default()
     };
-    run_pipeline(
-        &Catalog::default(),
-        traces,
-        &config,
-        None,
-        None,
-        Exec::Pool,
-        &mut None,
-    )
-    .stats
-    .coarse_cycles
-}
-
-/// How the parallel phases fan out.
-#[derive(Debug, Clone, Copy)]
-enum Exec {
-    /// The batch pool: work-stealing chunks over the configured thread
-    /// count ([`run_ordered`]).
-    Pool,
-    /// The serving plane: bounded per-shard queues keyed by the pair's
-    /// conflict table ([`run_sharded`]).
-    Shard(usize),
-}
-
-impl Exec {
-    /// Run `f` over `items`, surfacing each result to `on_ready` in input
-    /// order. The pool path computes everything first and then sweeps —
-    /// same `on_ready` sequence, no streaming; the shard path streams the
-    /// completed prefix while later items are still in flight.
-    fn run<I, O>(
-        self,
-        items: &[I],
-        threads: usize,
-        key: impl Fn(usize, &I) -> u64 + Sync,
-        f: impl Fn(usize, &I) -> O + Sync,
-        mut on_ready: impl FnMut(usize, &O),
-    ) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-    {
-        match self {
-            Exec::Pool => {
-                let out = run_ordered(items, threads, f);
-                for (i, o) in out.iter().enumerate() {
-                    on_ready(i, o);
-                }
-                out
-            }
-            Exec::Shard(shards) => run_sharded(items, shards, key, f, on_ready),
-        }
-    }
-}
-
-/// The entity/table shard key of a transaction pair: an FNV-1a hash of
-/// the smallest table both transactions access with at least one write —
-/// the same predicate phase 1's conflict filter selects pairs by, so
-/// every surviving pair has one. (Brute-force configs that skip the
-/// filter fall back to hashing the pair's trace coordinates.) Keying by
-/// conflict table sends all contention on one entity to one shard;
-/// hashing the *name* keeps the mapping stable across runs and shard
-/// counts, which is what makes warm-store sites shard-local.
-pub fn pair_shard_key(traces: &[CollectedTrace], job: &PairJob) -> u64 {
-    let (acc_a, wr_a) = txn_tables(&traces[job.a].trace, job.a_txn);
-    let (acc_b, wr_b) = txn_tables(&traces[job.b].trace, job.b_txn);
-    let mut conflict: Option<&String> = None;
-    for t in &acc_a {
-        if !acc_b.contains(t) || !(wr_a.contains(t) || wr_b.contains(t)) {
-            continue;
-        }
-        match conflict {
-            Some(best) if best <= t => {}
-            _ => conflict = Some(t),
-        }
-    }
-    match conflict {
-        Some(table) => fnv1a(table.as_bytes()),
-        None => fnv1a(format!("{}:{}|{}:{}", job.a, job.a_txn, job.b, job.b_txn).as_bytes()),
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    run_pipeline(&Catalog::default(), traces, &config, None, None, None)
+        .stats
+        .coarse_cycles
 }
 
 /// Shared read-only context for the pure per-pair functions.
@@ -412,16 +265,6 @@ pub(crate) struct PairCtx<'a> {
     traces: &'a [CollectedTrace],
     config: &'a AnalyzerConfig,
     oracle: Option<&'a dyn IndexOracle>,
-    /// Present iff `config.smt_cache` and the solver is not incremental.
-    /// In incremental mode every formula goes to the pair's persistent
-    /// solver instead: a cache hit would skip a query and thereby change
-    /// the solver's clause database relative to a cold run, making
-    /// verdict bytes depend on cross-pair cache traffic (and thus on
-    /// thread scheduling). Within a pair the persistent solver already
-    /// provides what the cache bought — shared work across near-identical
-    /// formulas — at finer granularity (shared clauses, not just whole
-    /// canonicalized formulas).
-    cache: Option<VerdictCache>,
     /// Tier-2 prefix table (present iff `config.solver.tiers.prefix` and
     /// the fine phase runs): per-trace pre-simplified path conditions.
     prefix: Option<PrefixTable>,
@@ -460,7 +303,6 @@ impl<'a> PairCtx<'a> {
             traces,
             config,
             oracle,
-            cache: (config.smt_cache && !config.solver.tiers.incremental).then(VerdictCache::new),
             prefix,
             stmt_sql,
             store,
@@ -499,8 +341,8 @@ impl<'a> PairCtx<'a> {
 }
 
 /// The analyzer configuration knobs that can change a pair's verdict or
-/// report (deliberately excludes `max_reports`, `threads`, and
-/// `smt_cache`, which only affect scheduling and truncation).
+/// report (deliberately excludes `max_reports` and `threads`, which only
+/// affect truncation and scheduling).
 fn analyzer_tag(config: &AnalyzerConfig) -> String {
     format!(
         "{LOCK_MODEL_VERSION}|fine={}|range={}|skip={}|solver={:?}",
@@ -529,13 +371,27 @@ pub(crate) struct PairOutcome {
     coarse_cycles: usize,
     /// Cycle candidates for the fine-grained phase, in scan order.
     cycles: Vec<CycleCandidate>,
-    /// Wall time of this scan (summed into `phase2_time`).
+    /// Wall time this pair cost phase 2 — the scan, or the store lookup
+    /// that replaced it (summed into `phase2_time`).
     scan_time: Duration,
 }
 
 /// Phase 2, pure: enumerate the pair's coarse SC-graph deadlock cycles.
+/// Behind a store, a hit restores the recorded scan; a miss or stale
+/// scans live and records the outcome.
 pub(crate) fn scan_pair(job: &PairJob, ctx: &PairCtx<'_>) -> PairOutcome {
     let start = Instant::now();
+    let stored = ctx
+        .store
+        .map(|sc| (sc, ctx.pair_site(job), ctx.pair_content(sc, job)));
+    if let Some((sc, site, content)) = &stored {
+        if let Lookup::Hit(v) = sc.store.get("pair2", site, content) {
+            if let Some(mut out) = pair2_from_json(&v) {
+                out.scan_time = start.elapsed();
+                return out;
+            }
+        }
+    }
     let a = &ctx.traces[job.a];
     let b = &ctx.traces[job.b];
     let same_instance = job.same_instance();
@@ -575,26 +431,10 @@ pub(crate) fn scan_pair(job: &PairJob, ctx: &PairCtx<'_>) -> PairOutcome {
             }
         }
     }
-    out.scan_time = start.elapsed();
-    out
-}
-
-/// [`scan_pair`] behind the store: a hit replays the recorded scan
-/// (including its original wall time, so warm funnels match cold ones);
-/// a miss or stale scans live and records the outcome.
-pub(crate) fn scan_pair_cached(job: &PairJob, ctx: &PairCtx<'_>) -> PairOutcome {
-    let Some(sc) = ctx.store else {
-        return scan_pair(job, ctx);
-    };
-    let site = ctx.pair_site(job);
-    let content = ctx.pair_content(sc, job);
-    if let Lookup::Hit(v) = sc.store.get("pair2", &site, &content) {
-        if let Some(out) = pair2_from_json(&v) {
-            return out;
-        }
+    if let Some((sc, site, content)) = &stored {
+        sc.store.put("pair2", site, content, pair2_to_json(&out));
     }
-    let out = scan_pair(job, ctx);
-    sc.store.put("pair2", &site, &content, pair2_to_json(&out));
+    out.scan_time = start.elapsed();
     out
 }
 
@@ -615,11 +455,13 @@ fn pair2_to_json(out: &PairOutcome) -> Json {
         .collect();
     Json::Obj(vec![
         ("coarse".into(), Json::u64(out.coarse_cycles as u64)),
-        ("us".into(), Json::u64(out.scan_time.as_micros() as u64)),
         ("cycles".into(), Json::Arr(cycles)),
     ])
 }
 
+/// Inverse of [`pair2_to_json`]. Fields it does not name are skipped, so
+/// values written before wall times left the records (an extra `us`)
+/// still decode.
 fn pair2_from_json(v: &Json) -> Option<PairOutcome> {
     let strings = |j: &Json| -> Option<Vec<String>> {
         j.as_arr()?
@@ -642,7 +484,7 @@ fn pair2_from_json(v: &Json) -> Option<PairOutcome> {
     Some(PairOutcome {
         coarse_cycles: v.get("coarse")?.as_u64()? as usize,
         cycles,
-        scan_time: Duration::from_micros(v.get("us")?.as_u64()?),
+        scan_time: Duration::ZERO,
     })
 }
 
@@ -663,17 +505,18 @@ enum FineVerdict {
 
 pub(crate) struct FineOutcome {
     verdict: FineVerdict,
-    /// Wall time of this check (summed into `phase3_time`).
+    /// Wall time of this check, or of the store lookup that replaced it
+    /// (summed into `phase3_time`).
     time: Duration,
 }
 
 /// Shared fine-phase state for one transaction pair: the destination
 /// context every cycle formula is built in, the term importers for the
 /// two instances (whose memo tables make re-imports of the shared path
-/// conditions and lock variables free), and — in incremental mode — the
-/// persistent assumption-based solver carrying Tseitin clauses,
-/// select-congruence axioms, theory blocking clauses, and learned
-/// clauses across the pair's cycles.
+/// conditions and lock variables free), and the persistent
+/// assumption-based solver carrying Tseitin clauses, select-congruence
+/// axioms, theory blocking clauses, and learned clauses across the
+/// pair's cycles.
 ///
 /// A session never outlives its pair. Sharing a solver across pairs
 /// would make a verdict depend on which pairs a worker thread happened
@@ -688,10 +531,7 @@ struct PairSession<'a> {
     /// (present iff [`PairCtx::prefix`] is).
     pre_a: Option<Importer<'a>>,
     pre_b: Option<Importer<'a>>,
-    /// Present iff `config.solver.tiers.incremental`: the pair's
-    /// persistent solver. `None` falls back to a fresh tiered solve (or
-    /// the verdict cache) per cycle.
-    solver: Option<IncrementalSolver>,
+    solver: IncrementalSolver,
 }
 
 impl<'a> PairSession<'a> {
@@ -711,30 +551,14 @@ impl<'a> PairSession<'a> {
             imp_b: Importer::new(&b.ctx, "A2."),
             pre_a,
             pre_b,
-            solver: ctx
-                .config
-                .solver
-                .tiers
-                .incremental
-                .then(|| IncrementalSolver::new(ctx.config.solver.clone())),
+            solver: IncrementalSolver::new(ctx.config.solver.clone()),
         }
     }
 }
 
-/// Phase 3, pure: lock modeling + conflict conditions + SMT for one cycle.
-/// Non-incremental path: a fresh [`PairSession`] per cycle reproduces the
-/// historical one-context-per-formula behavior exactly.
-pub(crate) fn fine_check(job: &FineJob, ctx: &PairCtx<'_>) -> FineOutcome {
-    let start = Instant::now();
-    let mut sess = PairSession::new(&job.pair, ctx);
-    let verdict = fine_check_inner(job, ctx, &mut sess);
-    FineOutcome {
-        verdict,
-        time: start.elapsed(),
-    }
-}
-
-fn fine_check_inner(job: &FineJob, ctx: &PairCtx<'_>, sess: &mut PairSession<'_>) -> FineVerdict {
+/// Lock modeling + conflict conditions + SMT for one cycle, against its
+/// pair's session.
+fn check_cycle(job: &FineJob, ctx: &PairCtx<'_>, sess: &mut PairSession<'_>) -> FineVerdict {
     let pair = &job.pair;
     let cand = &job.cand;
     let a = &ctx.traces[pair.a];
@@ -801,10 +625,10 @@ fn fine_check_inner(job: &FineJob, ctx: &PairCtx<'_>, sess: &mut PairSession<'_>
         // Tier 2: import the pre-simplified path conditions from the
         // prefix table's context — variables unify with the edge
         // conditions by prefixed name, so the per-pair tier-0 pass only
-        // ever sees already-reduced conjuncts. In incremental mode the
-        // session importers' memo tables mean every conjunct is imported
-        // (and, inside the persistent solver, lowered) once per *pair*,
-        // not once per cycle — later cycles only add their delta.
+        // ever sees already-reduced conjuncts. The session importers'
+        // memo tables mean every conjunct is imported (and, inside the
+        // persistent solver, lowered) once per *pair*, not once per
+        // cycle — later cycles only add their delta.
         Some(table) => {
             let tp_a = table.trace(pair.a);
             let tp_b = table.trace(pair.b);
@@ -832,15 +656,10 @@ fn fine_check_inner(job: &FineJob, ctx: &PairCtx<'_>, sess: &mut PairSession<'_>
     }
     let formula = dst.and(parts);
 
-    let result = match (&mut sess.solver, &ctx.cache) {
-        // Incremental: the whole formula rides on one assumption literal;
-        // shared structure is already lowered and learned clauses from
-        // earlier cycles prune this one's search.
-        (Some(inc), _) => inc.check_tiered(dst, formula).0,
-        (None, Some(cache)) => cache.check_tiered(dst, formula, &config.solver).0,
-        (None, None) => check_tiered(dst, formula, &config.solver).0,
-    };
-    match result {
+    // The whole formula rides on one assumption literal; shared structure
+    // is already lowered and learned clauses from earlier cycles prune
+    // this one's search.
+    match sess.solver.check_tiered(dst, formula).0 {
         SolveResult::Sat(model) => FineVerdict::Sat(Box::new(build_report(job, ctx, model))),
         SolveResult::Unsat => FineVerdict::Unsat,
         SolveResult::Unknown => FineVerdict::Unknown,
@@ -888,26 +707,6 @@ fn build_report(job: &FineJob, ctx: &PairCtx<'_>, model: Model) -> DeadlockRepor
     }
 }
 
-/// [`fine_check`] behind the store: the persisted value is just the
-/// verdict (plus the SAT model and the original wall time) — reports are
-/// rebuilt through [`build_report`], never deserialized, so a hit spends
-/// no SMT work at all and still reproduces the cold report bytes.
-pub(crate) fn fine_check_cached(job: &FineJob, ctx: &PairCtx<'_>) -> FineOutcome {
-    let Some(sc) = ctx.store else {
-        return fine_check(job, ctx);
-    };
-    let site = fine_site(ctx, job);
-    let content = ctx.pair_content(sc, &job.pair);
-    if let Lookup::Hit(v) = sc.store.get("pair3", &site, &content) {
-        if let Some(out) = fine_from_json(job, ctx, &v) {
-            return out;
-        }
-    }
-    let out = fine_check(job, ctx);
-    sc.store.put("pair3", &site, &content, fine_to_json(&out));
-    out
-}
-
 /// Store site of one fine-grained cycle check: the pair's site plus the
 /// cycle's statement positions.
 fn fine_site(ctx: &PairCtx<'_>, job: &FineJob) -> String {
@@ -921,77 +720,87 @@ fn fine_site(ctx: &PairCtx<'_>, job: &FineJob) -> String {
     )
 }
 
-/// Incremental-mode phase 3 for every deduplicated cycle of one
-/// transaction pair, in canonical order, against one shared
-/// [`PairSession`] (and thus one persistent solver).
+/// Phase 3, pure: every deduplicated cycle of one transaction pair, in
+/// canonical order, against one shared [`PairSession`] (and thus one
+/// persistent solver).
 ///
-/// Store replay is all-or-nothing per pair: a persistent solver's
-/// answers depend on its query sequence, so replaying *some* cycles from
-/// the store while solving the rest live would feed the solver a
-/// different sequence than a cold run saw — and its verdict bytes could
-/// drift. Either every cycle of the pair hits (replay them all, no
-/// solver is built), or all of them are solved live and re-persisted.
-pub(crate) fn fine_check_group(jobs: &[FineJob], ctx: &PairCtx<'_>) -> Vec<FineOutcome> {
-    let live = |jobs: &[FineJob]| -> Vec<FineOutcome> {
-        let mut sess = PairSession::new(&jobs[0].pair, ctx);
-        jobs.iter()
+/// Behind a store the persisted value is just the verdict (plus the SAT
+/// model) — reports are rebuilt through [`build_report`], never
+/// deserialized, so a hit spends no SMT work at all and still reproduces
+/// the cold report bytes. Replay is all-or-nothing per pair: a persistent
+/// solver's answers depend on its query sequence, so replaying *some*
+/// cycles from the store while solving the rest live would feed the
+/// solver a different sequence than a cold run saw — and its verdict
+/// bytes could drift. Either every cycle of the pair hits (replay them
+/// all, no solver is built), or all of them are solved live and
+/// re-persisted.
+pub(crate) fn fine_check_pair(jobs: &[FineJob], ctx: &PairCtx<'_>) -> Vec<FineOutcome> {
+    let stored = ctx
+        .store
+        .map(|sc| (sc, ctx.pair_content(sc, &jobs[0].pair)));
+    if let Some((sc, content)) = &stored {
+        // Look up every cycle eagerly (no short-circuit: each lookup must
+        // register its hit/stale/miss), then replay only if the *whole*
+        // group hit.
+        let replayed: Vec<Option<FineOutcome>> = jobs
+            .iter()
             .map(|job| {
                 let start = Instant::now();
-                let verdict = fine_check_inner(job, ctx, &mut sess);
-                FineOutcome {
+                let verdict = match sc.store.get("pair3", &fine_site(ctx, job), content) {
+                    Lookup::Hit(v) => fine_from_json(job, ctx, &v),
+                    _ => None,
+                }?;
+                Some(FineOutcome {
                     verdict,
                     time: start.elapsed(),
-                }
+                })
             })
-            .collect()
-    };
-    let Some(sc) = ctx.store else {
-        return live(jobs);
-    };
-    let content = ctx.pair_content(sc, &jobs[0].pair);
-    // Look up every cycle eagerly (no short-circuit: each lookup must
-    // register its hit/stale/miss, exactly as per-job solving would),
-    // then replay only if the *whole* group hit — a partial replay
-    // would fork the solver's query sequence from the cold run's.
-    let replayed: Vec<Option<FineOutcome>> = jobs
-        .iter()
-        .map(
-            |job| match sc.store.get("pair3", &fine_site(ctx, job), &content) {
-                Lookup::Hit(v) => fine_from_json(job, ctx, &v),
-                _ => None,
-            },
-        )
-        .collect();
-    if replayed.iter().all(Option::is_some) {
-        return replayed.into_iter().flatten().collect();
+            .collect();
+        if replayed.iter().all(Option::is_some) {
+            return replayed.into_iter().flatten().collect();
+        }
     }
-    let outs = live(jobs);
-    for (job, out) in jobs.iter().zip(&outs) {
-        sc.store
-            .put("pair3", &fine_site(ctx, job), &content, fine_to_json(out));
+    let mut sess = PairSession::new(&jobs[0].pair, ctx);
+    let outs: Vec<FineOutcome> = jobs
+        .iter()
+        .map(|job| {
+            let start = Instant::now();
+            let verdict = check_cycle(job, ctx, &mut sess);
+            FineOutcome {
+                verdict,
+                time: start.elapsed(),
+            }
+        })
+        .collect();
+    if let Some((sc, content)) = &stored {
+        for (job, out) in jobs.iter().zip(&outs) {
+            let value = fine_to_json(&out.verdict);
+            sc.store.put("pair3", &fine_site(ctx, job), content, value);
+        }
     }
     outs
 }
 
-fn fine_to_json(out: &FineOutcome) -> Json {
+fn fine_to_json(verdict: &FineVerdict) -> Json {
     let mut fields = vec![(
         "verdict".into(),
-        Json::str(match &out.verdict {
+        Json::str(match verdict {
             FineVerdict::NoCandidate => "nocand",
             FineVerdict::Sat(_) => "sat",
             FineVerdict::Unsat => "unsat",
             FineVerdict::Unknown => "unknown",
         }),
     )];
-    if let FineVerdict::Sat(report) = &out.verdict {
+    if let FineVerdict::Sat(report) = verdict {
         fields.push(("model".into(), codec::model_to_json(&report.sat_model)));
     }
-    fields.push(("us".into(), Json::u64(out.time.as_micros() as u64)));
     Json::Obj(fields)
 }
 
-fn fine_from_json(job: &FineJob, ctx: &PairCtx<'_>, v: &Json) -> Option<FineOutcome> {
-    let verdict = match v.get("verdict")?.as_str()? {
+/// Inverse of [`fine_to_json`]; like [`pair2_from_json`] it skips fields
+/// it does not name (the `us` of older records).
+fn fine_from_json(job: &FineJob, ctx: &PairCtx<'_>, v: &Json) -> Option<FineVerdict> {
+    Some(match v.get("verdict")?.as_str()? {
         "nocand" => FineVerdict::NoCandidate,
         "sat" => {
             let model = codec::model_from_json(v.get("model")?)?;
@@ -1000,15 +809,9 @@ fn fine_from_json(job: &FineJob, ctx: &PairCtx<'_>, v: &Json) -> Option<FineOutc
         "unsat" => FineVerdict::Unsat,
         "unknown" => FineVerdict::Unknown,
         _ => return None,
-    };
-    Some(FineOutcome {
-        verdict,
-        time: Duration::from_micros(v.get("us")?.as_u64()?),
     })
 }
 
-/// The staged pipeline: generate → scan (parallel) → dedup sweep (ordered)
-/// → fine checks (parallel) → reduce (ordered).
 /// Timeline instant marking a phase transition of the diagnosis
 /// pipeline. Cheap no-op while the timeline is disabled.
 fn timeline_phase(name: &'static str, what: &str) {
@@ -1017,14 +820,15 @@ fn timeline_phase(name: &'static str, what: &str) {
     }
 }
 
+/// The staged pipeline: generate → scan (parallel) → dedup sweep (ordered)
+/// → fine checks (parallel) with the reduce fused into the ordered merge.
 fn run_pipeline(
     catalog: &Catalog,
     traces: &[CollectedTrace],
     config: &AnalyzerConfig,
     oracle: Option<&dyn IndexOracle>,
     store: Option<&StoreCtx<'_>>,
-    exec: Exec,
-    sink: &mut Option<&mut dyn FnMut(&DeadlockReport)>,
+    mut sink: Option<&mut dyn FnMut(&DeadlockReport)>,
 ) -> Diagnosis {
     let mut stats = DiagnosisStats::default();
 
@@ -1050,46 +854,24 @@ fn run_pipeline(
     let threads = resolve_threads(config.threads);
     let pctx = PairCtx::new(catalog, traces, config, oracle, prefix, store);
 
-    // Warm-start the verdict cache from persisted SMT verdicts recorded
-    // under the same solver configuration. Entries are keyed by the
-    // canonical formula itself (carried in the value — the site is just
-    // its hash), so seeding is exact.
-    let solver_tag = format!("solver={:?}", config.solver);
-    if let (Some(sc), Some(cache)) = (store, &pctx.cache) {
-        for (_, content, v) in sc.store.entries_of("smt") {
-            if content != solver_tag {
-                continue;
-            }
-            if let (Some(key), Some(verdict)) = (
-                v.get("k").and_then(Json::as_str),
-                v.get("r").and_then(codec::verdict_from_json),
-            ) {
-                cache.seed(key.to_string(), verdict);
-            }
-        }
-    }
-
     // ---- Phase 2: coarse SC-graph deadlock cycles (parallel) -----------
     timeline_phase("analyzer.phase2", "coarse SC-graph cycle scan");
-    let pair_keys: Vec<u64> = pair_set
-        .jobs
-        .iter()
-        .map(|job| pair_shard_key(traces, job))
-        .collect();
-    let outcomes = exec.run(
+    let outcomes = run_ordered(
         &pair_set.jobs,
         threads,
-        |i, _| pair_keys[i],
-        |_, job| scan_pair_cached(job, &pctx),
+        |_, job| scan_pair(job, &pctx),
         |_, _| {},
     );
 
     // Ordered sweep: cycles with the same statement templates and conflict
     // tables are one deadlock pattern; check each pattern once (the
     // paper's authors group reports the same way). The dedup is cross-pair
-    // state, so it runs sequentially in canonical pair order.
+    // state, so it runs sequentially in canonical pair order. Each pair's
+    // surviving cycles stay together: they share one persistent solver and
+    // must run in canonical order on one thread, so phase 3 parallelizes
+    // over *pairs*, not cycles.
     let mut seen: HashSet<String> = HashSet::new();
-    let mut fine_jobs: Vec<FineJob> = Vec::new();
+    let mut groups: Vec<Vec<FineJob>> = Vec::new();
     for (job, out) in pair_set.jobs.iter().zip(&outcomes) {
         stats.coarse_cycles += out.coarse_cycles;
         stats.phase2_time += out.scan_time;
@@ -1100,6 +882,7 @@ fn run_pipeline(
         let b = &pctx.traces[job.b];
         let stmts_a = a.trace.statements_of(job.a_txn);
         let stmts_b = b.trace.statements_of(job.b_txn);
+        let mut group = Vec::new();
         for cand in &out.cycles {
             let signature = format!(
                 "{}|{}|{}|{}|{}|{}|{:?}|{:?}",
@@ -1113,130 +896,57 @@ fn run_pipeline(
                 cand.t2,
             );
             if seen.insert(signature) {
-                fine_jobs.push(FineJob {
+                group.push(FineJob {
                     pair: *job,
                     cand: cand.clone(),
                 });
             }
         }
+        if !group.is_empty() {
+            groups.push(group);
+        }
     }
 
     // ---- Phase 3: fine-grained lock modeling + SMT (parallel) ----------
     // The ordered reduce — stats, reports, `max_reports` truncation, and
-    // the streaming sink — is fused into the scheduler's in-order
-    // `on_ready` sweep, so a sharded run emits each confirmed report
-    // while later cycles are still solving, with bytes identical to the
-    // batch reduce (the sweep follows canonical input order either way).
+    // the sink — is the scheduler's in-order `on_ready` sweep, so each
+    // confirmed report is emitted while later pairs are still solving,
+    // and the sink sees exactly the sequence `reports` collects.
     timeline_phase("analyzer.phase3", "fine-grained lock modeling + SMT");
     let mut reports: Vec<DeadlockReport> = Vec::new();
     let mut truncated = false;
-    fn absorb(
-        out: &FineOutcome,
-        stats: &mut DiagnosisStats,
-        reports: &mut Vec<DeadlockReport>,
-        truncated: &mut bool,
-        max_reports: usize,
-        sink: &mut Option<&mut dyn FnMut(&DeadlockReport)>,
-    ) {
-        if *truncated {
-            return;
-        }
-        stats.phase3_time += out.time;
-        match &out.verdict {
-            FineVerdict::NoCandidate => {}
-            FineVerdict::Sat(report) => {
-                stats.fine_candidates += 1;
-                stats.smt_sat += 1;
-                if let Some(s) = sink.as_mut() {
-                    s(report);
+    run_ordered(
+        &groups,
+        threads,
+        |_, group| fine_check_pair(group, &pctx),
+        |_, outs: &Vec<FineOutcome>| {
+            for out in outs {
+                if reports.len() >= config.max_reports {
+                    truncated = true;
+                    return;
                 }
-                reports.push((**report).clone());
-            }
-            FineVerdict::Unsat => {
-                stats.fine_candidates += 1;
-                stats.smt_unsat += 1;
-            }
-            FineVerdict::Unknown => {
-                stats.fine_candidates += 1;
-                stats.smt_unknown += 1;
-            }
-        }
-        if reports.len() >= max_reports {
-            *truncated = true;
-        }
-    }
-    if config.solver.tiers.incremental {
-        // Incremental mode parallelizes over *pairs*, not cycles: each
-        // pair's cycles share one persistent solver and must run in
-        // canonical order on one thread. The dedup sweep above emits
-        // jobs grouped by pair already, so grouping is a linear pass.
-        let mut groups: Vec<Vec<FineJob>> = Vec::new();
-        for fj in fine_jobs {
-            match groups.last_mut() {
-                Some(g) if g[0].pair == fj.pair => g.push(fj),
-                _ => groups.push(vec![fj]),
-            }
-        }
-        let group_keys: Vec<u64> = groups
-            .iter()
-            .map(|g| pair_shard_key(traces, &g[0].pair))
-            .collect();
-        exec.run(
-            &groups,
-            threads,
-            |i, _| group_keys[i],
-            |_, g| fine_check_group(g, &pctx),
-            |_, outs: &Vec<FineOutcome>| {
-                for out in outs {
-                    absorb(
-                        out,
-                        &mut stats,
-                        &mut reports,
-                        &mut truncated,
-                        config.max_reports,
-                        sink,
-                    );
+                stats.phase3_time += out.time;
+                match &out.verdict {
+                    FineVerdict::NoCandidate => continue,
+                    FineVerdict::Sat(report) => {
+                        stats.smt_sat += 1;
+                        if let Some(sink) = sink.as_mut() {
+                            sink(report);
+                        }
+                        reports.push((**report).clone());
+                    }
+                    FineVerdict::Unsat => stats.smt_unsat += 1,
+                    FineVerdict::Unknown => stats.smt_unknown += 1,
                 }
-            },
-        );
-    } else {
-        let fine_keys: Vec<u64> = fine_jobs
-            .iter()
-            .map(|fj| pair_shard_key(traces, &fj.pair))
-            .collect();
-        exec.run(
-            &fine_jobs,
-            threads,
-            |i, _| fine_keys[i],
-            |_, fj| fine_check_cached(fj, &pctx),
-            |_, out| {
-                absorb(
-                    out,
-                    &mut stats,
-                    &mut reports,
-                    &mut truncated,
-                    config.max_reports,
-                    sink,
-                );
-            },
-        );
-    }
-
-    // Persist the SMT verdicts this run produced (hit-or-miss: `put` of
-    // an unchanged entry is a no-op, so repeat runs do not grow the file).
-    if let (Some(sc), Some(cache)) = (store, &pctx.cache) {
-        for (key, verdict) in cache.export() {
-            let value = Json::Obj(vec![
-                ("k".into(), Json::str(key.clone())),
-                ("r".into(), codec::verdict_to_json(&verdict)),
-            ]);
-            sc.store.put("smt", &site_hash(&key), &solver_tag, value);
-        }
-    }
+                stats.fine_candidates += 1;
+            }
+        },
+    );
 
     Diagnosis {
         deadlocks: reports,
         stats,
+        truncated,
     }
 }
 

@@ -19,11 +19,12 @@
 //!   killing pairs whose prefix is already UNSAT and feeding
 //!   pre-simplified conjuncts to the fine phase;
 //! * [`schedule`] — the std-only chunk-claiming thread pool with an
-//!   order-preserving merge (`threads = 1` runs inline);
-//! * [`diagnose`] — the three phases staged as pure per-pair scans and
-//!   fine checks with ordered reduces, SMT dispatch through the verdict
-//!   cache, and statistics; also the STEPDAD/REDACT-style coarse baseline
-//!   for the Sec. VII-B comparison;
+//!   order-preserving streaming merge (`threads = 1` runs inline);
+//! * [`diagnose`] — the one diagnosis driver: the three phases staged as
+//!   pure per-pair scans and fine checks (one persistent SMT solver per
+//!   pair) with ordered reduces, optional store and report sink, and
+//!   statistics; also the STEPDAD/REDACT-style coarse baseline for the
+//!   Sec. VII-B comparison;
 //! * [`report`] — developer-facing deadlock reports with triggering code
 //!   and witness assignments;
 //! * [`anomaly`] — the MVCC side-channel: a table-level screen for
@@ -44,12 +45,11 @@ pub mod viz;
 
 pub use anomaly::{find_anomaly_candidates, AnomalyCandidate};
 pub use diagnose::{
-    coarse_cycle_count, diagnose, diagnose_incremental, diagnose_streaming, diagnose_with_oracle,
-    pair_shard_key, AnalyzerConfig, CollectedTrace, Diagnosis, DiagnosisStats, StoreCtx,
-    LOCK_MODEL_VERSION,
+    coarse_cycle_count, diagnose, diagnose_with, AnalyzerConfig, CollectedTrace, Diagnosis,
+    DiagnosisStats, StoreCtx, LOCK_MODEL_VERSION,
 };
 pub use indexes::IndexOracle;
 pub use pairs::{generate_pairs, PairJob, PairSet};
 pub use prefix::PrefixTable;
 pub use report::{render_stats, CycleId, DeadlockReport, ReportedStatement};
-pub use schedule::{resolve_threads, run_ordered, run_sharded, SHARD_QUEUE_DEPTH};
+pub use schedule::{resolve_threads, run_ordered};

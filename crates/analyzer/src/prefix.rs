@@ -23,13 +23,12 @@
 //! cycle would have been UNSAT — only the cost changes, never the report
 //! set. Cross-checked against the full solver under `debug_assertions`.
 //!
-//! In incremental mode (`TierConfig::incremental`) the pre-simplified
-//! conjuncts pay off twice: the per-pair session imports each one into
-//! its shared context once, and the pair's persistent
-//! [`weseer_smt::IncrementalSolver`] lowers it to CNF once — later
-//! cycles of the pair find the conjunct's Tseitin literal already in the
-//! clause database and assert only their per-cycle delta on top, under a
-//! single assumption literal.
+//! The pre-simplified conjuncts pay off twice: the per-pair session
+//! imports each one into its shared context once, and the pair's
+//! persistent [`weseer_smt::IncrementalSolver`] lowers it to CNF once —
+//! later cycles of the pair find the conjunct's Tseitin literal already
+//! in the clause database and assert only their per-cycle delta on top,
+//! under a single assumption literal.
 
 use crate::diagnose::{CollectedTrace, StoreCtx};
 use std::collections::HashSet;

@@ -1,6 +1,6 @@
 //! Deadlock reports (the output of Fig. 2's deadlock analyzer).
 
-use crate::diagnose::DiagnosisStats;
+use crate::diagnose::Diagnosis;
 use std::fmt;
 use weseer_concolic::StackTrace;
 
@@ -52,10 +52,10 @@ pub struct DeadlockReport {
     /// trigger the deadlock, from the SMT model.
     pub model: Vec<(String, String)>,
     /// The full SAT model over both instances' `A1.` / `A2.` namespaces.
-    /// Verdict-cache hits translate the canonical model back per query
-    /// ([`weseer_smt::VerdictCache`]), so this is schedule-independent —
-    /// identical across thread counts and pair orders. The replay engine
-    /// concretizes symbolic parameters from it.
+    /// Every pair's cycles are solved in canonical order by that pair's
+    /// own solver, so this is schedule-independent — identical across
+    /// thread counts. The replay engine concretizes symbolic parameters
+    /// from it.
     pub sat_model: weseer_smt::Model,
 }
 
@@ -103,10 +103,12 @@ impl fmt::Display for DeadlockReport {
 }
 
 /// Render the diagnosis funnel and per-phase wall times as a short text
-/// block for the end of an analysis report.
-pub fn render_stats(stats: &DiagnosisStats) -> String {
+/// block for the end of an analysis report. A run cut short by
+/// `max_reports` says so in one extra line; a complete run prints none.
+pub fn render_stats(diagnosis: &Diagnosis) -> String {
+    let stats = &diagnosis.stats;
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    format!(
+    let mut out = format!(
         "diagnosis funnel:\n\
          \x20 txn pairs examined      {:>8}\n\
          \x20 after phase 1 filter    {:>8}\n\
@@ -124,12 +126,20 @@ pub fn render_stats(stats: &DiagnosisStats) -> String {
         ms(stats.phase1_time),
         ms(stats.phase2_time),
         ms(stats.phase3_time),
-    )
+    );
+    if diagnosis.truncated {
+        out.push_str(&format!(
+            "TRUNCATED at max_reports = {}: later fine candidates were not examined\n",
+            diagnosis.deadlocks.len()
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnose::DiagnosisStats;
 
     #[test]
     fn render_stats_includes_funnel_and_times() {
@@ -146,11 +156,24 @@ mod tests {
             phase2_time: std::time::Duration::from_millis(5),
             phase3_time: std::time::Duration::from_millis(30),
         };
-        let s = render_stats(&stats);
+        let mut diagnosis = Diagnosis {
+            deadlocks: vec![sample()],
+            stats,
+            truncated: false,
+        };
+        let s = render_stats(&diagnosis);
         assert!(s.contains("txn pairs examined"));
         assert!(s.contains("10"));
         assert!(s.contains("1 / 2 / 0"));
-        assert!(s.contains("phase3 30.0ms"));
+        assert!(s.ends_with("phase3 30.0ms\n"), "{s}");
+
+        // A capped run appends exactly one line to the same bytes.
+        diagnosis.truncated = true;
+        let capped = render_stats(&diagnosis);
+        assert_eq!(
+            capped.strip_prefix(s.as_str()),
+            Some("TRUNCATED at max_reports = 1: later fine candidates were not examined\n")
+        );
     }
 
     fn sample() -> DeadlockReport {

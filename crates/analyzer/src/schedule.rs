@@ -1,18 +1,21 @@
-//! A small std-only scoped-thread pool with a deterministic merge.
+//! A small std-only scoped-thread pool with a deterministic, streaming
+//! merge.
 //!
 //! [`run_ordered`] maps a pure function over a slice on `threads` workers.
 //! Workers claim contiguous chunks of indexes from a shared atomic cursor
-//! (cheap work stealing: fast workers simply claim more chunks) and write
-//! each result into its item's slot, so the returned `Vec` is in *input
-//! order* no matter which worker finished when. Callers reduce that vector
-//! sequentially, which is what makes the parallel diagnosis bit-identical
-//! to the sequential one.
+//! (cheap work stealing: fast workers simply claim more chunks) and send
+//! each result back to the calling thread, which files it under its
+//! item's index and hands the *completed prefix* to `on_ready` — so both
+//! the returned `Vec` and the `on_ready` sequence are in *input order* no
+//! matter which worker finished when. Reducing in that order is what
+//! makes the parallel diagnosis bit-identical to the sequential one, and
+//! reducing inside `on_ready` is what lets a daemon emit verdicts while
+//! later items are still in flight.
 //!
 //! `threads <= 1` (or a trivial slice) runs inline on the caller's thread
-//! with no pool, no atomics, and no extra allocations.
+//! with no pool, no atomics, and no channel.
 
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolve a thread-count request: `0` means auto — the `WESEER_THREADS`
 /// environment variable if set to a positive number, else
@@ -34,165 +37,80 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Map `f` over `items` on up to `threads` workers, returning the results
-/// in input order. `f` must be pure up to its observability side effects —
+/// in input order. `on_ready` observes every result exactly once, in
+/// input order, on the calling thread, as soon as all earlier items have
+/// completed. `f` must be pure up to its observability side effects —
 /// nothing here serializes calls.
-pub fn run_ordered<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
+///
+/// Each worker publishes how many items it ran as the
+/// `analyzer.worker{w}.tasks` counter, once per call.
+pub fn run_ordered<I, O, F, E>(items: &[I], threads: usize, f: F, mut on_ready: E) -> Vec<O>
 where
     I: Sync,
     O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let workers = threads.min(n);
-    // Small chunks keep the tail balanced; large enough to amortize the
-    // cursor contention.
-    let chunk = (n / (workers * 8)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        let (cursor, slots, f) = (&cursor, &slots, &f);
-        for w in 0..workers {
-            // Named threads give each worker its own labeled timeline lane.
-            std::thread::Builder::new()
-                .name(format!("analyzer.worker{w}"))
-                .spawn_scoped(scope, move || {
-                    let _span = weseer_obs::span(&format!("analyzer.worker{w}"));
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for i in start..end {
-                            let out = f(i, &items[i]);
-                            *slots[i].lock().unwrap() = Some(out);
-                        }
-                    }
-                })
-                .expect("spawn analyzer worker");
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every index claimed exactly once")
-        })
-        .collect()
-}
-
-/// Bound on each shard's work queue in [`run_sharded`]: deep enough to
-/// keep a shard busy, shallow enough that a stalled shard back-pressures
-/// the router (and, transitively, a daemon's ingest channel) instead of
-/// buffering unboundedly.
-pub const SHARD_QUEUE_DEPTH: usize = 64;
-
-/// Map `f` over `items` on `shards` worker shards, routing each item to
-/// the shard `key(i, item) % shards` — so every item with the same key
-/// (e.g. every transaction pair conflicting on the same table) lands on
-/// the same worker. Results are returned in input order, and `on_ready`
-/// observes them in input order *as the completed prefix grows*, which is
-/// what lets a streaming caller emit verdicts while later items are still
-/// in flight.
-///
-/// Unlike [`run_ordered`]'s work-stealing cursor, items flow through
-/// bounded per-shard queues (capacity [`SHARD_QUEUE_DEPTH`]): a slow
-/// shard fills its queue and blocks the router rather than accumulating
-/// work. Per-shard `serve.shard{s}.queue_depth` gauges and
-/// `serve.shard{s}.tasks` counters feed the obs plane.
-///
-/// Determinism: `f` must be pure up to observability side effects, and
-/// both the returned vector and the `on_ready` sequence are in input
-/// order — so the output is byte-identical to the inline (`shards <= 1`)
-/// run no matter how items interleave across shards.
-pub fn run_sharded<I, O, K, F, E>(
-    items: &[I],
-    shards: usize,
-    key: K,
-    f: F,
-    mut on_ready: E,
-) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    K: Fn(usize, &I) -> u64 + Sync,
     F: Fn(usize, &I) -> O + Sync,
     E: FnMut(usize, &O),
 {
     let n = items.len();
-    if shards <= 1 || n <= 1 {
+    if threads <= 1 || n <= 1 {
         let mut out = Vec::with_capacity(n);
         for (i, it) in items.iter().enumerate() {
             let o = f(i, it);
             on_ready(i, &o);
             out.push(o);
         }
+        weseer_obs::add("analyzer.worker0.tasks", n as u64);
         return out;
     }
-    let shards = shards.min(n);
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let depths: Vec<AtomicI64> = (0..shards).map(|_| AtomicI64::new(0)).collect();
-    let (done_tx, done_rx) = std::sync::mpsc::channel::<usize>();
+    let workers = threads.min(n);
+    // Small chunks keep the tail balanced; large enough to amortize the
+    // cursor contention.
+    let chunk = (n / (workers * 8)).max(1);
+    let cursor = AtomicUsize::new(0);
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, O)>();
+    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
 
     std::thread::scope(|scope| {
-        let (slots, depths, f, key) = (&slots, &depths, &f, &key);
-        let mut queues = Vec::with_capacity(shards);
-        for (s, depth) in depths.iter().enumerate() {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<usize>(SHARD_QUEUE_DEPTH);
-            queues.push(tx);
+        let (cursor, f) = (&cursor, &f);
+        for w in 0..workers {
             let done_tx = done_tx.clone();
+            // Named threads give each worker its own labeled timeline lane.
             std::thread::Builder::new()
-                .name(format!("serve.shard{s}"))
+                .name(format!("analyzer.worker{w}"))
                 .spawn_scoped(scope, move || {
-                    let _span = weseer_obs::span(&format!("serve.shard{s}"));
-                    while let Ok(i) = rx.recv() {
-                        let d = depth.fetch_sub(1, Ordering::Relaxed) - 1;
-                        weseer_obs::gauge_set(&format!("serve.shard{s}.queue_depth"), d);
-                        *slots[i].lock().unwrap() = Some(f(i, &items[i]));
-                        weseer_obs::add(&format!("serve.shard{s}.tasks"), 1);
-                        if done_tx.send(i).is_err() {
+                    let _span = weseer_obs::span(&format!("analyzer.worker{w}"));
+                    let mut tasks = 0u64;
+                    'claim: loop {
+                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= n {
                             break;
                         }
+                        let end = (start + chunk).min(n);
+                        for (i, item) in (start..end).zip(&items[start..end]) {
+                            let out = f(i, item);
+                            tasks += 1;
+                            // The receiver only goes away if the merge
+                            // below panicked; stop producing for it.
+                            if done_tx.send((i, out)).is_err() {
+                                break 'claim;
+                            }
+                        }
                     }
+                    weseer_obs::add(&format!("analyzer.worker{w}.tasks"), tasks);
                 })
-                .expect("spawn shard worker");
+                .expect("spawn analyzer worker");
         }
         drop(done_tx);
 
-        // The router walks the items in input order and hashes each onto
-        // its shard queue. A full queue blocks the send — backpressure,
-        // not buffering.
-        std::thread::Builder::new()
-            .name("serve.router".into())
-            .spawn_scoped(scope, move || {
-                for (i, item) in items.iter().enumerate() {
-                    let s = (key(i, item) % shards as u64) as usize;
-                    let d = depths[s].fetch_add(1, Ordering::Relaxed) + 1;
-                    weseer_obs::gauge_set(&format!("serve.shard{s}.queue_depth"), d);
-                    if queues[s].send(i).is_err() {
-                        break;
-                    }
-                }
-                // Dropping the senders drains and retires the shards.
-            })
-            .expect("spawn shard router");
-
         // The merge runs on the caller's thread: completions arrive in
-        // shard-race order, but `on_ready` fires strictly in input order.
-        let mut completed = vec![false; n];
+        // worker-race order, but `on_ready` fires strictly in input order.
+        // The loop ends when every worker has dropped its sender — after
+        // its last item, or by panicking (which the scope then re-raises).
         let mut next = 0usize;
-        for i in done_rx {
-            completed[i] = true;
-            while next < n && completed[next] {
-                let slot = slots[next].lock().unwrap();
-                on_ready(next, slot.as_ref().expect("completed slot is filled"));
-                drop(slot);
+        for (i, out) in done_rx {
+            slots[i] = Some(out);
+            while let Some(Some(ready)) = slots.get(next) {
+                on_ready(next, ready);
                 next += 1;
             }
         }
@@ -200,27 +118,28 @@ where
 
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every item routed exactly once")
-        })
+        .map(|slot| slot.expect("every index claimed exactly once"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<usize> = (0..1000).collect();
         for threads in [1, 2, 4, 7] {
-            let out = run_ordered(&items, threads, |i, &x| {
-                assert_eq!(i, x);
-                x * 3
-            });
+            let out = run_ordered(
+                &items,
+                threads,
+                |i, &x| {
+                    assert_eq!(i, x);
+                    x * 3
+                },
+                |_, _| {},
+            );
             assert_eq!(out, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
         }
     }
@@ -229,86 +148,67 @@ mod tests {
     fn every_item_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
         let items: Vec<u8> = vec![0; 257]; // not a multiple of any chunk size
-        let out = run_ordered(&items, 4, |_, _| calls.fetch_add(1, Ordering::Relaxed));
+        let out = run_ordered(
+            &items,
+            4,
+            |_, _| calls.fetch_add(1, Ordering::Relaxed),
+            |_, _| {},
+        );
         assert_eq!(out.len(), 257);
         assert_eq!(calls.load(Ordering::Relaxed), 257);
+        let mut sorted = out;
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..257).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn on_ready_fires_in_input_order_for_every_item_under_skew() {
+        // Every 16th item is slow, so the chunks behind it finish first
+        // and the merge has to hold them back until the prefix completes.
+        let items: Vec<usize> = (0..120).collect();
+        for threads in [1, 2, 4, 9] {
+            let mut seen = Vec::new();
+            let out = run_ordered(
+                &items,
+                threads,
+                |_, &x| {
+                    if x % 16 == 0 {
+                        std::thread::sleep(Duration::from_millis(3));
+                    }
+                    x + 1
+                },
+                |i, &o| {
+                    assert_eq!(i + 1, o);
+                    seen.push(i);
+                },
+            );
+            assert_eq!(seen, items, "threads={threads}");
+            assert_eq!(out.len(), items.len());
+        }
     }
 
     #[test]
     fn empty_and_single() {
-        let out: Vec<i32> = run_ordered(&[] as &[i32], 8, |_, &x| x);
+        let mut ready = 0;
+        let out: Vec<i32> = run_ordered(&[] as &[i32], 8, |_, &x| x, |_, _| ready += 1);
         assert!(out.is_empty());
-        let out = run_ordered(&[42], 8, |_, &x| x + 1);
+        assert_eq!(ready, 0);
+        let out = run_ordered(&[42], 8, |_, &x| x + 1, |_, _| ready += 1);
         assert_eq!(out, vec![43]);
+        assert_eq!(ready, 1);
     }
 
     #[test]
     fn more_threads_than_items() {
-        let out = run_ordered(&[1, 2, 3], 64, |_, &x| x * x);
+        let mut seen = Vec::new();
+        let out = run_ordered(&[1, 2, 3], 64, |_, &x| x * x, |i, _| seen.push(i));
         assert_eq!(out, vec![1, 4, 9]);
+        assert_eq!(seen, vec![0, 1, 2]);
     }
 
     #[test]
     fn resolve_prefers_explicit_request() {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn sharded_results_match_inline_at_any_shard_count() {
-        let items: Vec<usize> = (0..500).collect();
-        let expect: Vec<usize> = items.iter().map(|x| x * 7).collect();
-        for shards in [1, 2, 4, 9] {
-            let out = run_sharded(
-                &items,
-                shards,
-                |_, &x| (x % 13) as u64,
-                |_, &x| x * 7,
-                |_, _| {},
-            );
-            assert_eq!(out, expect);
-        }
-    }
-
-    #[test]
-    fn on_ready_fires_in_input_order_for_every_item() {
-        let items: Vec<usize> = (0..300).collect();
-        let mut seen = Vec::new();
-        run_sharded(
-            &items,
-            4,
-            |_, &x| x as u64,
-            |_, &x| x,
-            |i, &o| {
-                assert_eq!(i, o);
-                seen.push(i);
-            },
-        );
-        assert_eq!(seen, (0..300).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn skewed_keys_exceeding_queue_depth_do_not_deadlock() {
-        // Every item hashes to shard 0 and the item count dwarfs the
-        // queue bound: the router must block and drain, not wedge.
-        let items: Vec<usize> = (0..(SHARD_QUEUE_DEPTH * 4)).collect();
-        let out = run_sharded(&items, 3, |_, _| 0, |_, &x| x + 1, |_, _| {});
-        assert_eq!(out.len(), items.len());
-        assert_eq!(out[0], 1);
-    }
-
-    #[test]
-    fn sharded_runs_every_item_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let items: Vec<u8> = vec![0; 311];
-        let out = run_sharded(
-            &items,
-            5,
-            |i, _| (i % 5) as u64,
-            |_, _| calls.fetch_add(1, Ordering::Relaxed),
-            |_, _| {},
-        );
-        assert_eq!(out.len(), 311);
-        assert_eq!(calls.load(Ordering::Relaxed), 311);
     }
 }

@@ -80,28 +80,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // The verdict cache's contribution, isolated at one thread, on both
-    // workloads: Broadleaf's candidates differ in concrete constants (all
-    // misses — the bench bounds the canonicalization overhead), while
-    // Shopizer's repeated Add templates re-discharge alpha-equivalent
-    // formulas (real hits — the bench measures the saved solves).
-    for (name, cat, ts) in [("broadleaf", &bl_catalog, &bl), ("shopizer", &catalog, &ts)] {
-        for smt_cache in [true, false] {
-            let config = AnalyzerConfig {
-                threads: 1,
-                smt_cache,
-                ..AnalyzerConfig::default()
-            };
-            let suffix = if smt_cache { "cache" } else { "nocache" };
-            g.bench_function(format!("{name}_threads1_{suffix}"), |b| {
-                b.iter(|| {
-                    let d = diagnose(cat, ts, &config);
-                    assert!(!d.deadlocks.is_empty());
-                })
-            });
-        }
-    }
-
     g.finish();
 }
 

@@ -28,9 +28,8 @@
 //! deterministic across runs and thread counts; CI diffs it).
 //! `--smt-ablation [broadleaf|shopizer]` diagnoses the app(s) once per
 //! named solver configuration (`all_tiers`, `no_simplify`,
-//! `no_presolve`, `no_prefix`, `no_cdcl` — legacy DPLL core —
-//! `no_incremental` — fresh solver per formula — and `no_tiers`; the
-//! grid is `TierConfig::ablation_configs`), prints the full-solver
+//! `no_presolve`, `no_prefix` and `no_tiers`; the grid is
+//! `TierConfig::ablation_configs`), prints the full-solver
 //! reduction table, writes a one-line summary with a
 //! `wallclock_per_solve` row per configuration to `BENCH_smt.json`, and
 //! exits nonzero if any configuration changed a verdict or report (the
@@ -68,19 +67,21 @@
 //! Serving plane: `--daemon <addr>` starts the full `weseer-serve`
 //! daemon instead of the plain metrics endpoint — everything `--serve`
 //! offers plus `GET /analyze/<app>` (stream an app's verdicts as
-//! JSON lines) and `GET /shards` (per-shard queue depth, ingest lag,
-//! verdicts/sec, shared-store hits); the bound address is printed as
+//! JSON lines) and `GET /shards` (per-analyzer-thread task counts, ingest
+//! lag, verdicts/sec, shared-store hits); the bound address is printed as
 //! `serving on http://<addr>` and held for `--serve-hold <secs>`
-//! (default: forever). `WESEER_SERVE_SHARDS`, `WESEER_SERVE_WORKERS`,
-//! and `WESEER_SERVE_STORE` tune the daemon. `--verdicts-out <path>`
+//! (default: forever). `WESEER_SERVE_SHARDS` (analyzer threads per
+//! submission), `WESEER_SERVE_WORKERS`, and `WESEER_SERVE_STORE` tune
+//! the daemon. `--verdicts-out <path>`
 //! runs the *batch* pipeline on both apps and writes their verdicts in
 //! the daemon's wire format (broadleaf first, then shopizer) so CI can
 //! byte-diff it against the daemon's streamed output. `--serve-bench`
-//! replays both apps through an in-process daemon at increasing shard
-//! and client counts, writes `BENCH_serve.json`, and exits nonzero if
-//! streaming diverged from batch anywhere, the warm store session hit
-//! nothing, or 4-shard throughput collapsed below the lenient scaling
-//! floor (see `weseer_bench::serve_bench`).
+//! replays both apps through an in-process daemon at increasing
+//! analyzer-thread (`shards`) and client counts, writes
+//! `BENCH_serve.json`, and exits nonzero if streaming diverged from batch
+//! anywhere, the warm store session hit nothing, or 4-thread throughput
+//! collapsed below the lenient scaling floor (see
+//! `weseer_bench::serve_bench`).
 //!
 //! MVCC isolation plane: `--isolation <level>` selects the session
 //! isolation level for every experiment (`serializable` — the default —
@@ -137,7 +138,7 @@ OPTIONS:
     --incremental-bench [APP] cold/warm/dirtied timings -> BENCH_incremental.json
     --timeline-bench [APP]   timeline overhead -> BENCH_timeline.json
     --mvcc-bench             isolation-level separation -> BENCH_mvcc.json
-    --serve-bench            streaming identity, shard scaling, warm store
+    --serve-bench            streaming identity, thread scaling, warm store
                              -> BENCH_serve.json
     --help                   print this help
 ";
@@ -333,7 +334,7 @@ fn main() {
             }
         }
     }
-    // `--daemon` starts the full serving plane (ingest + sharded analysis
+    // `--daemon` starts the full serving plane (ingest + streamed analysis
     // + `/analyze` + `/shards`); plain `--serve` binds the metrics-only
     // endpoint. Both print the same grep-able "serving on" line.
     let daemon = daemon_addr.map(|addr| {

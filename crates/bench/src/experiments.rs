@@ -325,19 +325,6 @@ pub fn metrics_report() -> (String, String) {
             c("smt.cdcl.propagations"),
             c("smt.cdcl.db_reductions"),
         );
-        // The verdict cache sits outside the funnel (hit/miss counts are
-        // scheduling-dependent): report its hit rate separately.
-        let hits = analysis.metrics.counter("smt.cache_hit");
-        let misses = analysis.metrics.counter("smt.cache_miss");
-        if hits + misses > 0 {
-            let _ = writeln!(
-                human,
-                "SMT verdict cache: {hits} hits / {misses} misses ({:.1}% hit rate), \
-                 pairs pruned by phase 1: {}",
-                100.0 * hits as f64 / (hits + misses) as f64,
-                analysis.metrics.counter("analyzer.pairs_pruned"),
-            );
-        }
         // Warm-vs-cold funnel of the incremental store (present only when
         // an analysis ran against one, e.g. via WESEER_STORE).
         let (sh, ss, sm) = (c("store.hit"), c("store.stale"), c("store.miss"));
@@ -539,8 +526,6 @@ struct AblationRow {
     t0: u64,
     t1: u64,
     prefix_kill: u64,
-    cache_hit: u64,
-    cache_miss: u64,
     solve_wall_us: u64,
     /// Per-query wall-clock distribution (`smt.solve_us` delta).
     solve_us: Option<weseer_obs::HistogramSnapshot>,
@@ -570,23 +555,6 @@ fn wallclock_json(row: &AblationRow) -> String {
     )
 }
 
-/// The verdict-cache hit rate reported for an ablation. Measured on the
-/// "no tiers" baseline row (the last one): with all tiers enabled the
-/// fast path discharges nearly every formula *before* the cache, so the
-/// tiered row's hit/miss counts are 0/0 and the rate degenerates to
-/// 0.000 — which is what `BENCH_smt.json` used to publish. The baseline
-/// row routes every query through the cache and measures what the cache
-/// actually saves.
-fn ablation_cache_hit_rate(rows: &[AblationRow]) -> f64 {
-    let baseline = rows.last().expect("at least the baseline row");
-    let total = baseline.cache_hit + baseline.cache_miss;
-    if total > 0 {
-        baseline.cache_hit as f64 / total as f64
-    } else {
-        0.0
-    }
-}
-
 /// The per-app JSON object for `BENCH_smt.json`: headline tiered-vs-
 /// baseline numbers plus one `wallclock_per_solve` row *per named
 /// configuration* — the row names are exactly
@@ -603,14 +571,13 @@ fn ablation_json_entry(app_name: &str, rows: &[AblationRow]) -> String {
     format!(
         "\"{app_name}\":{{\"full_solve_baseline\":{},\"full_solve_tiered\":{},\
          \"t0_discharged\":{},\"t1_discharged\":{},\"prefix_kills\":{},\
-         \"cache_hit_rate\":{:.3},\"solver_wall_us_baseline\":{},\"solver_wall_us_tiered\":{},\
+         \"solver_wall_us_baseline\":{},\"solver_wall_us_tiered\":{},\
          \"wallclock_per_solve\":{{{}}}}}",
         baseline.full_solve,
         tiered.full_solve,
         tiered.t0,
         tiered.t1,
         tiered.prefix_kill,
-        ablation_cache_hit_rate(rows),
         baseline.solve_wall_us,
         tiered.solve_wall_us,
         per_config.join(","),
@@ -661,8 +628,6 @@ pub fn smt_ablation(apps: &[&str]) -> Ablation {
                     t0: m.counter("smt.fastpath.t0_simplified"),
                     t1: m.counter("smt.fastpath.t1_sat") + m.counter("smt.fastpath.t1_unsat"),
                     prefix_kill: m.counter("smt.fastpath.prefix_kill"),
-                    cache_hit: m.counter("smt.cache_hit"),
-                    cache_miss: m.counter("smt.cache_miss"),
                     solve_wall_us: m.histogram("smt.solve_us").map(|h| h.sum).unwrap_or(0),
                     solve_us: m.histogram("smt.solve_us").cloned(),
                     full_solve_us: m.histogram("smt.full_solve_us").cloned(),
@@ -685,12 +650,11 @@ pub fn smt_ablation(apps: &[&str]) -> Ablation {
 
         // The "no tiers" row is the reference semantics: every other
         // configuration must reproduce its reports byte-for-byte and
-        // must not *flip* any verdict. It may *refine* the baseline:
-        // the CDCL core decides queries whose search the chronological
-        // DPLL baseline abandons at its decision budget, so a row may
-        // turn baseline Unknowns into Unsats (never the reverse, and
-        // never touching the sat count — a new sat would surface as a
-        // report difference).
+        // must not *flip* any verdict. It may *refine* the baseline: a
+        // tier can decide a query whose full solve runs out of budget,
+        // so a row may turn baseline Unknowns into Unsats (never the
+        // reverse, and never touching the sat count — a new sat would
+        // surface as a report difference).
         let baseline = rows.last().unwrap();
         for row in &rows {
             let (s, u, k) = row.verdicts;
@@ -733,7 +697,6 @@ pub fn smt_ablation(apps: &[&str]) -> Ablation {
                     r.t0.to_string(),
                     r.t1.to_string(),
                     r.prefix_kill.to_string(),
-                    format!("{}/{}", r.cache_hit, r.cache_miss),
                     format!("{:.1}", r.solve_wall_us as f64 / 1000.0),
                     match &r.full_solve_us {
                         Some(h) if h.count > 0 => format!("{}/{}", h.mean(), h.p99()),
@@ -751,7 +714,6 @@ pub fn smt_ablation(apps: &[&str]) -> Ablation {
                 "t0 discharged",
                 "t1 discharged",
                 "prefix kills",
-                "cache hit/miss",
                 "solver wall (ms)",
                 "full solve mean/p99 (us)",
                 "(sat, unsat, unknown)",
@@ -1429,35 +1391,11 @@ mod tests {
     }
 
     #[test]
-    fn ablation_hit_rate_comes_from_the_baseline_row() {
-        let row = |label, cache_hit, cache_miss| AblationRow {
-            label,
-            full_solve: 0,
-            t0: 0,
-            t1: 0,
-            prefix_kill: 0,
-            cache_hit,
-            cache_miss,
-            solve_wall_us: 0,
-            solve_us: None,
-            full_solve_us: None,
-            verdicts: (0, 0, 0),
-            reports: Vec::new(),
-        };
-        // With all tiers on, no formula reaches the cache (0/0 on the
-        // tiered row); the baseline row carries the real cache traffic.
-        // The rate must come from the baseline, not degenerate to 0.000.
-        let rows = vec![row("all tiers", 0, 0), row("no tiers", 30, 10)];
-        assert!((ablation_cache_hit_rate(&rows) - 0.75).abs() < 1e-9);
-        let json = ablation_json_entry("broadleaf", &rows);
-        assert!(json.contains("\"cache_hit_rate\":0.750"), "{json}");
-    }
-
-    #[test]
     fn ablation_json_has_a_row_per_real_knob() {
-        // `BENCH_smt.json` once published a `no_incremental` row no knob
-        // produced. The row set now *is* the knob grid: every named
-        // configuration gets its own `wallclock_per_solve` entry.
+        // `BENCH_smt.json` once published a row no knob produced. The
+        // row set *is* the knob grid: every named configuration gets its
+        // own `wallclock_per_solve` entry, and nothing else does.
+        assert_eq!(weseer_smt::TierConfig::ablation_configs().len(), 5);
         let rows: Vec<AblationRow> = weseer_smt::TierConfig::ablation_configs()
             .into_iter()
             .map(|(label, _)| AblationRow {
@@ -1466,8 +1404,6 @@ mod tests {
                 t0: 0,
                 t1: 0,
                 prefix_kill: 0,
-                cache_hit: 0,
-                cache_miss: 0,
                 solve_wall_us: 0,
                 solve_us: None,
                 full_solve_us: None,
@@ -1481,8 +1417,6 @@ mod tests {
             "no_simplify",
             "no_presolve",
             "no_prefix",
-            "no_cdcl",
-            "no_incremental",
             "no_tiers",
         ] {
             assert!(

@@ -7,13 +7,14 @@
 //! 1. **Identity** — the streamed verdict lines must be byte-identical
 //!    to the batch pipeline's reports, cold and warm, at every shard
 //!    count. Any divergence fails the bench (and CI).
-//! 2. **Shard scaling** — traces/sec and client-observed verdict
-//!    latency (p50/p99, submission → receipt) at 1, 2, and 4 analysis
-//!    shards. The gate is deliberately lenient — 4 shards must reach at
-//!    least 0.4× the 1-shard throughput — because CI runners are often
-//!    single-core, where sharding can only add overhead; the gate
-//!    catches pathological regressions (a deadlocked queue, quadratic
-//!    routing), not missing speedups.
+//! 2. **Thread scaling** — traces/sec and client-observed verdict
+//!    latency (p50/p99, submission → receipt) at 1, 2, and 4 analyzer
+//!    threads per submission (`DaemonConfig::shards`). The gate is
+//!    deliberately lenient — 4 threads must reach at least 0.4× the
+//!    1-thread throughput — because CI runners are often single-core,
+//!    where extra threads can only add overhead; the gate catches
+//!    pathological regressions (a wedged merge, a serialized pool), not
+//!    missing speedups.
 //! 3. **Warm sharing** — a second daemon session against the same store
 //!    file must hit verdicts the first session persisted (hit rate > 0),
 //!    proving the store warms across daemon restarts, not just within
@@ -245,8 +246,8 @@ pub fn serve_bench(quick: bool) -> ServeBench {
         ));
     }
     // Lenient on purpose: single-core CI cannot show a speedup, but a
-    // 4-shard collapse below 0.4x of 1-shard means the scheduler itself
-    // regressed (stalled queues, routing overhead gone quadratic).
+    // 4-thread collapse below 0.4x of 1-thread means the scheduler
+    // itself regressed (a stalled merge, workers serialized).
     if shard_tput[2] < 0.4 * shard_tput[0] {
         failed = true;
         let _ = writeln!(

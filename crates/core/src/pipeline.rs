@@ -5,8 +5,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use weseer_analyzer::{
-    coarse_cycle_count, diagnose_incremental, find_anomaly_candidates, resolve_threads,
-    run_ordered, AnalyzerConfig, AnomalyCandidate, CollectedTrace, Diagnosis, StoreCtx,
+    coarse_cycle_count, diagnose_with, find_anomaly_candidates, resolve_threads, run_ordered,
+    AnalyzerConfig, AnomalyCandidate, CollectedTrace, Diagnosis, StoreCtx,
 };
 use weseer_apps::app::collect_trace;
 use weseer_apps::{classify, AppLocks, ECommerceApp, Fixes, KnownDeadlock};
@@ -292,8 +292,8 @@ impl Weseer {
 
     /// Open (or create) the incremental store at `path` and consult it on
     /// every analysis: a warm run over unchanged traces reuses each
-    /// prefix pre-solve, phase-2 scan, phase-3 verdict, SMT verdict, and
-    /// replay outcome recorded by the run that filled the store, and is
+    /// prefix pre-solve, phase-2 scan, phase-3 verdict, and replay
+    /// outcome recorded by the run that filled the store, and is
     /// byte-identical to it.
     pub fn with_store(mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         self.store = Some(Arc::new(Store::open(path)?));
@@ -391,24 +391,29 @@ impl Weseer {
             }
             return (traces, db);
         }
-        let outputs = run_ordered(tests, threads, |i, test| {
-            let db = Database::new(app.catalog());
-            app.seed(&db);
-            let locks = AppLocks::new();
-            for prior in &tests[..i] {
-                let (_t, _c, r) = collect_trace(
-                    app,
-                    prior,
-                    &db,
-                    fixes,
-                    &locks,
-                    ExecMode::Native,
-                    LibraryMode::Modeled,
-                );
-                r.unwrap_or_else(|e| panic!("unit test {prior} failed: {e}"));
-            }
-            (Self::trace_one(app, test, &db, fixes, &locks), db)
-        });
+        let outputs = run_ordered(
+            tests,
+            threads,
+            |i, test| {
+                let db = Database::new(app.catalog());
+                app.seed(&db);
+                let locks = AppLocks::new();
+                for prior in &tests[..i] {
+                    let (_t, _c, r) = collect_trace(
+                        app,
+                        prior,
+                        &db,
+                        fixes,
+                        &locks,
+                        ExecMode::Native,
+                        LibraryMode::Modeled,
+                    );
+                    r.unwrap_or_else(|e| panic!("unit test {prior} failed: {e}"));
+                }
+                (Self::trace_one(app, test, &db, fixes, &locks), db)
+            },
+            |_, _| {},
+        );
         let mut traces = Vec::with_capacity(outputs.len());
         let mut db = None;
         for (t, d) in outputs {
@@ -475,12 +480,13 @@ impl Weseer {
                 fingerprints: fps,
                 namespace: app.name(),
             });
-        let diagnosis = diagnose_incremental(
+        let diagnosis = diagnose_with(
             &app.catalog(),
             &traces,
             &self.config,
             None,
             store_ctx.as_ref(),
+            None,
         );
         let mut groups: BTreeMap<KnownDeadlock, usize> = BTreeMap::new();
         for r in &diagnosis.deadlocks {

@@ -4,7 +4,7 @@
 //! through its range locks; the engine's concrete plan uses the primary
 //! index, and re-analysis with the oracle refutes the cycle.
 
-use weseer_analyzer::{diagnose, diagnose_with_oracle, AnalyzerConfig, CollectedTrace};
+use weseer_analyzer::{diagnose, diagnose_with, AnalyzerConfig, CollectedTrace};
 use weseer_concolic::{loc, shared, take_ctx, ExecMode};
 use weseer_core::DbPlanOracle;
 use weseer_db::Database;
@@ -78,7 +78,7 @@ fn explain_oracle_removes_wrong_index_false_positive() {
     // and the id-distinctness axioms refute every cycle.
     let oracle = DbPlanOracle::new(db.clone());
     let traces = vec![collect(&db)];
-    let with = diagnose_with_oracle(db.catalog(), &traces, &config, Some(&oracle));
+    let with = diagnose_with(db.catalog(), &traces, &config, Some(&oracle), None, None);
     assert!(
         with.deadlocks.is_empty(),
         "EXPLAIN refinement must refute the wrong-index cycle: {:#?}",
@@ -99,11 +99,13 @@ fn oracle_preserves_true_positives() {
     let weseer = Weseer::new();
     let (traces, db) = weseer.collect_traces(&Shopizer, &weseer_apps::Fixes::none());
     let oracle = DbPlanOracle::new(db);
-    let with = diagnose_with_oracle(
+    let with = diagnose_with(
         &Shopizer.catalog(),
         &traces,
         &AnalyzerConfig::default(),
         Some(&oracle),
+        None,
+        None,
     );
     assert!(
         !with.deadlocks.is_empty(),

@@ -16,7 +16,7 @@ USAGE:
 
 OPTIONS:
     --addr HOST:PORT   bind address (default 127.0.0.1:0, ephemeral port)
-    --shards N         analysis shards per submission (default 2)
+    --shards N         analyzer threads per submission (default 2)
     --workers N        concurrent analysis workers (default 1)
     --store PATH       shared warm verdict store (live-append JSON lines)
     --hold SECS        exit after SECS seconds instead of serving forever
@@ -24,7 +24,7 @@ OPTIONS:
 
 ROUTES:
     GET /analyze/<app>   stream an app's verdicts (broadleaf | shopizer)
-    GET /shards          per-shard queue depth, ingest lag, verdicts/sec
+    GET /shards          per-thread task counts, ingest lag, verdicts/sec
     GET /metrics         Prometheus counters, gauges, histograms
     GET /funnel          pipeline funnel JSON
 ";

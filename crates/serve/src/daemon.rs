@@ -1,6 +1,6 @@
 //! The daemon core: bounded-channel ingestion, per-session trace
-//! buffering, and analysis workers running the table-sharded streaming
-//! diagnosis against the shared warm store.
+//! buffering, and analysis workers running the streaming diagnosis
+//! against the shared warm store.
 
 use crate::verdict_line;
 use std::collections::HashMap;
@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use weseer_analyzer::{diagnose_streaming, AnalyzerConfig, CollectedTrace, StoreCtx};
+use weseer_analyzer::{diagnose_with, AnalyzerConfig, CollectedTrace, StoreCtx};
 use weseer_apps::{Broadleaf, ECommerceApp, Fixes, Shopizer};
 use weseer_core::Weseer;
 use weseer_store::Store;
@@ -27,7 +27,7 @@ pub fn app_by_name(name: &str) -> Option<&'static dyn ECommerceApp> {
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Analysis shards per submission (`run_sharded` worker count).
+    /// Analyzer threads per submission (the diagnosis pool's size).
     pub shards: usize,
     /// Bound of the ingest channel, in messages (traces). A full channel
     /// blocks the submitting client — backpressure, not buffering.
@@ -35,7 +35,7 @@ pub struct DaemonConfig {
     /// Bound of the router → analysis-worker queue, in whole submissions.
     pub work_capacity: usize,
     /// Concurrent analysis workers (each runs one submission at a time
-    /// over its own shard set).
+    /// on its own `shards` analyzer threads).
     pub workers: usize,
     /// Shared warm verdict store, opened in live-append mode. `None`
     /// analyzes cold every time.
@@ -323,7 +323,8 @@ impl IngestClient {
 }
 
 /// Analyze one submission on an analysis worker, streaming verdicts to
-/// the session's reply channel. Uses the batch pipeline's default
+/// the session's reply channel. Apart from the thread count (which never
+/// changes output) this is the batch pipeline's default
 /// [`AnalyzerConfig`], so verdict bytes match `Weseer::new().analyze`.
 fn run_analysis(job: AnalysisJob, store: Option<&Arc<Store>>, shards: usize) {
     let wall = Instant::now();
@@ -339,7 +340,10 @@ fn run_analysis(job: AnalysisJob, store: Option<&Arc<Store>>, shards: usize) {
         return;
     };
     let catalog = app.catalog();
-    let config = AnalyzerConfig::default();
+    let config = AnalyzerConfig {
+        threads: shards.max(1),
+        ..AnalyzerConfig::default()
+    };
     let fingerprints: Vec<String> = job
         .traces
         .iter()
@@ -351,20 +355,19 @@ fn run_analysis(job: AnalysisJob, store: Option<&Arc<Store>>, shards: usize) {
         namespace: app.name(),
     });
     let mut verdicts = 0usize;
-    diagnose_streaming(
+    diagnose_with(
         &catalog,
         &job.traces,
         &config,
         None,
         store_ctx.as_ref(),
-        shards,
-        &mut |report| {
+        Some(&mut |report| {
             verdicts += 1;
             weseer_obs::incr("serve.verdicts_served");
             let _ = job
                 .reply
                 .send(ServeEvent::Verdict(verdict_line(&job.app, report)));
-        },
+        }),
     );
     let _ = job.reply.send(ServeEvent::Done(AnalysisSummary {
         app: job.app,

@@ -4,7 +4,7 @@
 //! * `GET /analyze/<app>` — collect that app's unit-test traces
 //!   server-side, stream them through the ingest plane, and return the
 //!   verdict lines (one JSON object per line, canonical order);
-//! * `GET /shards` — per-shard queue depths and task counts, ingest lag
+//! * `GET /shards` — per-analyzer-thread task counts, ingest lag
 //!   percentiles, verdicts/sec, and shared-store hit counters;
 //! * plus the built-in `/metrics`, `/funnel`, `/waitfor`, `/waitfor.dot`
 //!   and the dashboard at `/`.
@@ -57,17 +57,8 @@ pub fn shards_json(daemon: &Daemon) -> String {
             Json::Obj(vec![
                 ("shard".into(), Json::u64(s as u64)),
                 (
-                    "queue_depth".into(),
-                    Json::i64(
-                        snap.gauges
-                            .get(&format!("serve.shard{s}.queue_depth"))
-                            .copied()
-                            .unwrap_or(0),
-                    ),
-                ),
-                (
                     "tasks".into(),
-                    Json::u64(snap.counter(&format!("serve.shard{s}.tasks"))),
+                    Json::u64(snap.counter(&format!("analyzer.worker{s}.tasks"))),
                 ),
             ])
         })

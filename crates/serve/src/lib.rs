@@ -1,8 +1,9 @@
 //! # weseer-serve
 //!
 //! The fleet-scale serving plane: a long-lived daemon that ingests trace
-//! streams from many application instances concurrently, shards deadlock
-//! analysis by entity/table, and streams verdicts back as they land.
+//! streams from many application instances concurrently, runs the
+//! deadlock analysis on a thread pool, and streams verdicts back as they
+//! land.
 //!
 //! ## Architecture
 //!
@@ -11,23 +12,23 @@
 //!   (backpressure:            (per-session     (backpressure)  workers
 //!    a full channel            trace buffers)                    │
 //!    blocks `send`)                                              ▼
-//!                                          diagnose_streaming over table-
-//!                                          keyed shards  ──▶ verdict events
+//!                                          diagnose_with(.., sink) on
+//!                                          `shards` threads ──▶ verdict events
 //!                                                │
 //!                                      shared warm Store (live append)
 //! ```
 //!
-//! Every channel is bounded, so pressure propagates backwards: a slow
-//! analysis shard fills its queue, which stalls the router, which fills
-//! the ingest channel, which blocks the submitting clients — the daemon
-//! never buffers unboundedly. Verdicts are **byte-identical to the batch
-//! pipeline** by construction: sharding only relocates pure per-pair
-//! work, and the in-order merge emits reports in the same canonical
-//! order the batch reduce walks (see `weseer-analyzer`'s
-//! `diagnose_streaming`).
+//! Every channel is bounded, so pressure propagates backwards: a busy
+//! analysis worker leaves the work queue full, which stalls the router,
+//! which fills the ingest channel, which blocks the submitting clients —
+//! the daemon never buffers unboundedly. Verdicts are **byte-identical to
+//! the batch pipeline** by construction: it is the same driver
+//! (`weseer-analyzer`'s `diagnose_with`), whose ordered merge hands the
+//! sink exactly the report sequence a batch caller collects; the thread
+//! count only decides where pure per-pair work runs.
 //!
 //! The shared [`weseer_store::Store`] is opened in live-append mode:
-//! shards publish verdicts into the common in-memory index as they solve
+//! analyses publish verdicts into the common in-memory index as they solve
 //! (so concurrent submissions hit each other's work) and every record is
 //! persisted immediately, making warm starts survive a killed daemon.
 

@@ -1,112 +1,42 @@
-//! Formula canonicalization for the verdict cache.
+//! Formula canonicalization for content fingerprints.
 //!
-//! Traces collected from the same API template make the analyzer
-//! re-discharge near-identical solver queries: the formulas differ only in
-//! variable *names* (`A1.userId` in one pair, `A2.userId` in another) and
-//! in the order symmetric connectives happened to be built. This module
-//! maps a formula to a **canonical form** that erases both differences:
+//! Traces collected from the same API template carry near-identical
+//! symbolic terms: they differ only in variable *names* (symbol counters
+//! shift when an unrelated call is added upstream) and in the order
+//! symmetric connectives happened to be built. This module maps a set of
+//! terms to **content keys** that erase both differences:
 //!
 //! * children of `And`/`Or` (and the operands of the symmetric `Eq`) are
-//!   sorted by their serialized subterm;
+//!   sorted by their name-erased serialized subterm;
 //! * variables are alpha-renamed to `v0, v1, …` in first-occurrence order
 //!   over the sorted structure.
 //!
-//! Two alpha-equivalent (modulo AC-reordering) formulas therefore share
-//! one canonical **key**. The cache solves the *rebuilt canonical formula*
-//! — not the original — so the cached verdict and model are a pure
-//! function of the key, independent of which query filled the entry first
-//! and of worker scheduling. The satisfying model comes back in canonical
-//! names and is translated to the query's names through the recorded
-//! renaming.
+//! Two alpha-equivalent (modulo AC-reordering) term sets therefore share
+//! one key vector, which is what `weseer_concolic`'s trace fingerprints
+//! hash.
 
-use crate::model::Model;
-use crate::term::{CmpKind, Ctx, Sort, TermId, TermKind};
+use crate::term::{CmpKind, Ctx, TermId, TermKind};
 use std::collections::HashMap;
 
-/// A formula reduced to canonical form: the cache key, the variable
-/// renaming, and enough structure to rebuild the canonical term.
+/// Namespace for the canonical serialization of terms.
 #[derive(Debug)]
-pub struct Canonical {
-    /// The canonical serialization — the verdict-cache key.
-    pub key: String,
-    /// Alpha-renaming: canonical index `i` (variable `v{i}`) maps back to
-    /// the original variable name (and its sort).
-    vars: Vec<(String, Sort)>,
-}
+pub struct Canonical;
 
 impl Canonical {
-    /// Canonicalize `root` (Bool-sorted) from `src`.
-    pub fn of(src: &Ctx, root: TermId) -> Canonical {
-        let mut c = Canonicalizer {
-            src,
-            erase: false,
-            pre: HashMap::new(),
-            vars: Vec::new(),
-            var_ids: HashMap::new(),
-        };
-        // Pass 1 orders symmetric children; pass 2 assigns alpha indexes
-        // over that order and emits the key.
-        c.pre_string(root);
-        let mut key = String::with_capacity(c.pre[&root].len());
-        c.keyed(root, &mut key);
-        Canonical { key, vars: c.vars }
-    }
-
-    /// Number of distinct variables in the formula.
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Rebuild the canonical formula (alpha-renamed, children sorted) in a
-    /// fresh context. Solving this term — rather than the original — makes
-    /// the solver's answer a pure function of [`Canonical::key`].
-    pub fn rebuild(&self, src: &Ctx, root: TermId) -> (Ctx, TermId) {
-        let mut c = Canonicalizer {
-            src,
-            erase: false,
-            pre: HashMap::new(),
-            vars: Vec::new(),
-            var_ids: HashMap::new(),
-        };
-        c.pre_string(root);
-        let mut dst = Ctx::new();
-        let mut memo = HashMap::new();
-        let term = c.build(root, &mut dst, &mut memo);
-        debug_assert_eq!(c.vars, self.vars, "rebuild must replay the key pass");
-        (dst, term)
-    }
-
-    /// Translate a model over canonical names (`v0`, `v1`, …) back to the
-    /// original variable names of the query this `Canonical` came from.
-    pub fn translate_model(&self, canonical: &Model) -> Model {
-        let map: HashMap<String, String> = self
-            .vars
-            .iter()
-            .enumerate()
-            .map(|(i, (orig, _))| (format!("v{i}"), orig.clone()))
-            .collect();
-        canonical.rename(&map)
-    }
-
     /// Canonical **content keys** for a set of roots sharing one variable
     /// namespace and one alpha assignment (assigned in first-visit order
     /// across the whole slice, so cross-root variable sharing is visible
     /// in the keys).
     ///
-    /// Unlike [`Canonical::of`], the sort order of symmetric children is
-    /// computed over *name-erased* pre-strings, so the keys are fully
-    /// invariant under alpha-renaming — two formula sets that differ only
-    /// in variable names produce identical key vectors. That makes this
-    /// the right primitive for content fingerprints (where spurious
-    /// differences must not change the hash), while the cache keeps using
-    /// [`Canonical::of`] (where a name-dependent sort only costs an
-    /// occasional extra miss but preserves the historical keys).
+    /// The sort order of symmetric children is computed over
+    /// *name-erased* pre-strings, so the keys are fully invariant under
+    /// alpha-renaming — two formula sets that differ only in variable
+    /// names produce identical key vectors, and spurious differences
+    /// never change a fingerprint.
     pub fn content_keys(src: &Ctx, roots: &[TermId]) -> Vec<String> {
         let mut c = Canonicalizer {
             src,
-            erase: true,
             pre: HashMap::new(),
-            vars: Vec::new(),
             var_ids: HashMap::new(),
         };
         for &r in roots {
@@ -125,15 +55,11 @@ impl Canonical {
 
 struct Canonicalizer<'a> {
     src: &'a Ctx,
-    /// Erase variable names from the pre-strings (content-key mode). The
-    /// sorted order of symmetric children then cannot depend on names, so
-    /// the emitted keys are fully alpha-invariant.
-    erase: bool,
-    /// Memoized serialization that defines the sorted order of symmetric
-    /// children — original names for the cache, erased for content keys.
+    /// Memoized name-erased serialization that defines the sorted order
+    /// of symmetric children. With the names gone that order cannot
+    /// depend on them, so the emitted keys are fully alpha-invariant.
     pre: HashMap<TermId, String>,
     /// Alpha assignment in first-occurrence order over the sorted walk.
-    vars: Vec<(String, Sort)>,
     var_ids: HashMap<String, usize>,
 }
 
@@ -141,13 +67,7 @@ impl Canonicalizer<'_> {
     fn pre_string(&mut self, t: TermId) -> &str {
         if !self.pre.contains_key(&t) {
             let s = match self.src.kind(t).clone() {
-                TermKind::Var(name) => {
-                    if self.erase {
-                        format!("V:{}", self.src.sort(t))
-                    } else {
-                        format!("V{name}:{}", self.src.sort(t))
-                    }
-                }
+                TermKind::Var(_) => format!("V:{}", self.src.sort(t)),
                 TermKind::BoolConst(b) => format!("B{b}"),
                 TermKind::NumConst(r) => format!("N{r}:{}", self.src.sort(t)),
                 TermKind::StrConst(s) => format!("S{s:?}"),
@@ -178,7 +98,7 @@ impl Canonicalizer<'_> {
         }
         let mut parts: Vec<&str> = children.iter().map(|c| self.pre[c].as_str()).collect();
         if sorted {
-            // Stable: in erased mode distinct subterms can share a
+            // Stable: distinct subterms can share a name-erased
             // pre-string, and ties must resolve to the original child
             // order so keys stay deterministic.
             parts.sort();
@@ -186,7 +106,7 @@ impl Canonicalizer<'_> {
         format!("({op} {})", parts.join(" "))
     }
 
-    /// The order symmetric children are visited in passes 2 and 3 — by
+    /// The order symmetric children are visited in pass 2 — by
     /// pre-string, matching [`Canonicalizer::pre_nary`].
     fn ordered(&self, children: &[TermId], sorted: bool) -> Vec<TermId> {
         let mut out = children.to_vec();
@@ -196,14 +116,9 @@ impl Canonicalizer<'_> {
         out
     }
 
-    fn alpha(&mut self, name: &str, sort: &Sort) -> usize {
-        if let Some(&i) = self.var_ids.get(name) {
-            return i;
-        }
-        let i = self.vars.len();
-        self.vars.push((name.to_string(), sort.clone()));
-        self.var_ids.insert(name.to_string(), i);
-        i
+    fn alpha(&mut self, name: &str) -> usize {
+        let next = self.var_ids.len();
+        *self.var_ids.entry(name.to_string()).or_insert(next)
     }
 
     /// Pass 2: emit the canonical key, assigning alpha indexes in
@@ -213,7 +128,7 @@ impl Canonicalizer<'_> {
         match self.src.kind(t).clone() {
             TermKind::Var(name) => {
                 let sort = self.src.sort(t).clone();
-                let i = self.alpha(&name, &sort);
+                let i = self.alpha(&name);
                 let _ = write!(out, "v{i}:{sort}");
             }
             TermKind::BoolConst(b) => {
@@ -253,187 +168,19 @@ impl Canonicalizer<'_> {
         }
         out.push(')');
     }
-
-    /// Pass 3: rebuild the canonical term in `dst`, replaying the exact
-    /// walk of [`Canonicalizer::keyed`] so variable `v{i}` lines up with
-    /// the key's alpha assignment.
-    fn build(&mut self, t: TermId, dst: &mut Ctx, memo: &mut HashMap<TermId, TermId>) -> TermId {
-        if let Some(&d) = memo.get(&t) {
-            return d;
-        }
-        let out = match self.src.kind(t).clone() {
-            TermKind::Var(name) => {
-                let sort = self.src.sort(t).clone();
-                let i = self.alpha(&name, &sort);
-                dst.var(format!("v{i}"), sort)
-            }
-            TermKind::BoolConst(b) => dst.bool_const(b),
-            TermKind::NumConst(r) => {
-                if self.src.sort(t) == &Sort::Int {
-                    dst.int(r.floor() as i64)
-                } else {
-                    dst.real(r)
-                }
-            }
-            TermKind::StrConst(s) => dst.str_const(s),
-            TermKind::Add(a, b) => {
-                let (ia, ib) = (self.build(a, dst, memo), self.build(b, dst, memo));
-                dst.add(ia, ib)
-            }
-            TermKind::Sub(a, b) => {
-                let (ia, ib) = (self.build(a, dst, memo), self.build(b, dst, memo));
-                dst.sub(ia, ib)
-            }
-            TermKind::Neg(a) => {
-                let ia = self.build(a, dst, memo);
-                dst.neg(ia)
-            }
-            TermKind::MulConst(c, a) => {
-                let ia = self.build(a, dst, memo);
-                dst.mul_const(c, ia)
-            }
-            TermKind::Cmp(k, a, b) => {
-                let (ia, ib) = (self.build(a, dst, memo), self.build(b, dst, memo));
-                match k {
-                    CmpKind::Lt => dst.lt(ia, ib),
-                    CmpKind::Le => dst.le(ia, ib),
-                }
-            }
-            TermKind::Eq(a, b) => {
-                let imported: Vec<TermId> = self
-                    .ordered(&[a, b], true)
-                    .into_iter()
-                    .map(|c| self.build(c, dst, memo))
-                    .collect();
-                dst.eq(imported[0], imported[1])
-            }
-            TermKind::Not(a) => {
-                let ia = self.build(a, dst, memo);
-                dst.not(ia)
-            }
-            TermKind::And(parts) => {
-                let imported: Vec<TermId> = self
-                    .ordered(&parts, true)
-                    .into_iter()
-                    .map(|c| self.build(c, dst, memo))
-                    .collect();
-                dst.and(imported)
-            }
-            TermKind::Or(parts) => {
-                let imported: Vec<TermId> = self
-                    .ordered(&parts, true)
-                    .into_iter()
-                    .map(|c| self.build(c, dst, memo))
-                    .collect();
-                dst.or(imported)
-            }
-            TermKind::Store(a, i, v) => {
-                let (ia, ii, iv) = (
-                    self.build(a, dst, memo),
-                    self.build(i, dst, memo),
-                    self.build(v, dst, memo),
-                );
-                dst.store(ia, ii, iv)
-            }
-            TermKind::Select(a, i) => {
-                let (ia, ii) = (self.build(a, dst, memo), self.build(i, dst, memo));
-                dst.select(ia, ii)
-            }
-        };
-        memo.insert(t, out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{check, SolveResult, SolverConfig};
-
-    #[test]
-    fn alpha_renaming_unifies_instance_prefixes() {
-        // (A1.x > 3) ∧ (A2.y < A1.x)  vs  (B9.u > 3) ∧ (C.w < B9.u):
-        // identical structure, different names → one key.
-        let build = |n1: &str, n2: &str| {
-            let mut ctx = Ctx::new();
-            let x = ctx.var(n1, Sort::Int);
-            let y = ctx.var(n2, Sort::Int);
-            let three = ctx.int(3);
-            let gt = ctx.gt(x, three);
-            let lt = ctx.lt(y, x);
-            let f = ctx.and([gt, lt]);
-            Canonical::of(&ctx, f).key
-        };
-        assert_eq!(build("A1.x", "A2.y"), build("B9.u", "C.w"));
-    }
-
-    #[test]
-    fn constants_stay_distinguishing() {
-        let build = |v: i64| {
-            let mut ctx = Ctx::new();
-            let x = ctx.var("x", Sort::Int);
-            let c = ctx.int(v);
-            let f = ctx.eq(x, c);
-            Canonical::of(&ctx, f).key
-        };
-        assert_ne!(build(1), build(2));
-    }
-
-    #[test]
-    fn sorts_stay_distinguishing() {
-        let mut ctx = Ctx::new();
-        let xi = ctx.var("x", Sort::Int);
-        let xr = ctx.var("y", Sort::Real);
-        let zero_i = ctx.int(0);
-        let zero_r = ctx.real(crate::rational::Rat::int(0));
-        let fi = ctx.lt(zero_i, xi);
-        let fr = ctx.lt(zero_r, xr);
-        assert_ne!(Canonical::of(&ctx, fi).key, Canonical::of(&ctx, fr).key);
-    }
-
-    #[test]
-    fn ac_reordering_shares_a_key() {
-        let mut ctx = Ctx::new();
-        let x = ctx.var("x", Sort::Int);
-        let y = ctx.var("y", Sort::Int);
-        let zero = ctx.int(0);
-        let a = ctx.lt(zero, x);
-        let b = ctx.lt(zero, y);
-        let f1 = ctx.and([a, b]);
-        let f2 = ctx.and([b, a]);
-        // Same children either way once sorted — but alpha indexes follow
-        // the *sorted* order, so both ANDs serialize identically.
-        assert_eq!(Canonical::of(&ctx, f1).key, Canonical::of(&ctx, f2).key);
-    }
-
-    #[test]
-    fn rebuild_is_equisatisfiable_and_model_translates() {
-        let mut ctx = Ctx::new();
-        let x = ctx.var("A1.order_id", Sort::Int);
-        let seven = ctx.int(7);
-        let ten = ctx.int(10);
-        let ge = ctx.ge(x, seven);
-        let lt = ctx.lt(x, ten);
-        let f = ctx.and([ge, lt]);
-        let canon = Canonical::of(&ctx, f);
-        let (mut cctx, cterm) = canon.rebuild(&ctx, f);
-        match check(&mut cctx, cterm, &SolverConfig::default()) {
-            SolveResult::Sat(m) => {
-                let translated = canon.translate_model(&m);
-                let v = translated.get_int("A1.order_id").expect("renamed back");
-                assert!((7..10).contains(&v));
-                assert!(translated.satisfies(&ctx, f));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
+    use crate::term::Sort;
 
     #[test]
     fn content_keys_are_alpha_invariant() {
-        // `Canonical::of` sorts AND-children by *named* pre-strings, so a
-        // pure renaming can flip the child order and change the key.
-        // Content keys erase names before sorting: renaming every
-        // variable leaves the key vector untouched.
+        // Sorting AND-children by *named* pre-strings would let a pure
+        // renaming flip the child order and change the key. Content keys
+        // erase names before sorting: renaming every variable leaves the
+        // key vector untouched.
         let build = |n1: &str, n2: &str| {
             let mut ctx = Ctx::new();
             let x = ctx.var(n1, Sort::Int);
@@ -446,8 +193,10 @@ mod tests {
             Canonical::content_keys(&ctx, &[both, link])
         };
         // "zz"/"aa" reverses the lexicographic order of the named
-        // pre-strings, which is exactly the case that breaks `of`.
+        // pre-strings, which is exactly the case a named sort breaks on.
         assert_eq!(build("aa", "zz"), build("zz", "aa"));
+        // Instance prefixes are just names.
+        assert_eq!(build("A1.x", "A2.y"), build("B9.u", "C.w"));
     }
 
     #[test]
@@ -468,25 +217,46 @@ mod tests {
     }
 
     #[test]
-    fn content_keys_distinguish_structure() {
+    fn content_keys_distinguish_structure_constants_and_sorts() {
         let mut ctx = Ctx::new();
         let x = ctx.var("x", Sort::Int);
+        let r = ctx.var("r", Sort::Real);
         let three = ctx.int(3);
+        let four = ctx.int(4);
+        let zero_r = ctx.real(crate::rational::Rat::int(0));
         let lt = ctx.lt(x, three);
         let le = ctx.le(x, three);
-        let keys = Canonical::content_keys(&ctx, &[lt, le]);
-        assert_ne!(keys[0], keys[1]);
+        let lt4 = ctx.lt(x, four);
+        let zero_i = ctx.int(0);
+        let pos_i = ctx.lt(zero_i, x);
+        let pos_r = ctx.lt(zero_r, r);
+        let key = |t: TermId| Canonical::content_keys(&ctx, &[t]).remove(0);
+        assert_ne!(key(lt), key(le));
+        assert_ne!(key(lt), key(lt4));
+        assert_ne!(key(pos_i), key(pos_r));
     }
 
     #[test]
-    fn rebuild_handles_arrays() {
+    fn ac_reordering_shares_a_key() {
         let mut ctx = Ctx::new();
-        let m = ctx.array_var("A1.exists", Sort::Int);
-        let k = ctx.var("A1.k", Sort::Int);
-        let rd = ctx.select(m, k);
-        let canon = Canonical::of(&ctx, rd);
-        let (cctx, cterm) = canon.rebuild(&ctx, rd);
-        assert_eq!(cctx.sort(cterm), &Sort::Bool);
-        assert_eq!(canon.var_count(), 2);
+        let x = ctx.var("x", Sort::Int);
+        let y = ctx.var("y", Sort::Int);
+        let zero = ctx.int(0);
+        let one = ctx.int(1);
+        let a = ctx.lt(zero, x);
+        let b = ctx.lt(one, y);
+        let f1 = ctx.and([a, b]);
+        let mut other = Ctx::new();
+        let y2 = other.var("y", Sort::Int);
+        let x2 = other.var("x", Sort::Int);
+        let one2 = other.int(1);
+        let zero2 = other.int(0);
+        let b2 = other.lt(one2, y2);
+        let a2 = other.lt(zero2, x2);
+        let f2 = other.and([b2, a2]);
+        assert_eq!(
+            Canonical::content_keys(&ctx, &[f1]),
+            Canonical::content_keys(&other, &[f2])
+        );
     }
 }

@@ -36,7 +36,6 @@
 //! ```
 
 pub mod arith;
-pub mod cache;
 pub mod canon;
 pub mod incremental;
 pub mod lower;
@@ -49,7 +48,6 @@ pub mod solver;
 pub mod strings;
 pub mod term;
 
-pub use cache::VerdictCache;
 pub use canon::Canonical;
 pub use incremental::IncrementalSolver;
 pub use model::{Model, ModelKey, ModelValue};

@@ -294,25 +294,6 @@ impl Model {
                 .collect(),
         }
     }
-
-    /// A copy with variable (and array) names mapped through `map`; names
-    /// absent from the map are kept. Used by the verdict cache to translate
-    /// a model over canonical `v{i}` names back to the query's names.
-    pub(crate) fn rename(&self, map: &HashMap<String, String>) -> Model {
-        let rn = |name: &String| map.get(name).unwrap_or(name).clone();
-        Model {
-            values: self
-                .values
-                .iter()
-                .map(|(n, v)| (rn(n), v.clone()))
-                .collect(),
-            selects: self
-                .selects
-                .iter()
-                .map(|((n, k), v)| ((rn(n), k.clone()), *v))
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Display for Model {

@@ -14,12 +14,12 @@
 //! clause database reduction. Every heuristic breaks ties
 //! deterministically (lowest variable index wins; clause traversal is in
 //! insertion order), so a solve is a pure function of the clause/call
-//! sequence — the verdict cache and the deterministic parallel scheduler
-//! both rely on that.
+//! sequence — the deterministic parallel scheduler relies on that.
 //!
 //! The pre-CDCL chronological-backtracking DPLL survives as
-//! [`solve_dpll_instrumented`]; the `no_cdcl` ablation config and the
-//! differential proptests run it against the CDCL core.
+//! [`solve_dpll_instrumented`], purely as the reference the differential
+//! proptests (and `benches/sat_core.rs`) run against the CDCL core; no
+//! solve path calls it.
 
 /// A literal: variable index with polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -667,8 +667,8 @@ pub fn solve_instrumented(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, 
 
 /// The pre-CDCL core: DPLL with two-watched-literal unit propagation and
 /// chronological backtracking (flip the last untried decision), no clause
-/// learning. Kept verbatim as the `no_cdcl` ablation baseline and as the
-/// differential-testing oracle for the CDCL core.
+/// learning. Kept verbatim as the differential-testing oracle for the
+/// CDCL core.
 pub fn solve_dpll_instrumented(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, SatStats) {
     let mut stats = SatStats::default();
     let n = cnf.num_vars;

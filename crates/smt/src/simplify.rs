@@ -6,11 +6,9 @@
 //! atom: trivially decided comparisons between constants, `x = x`
 //! reflexivity from result-consistency encoding, conjuncts duplicated
 //! between a path condition and a conflict condition, and contradiction
-//! literals (`p ∧ ¬p`). Rewriting these *before* canonicalization means
-//! [`crate::cache::VerdictCache`] keys on the simplified form, so queries
-//! that become alpha-equivalent only after simplification turn into cache
-//! hits — and a formula that simplifies all the way to a boolean constant
-//! never reaches CNF lowering at all.
+//! literals (`p ∧ ¬p`). Rewriting these first shrinks what the later
+//! tiers see, and a formula that simplifies all the way to a boolean
+//! constant never reaches CNF lowering at all.
 //!
 //! Every rewrite is an equivalence (never a strengthening or weakening):
 //! the simplified term is satisfiable iff the original is, and any model

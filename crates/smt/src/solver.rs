@@ -32,18 +32,6 @@ pub struct TierConfig {
     /// (`weseer-analyzer`); carried here so one knob travels with the
     /// solver config.
     pub prefix: bool,
-    /// CDCL SAT core: first-UIP clause learning, VSIDS, restarts, and a
-    /// persistent solver that keeps theory-blocking clauses across the
-    /// lazy loop's iterations. Off = the legacy chronological DPLL that
-    /// rebuilds the CNF every iteration.
-    pub cdcl: bool,
-    /// Incremental cross-query solving in the analyzer: one persistent
-    /// [`crate::IncrementalSolver`] per transaction pair, every cycle's
-    /// formula solved under a single assumption literal so lowered
-    /// subterms, learned clauses, and theory-blocking clauses carry over
-    /// between cycles. Requires `cdcl`; carried here so one knob travels
-    /// with the solver config.
-    pub incremental: bool,
 }
 
 impl TierConfig {
@@ -53,8 +41,6 @@ impl TierConfig {
         simplify: false,
         presolve: false,
         prefix: false,
-        cdcl: false,
-        incremental: false,
     };
 
     /// The named knob ablation grid: every row is the default config with
@@ -87,23 +73,6 @@ impl TierConfig {
                     ..all
                 },
             ),
-            (
-                // `incremental` requires `cdcl`, so the CDCL ablation
-                // withdraws both.
-                "no_cdcl",
-                TierConfig {
-                    cdcl: false,
-                    incremental: false,
-                    ..all
-                },
-            ),
-            (
-                "no_incremental",
-                TierConfig {
-                    incremental: false,
-                    ..all
-                },
-            ),
             ("no_tiers", TierConfig::OFF),
         ]
     }
@@ -115,8 +84,6 @@ impl Default for TierConfig {
             simplify: true,
             presolve: true,
             prefix: true,
-            cdcl: true,
-            incremental: true,
         }
     }
 }
@@ -130,7 +97,7 @@ pub struct SolverConfig {
     pub arith_limits: Limits,
     /// Branching-decision budget per SAT call; exhaustion is a timeout.
     pub sat_decision_budget: u64,
-    /// Fast-path tiers run by [`check_tiered`] (and the verdict cache).
+    /// Fast-path tiers run by [`check_tiered`] and the incremental solver.
     pub tiers: TierConfig,
 }
 
@@ -186,7 +153,7 @@ impl SolveResult {
 pub struct SolverStats {
     /// SAT core invocations (one per theory iteration).
     pub sat_calls: u64,
-    /// Aggregated DPLL decision/propagation counts.
+    /// Aggregated SAT-core decision/propagation counts.
     pub sat: SatStats,
     /// Theory iterations executed (= blocking clauses added + 1, unless
     /// the loop exited early).
@@ -199,11 +166,6 @@ pub struct SolverStats {
     pub core_lits: u64,
     /// Largest single minimized unsat core.
     pub max_core_lits: u64,
-    /// Verdict-cache hits (filled by [`crate::cache::VerdictCache`];
-    /// always 0 for direct [`check`] calls).
-    pub cache_hits: u64,
-    /// Verdict-cache misses.
-    pub cache_misses: u64,
     /// Unknowns caused by exhausting the SAT decision budget.
     pub sat_budget_exhausted: u64,
     /// Unknowns caused by exceeding the arithmetic resource limits.
@@ -234,8 +196,6 @@ impl SolverStats {
         self.str_conflicts += other.str_conflicts;
         self.core_lits += other.core_lits;
         self.max_core_lits = self.max_core_lits.max(other.max_core_lits);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.sat_budget_exhausted += other.sat_budget_exhausted;
         self.arith_budget_exhausted += other.arith_budget_exhausted;
         self.theory_iters_exhausted += other.theory_iters_exhausted;
@@ -467,20 +427,16 @@ fn check_inner(
     let mut low = Lowering::new();
     low.assert(ctx, with_axioms);
 
-    // 3. Lazy theory loop. With CDCL on, one persistent solver lives
-    //    across all iterations: blocking clauses (and everything the SAT
-    //    search learned) accumulate instead of the CNF being rebuilt and
-    //    re-searched from scratch each time. With CDCL off, the legacy
-    //    chronological DPLL rebuilds per iteration — the `no_cdcl`
-    //    ablation baseline.
-    let mut persistent = config.tiers.cdcl.then(|| sat::Solver::from_cnf(&low.cnf));
+    // 3. Lazy theory loop. One persistent CDCL solver lives across all
+    //    iterations: blocking clauses (and everything the SAT search
+    //    learned) accumulate instead of the CNF being rebuilt and
+    //    re-searched from scratch each time.
+    let mut solver = sat::Solver::from_cnf(&low.cnf);
     for _ in 0..config.max_theory_iters {
         stats.theory_iters += 1;
         stats.sat_calls += 1;
-        let (sat_result, sat_stats) = match persistent.as_mut() {
-            Some(solver) => solver.solve_under_assumptions(&[], config.sat_decision_budget),
-            None => sat::solve_dpll_instrumented(&low.cnf, config.sat_decision_budget),
-        };
+        let (sat_result, sat_stats) =
+            solver.solve_under_assumptions(&[], config.sat_decision_budget);
         stats.sat.absorb(sat_stats);
         let bool_model = match sat_result {
             None => {
@@ -502,9 +458,7 @@ fn check_inner(
         match theory_round(ctx, &low, &bool_model, &needed, config, stats) {
             TheoryOutcome::Conflict(core) => {
                 let clause = block(&mut low, &core);
-                if let Some(solver) = persistent.as_mut() {
-                    solver.add_clause(&clause);
-                }
+                solver.add_clause(&clause);
             }
             TheoryOutcome::Unknown => return SolveResult::Unknown,
             TheoryOutcome::Sat(model) => return SolveResult::Sat(*model),
@@ -731,8 +685,8 @@ fn minimize_str_core(items: &[(bool, (StrTerm, StrTerm), Lit)]) -> Vec<Lit> {
 fn add_select_congruence(ctx: &mut Ctx, root: TermId) -> TermId {
     // BTreeMap: axiom order must not depend on hash iteration order, or
     // identical queries could take different search paths and return
-    // different models — the verdict cache and the deterministic parallel
-    // scheduler both rely on solve being a pure function of the formula.
+    // different models — the deterministic parallel scheduler relies on
+    // solve being a pure function of the formula.
     let mut selects: BTreeMap<TermId, Vec<TermId>> = BTreeMap::new();
     let mut stack = vec![root];
     let mut seen = std::collections::HashSet::new();

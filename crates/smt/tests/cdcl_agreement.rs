@@ -1,8 +1,11 @@
-//! Property tests for the CDCL upgrade: on random lowered QF_LIA terms,
-//! every knob of the ablation grid (CDCL vs legacy DPLL, incremental vs
-//! fresh solving, each fast-path tier) must yield the same verdict, and
-//! every SAT model must satisfy the original formula. A separate property
-//! pins determinism: repeated solves of the same input are identical.
+//! Property tests for the solver's configurations: on random lowered
+//! QF_LIA terms, every row of the ablation grid (each fast-path tier
+//! withheld, all on, all off) must yield the same verdict, and every SAT
+//! model must satisfy the original formula; an incremental solver fed a
+//! query sequence must agree with fresh per-formula solves. A separate
+//! property pins determinism: repeated solves of the same input are
+//! identical. (CDCL vs the reference DPLL is compared at the CNF level,
+//! in `sat.rs`'s own proptests.)
 
 use proptest::prelude::*;
 use weseer_smt::{
@@ -104,8 +107,7 @@ fn config_with(tiers: TierConfig) -> SolverConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every named ablation config — including `no_cdcl` (legacy DPLL
-    /// core) and `no_incremental` — decides random QF_LIA formulas
+    /// Every named ablation config decides random QF_LIA formulas
     /// identically, and each SAT model satisfies the original term.
     #[test]
     fn ablation_grid_agrees_on_random_terms(f in form_strategy()) {

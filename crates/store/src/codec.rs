@@ -1,4 +1,4 @@
-//! Exact JSON codecs for solver verdicts and models.
+//! Exact JSON codec for solver models.
 //!
 //! Warm runs must be byte-identical to cold runs, so the codec cannot lose
 //! information: integers ride as decimal strings, reals as the hex bit
@@ -6,7 +6,7 @@
 //! in a sorted order so the same model always serializes to the same line.
 
 use crate::json::Json;
-use weseer_smt::{Model, ModelKey, ModelValue, SolveResult};
+use weseer_smt::{Model, ModelKey, ModelValue};
 
 fn value_to_json(v: &ModelValue) -> Json {
     match v {
@@ -94,48 +94,24 @@ pub fn model_from_json(j: &Json) -> Option<Model> {
     Some(Model::from_parts(values, selects))
 }
 
-/// Serialize a solver verdict (SAT verdicts carry their model).
-pub fn verdict_to_json(r: &SolveResult) -> Json {
-    match r {
-        SolveResult::Sat(m) => Json::Obj(vec![
-            ("v".into(), Json::str("sat")),
-            ("m".into(), model_to_json(m)),
-        ]),
-        SolveResult::Unsat => Json::Obj(vec![("v".into(), Json::str("unsat"))]),
-        SolveResult::Unknown => Json::Obj(vec![("v".into(), Json::str("unknown"))]),
-    }
-}
-
-/// Rebuild a verdict serialized by [`verdict_to_json`].
-pub fn verdict_from_json(j: &Json) -> Option<SolveResult> {
-    match j.get("v")?.as_str()? {
-        "sat" => Some(SolveResult::Sat(model_from_json(j.get("m")?)?)),
-        "unsat" => Some(SolveResult::Unsat),
-        "unknown" => Some(SolveResult::Unknown),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use weseer_smt::{check, Ctx, SolverConfig, Sort};
 
     #[test]
-    fn verdict_round_trip_is_byte_exact() {
+    fn solver_model_round_trip_is_byte_exact() {
         let mut ctx = Ctx::new();
         let x = ctx.var("v0", Sort::Int);
         let three = ctx.int(3);
         let f = ctx.gt(x, three);
-        let r = check(&mut ctx, f, &SolverConfig::default());
-        assert!(r.is_sat());
-        let line = verdict_to_json(&r).to_line();
-        let back = verdict_from_json(&Json::parse(&line).unwrap()).unwrap();
-        assert_eq!(verdict_to_json(&back).to_line(), line);
-        assert_eq!(
-            back.model().unwrap().get_int("v0"),
-            r.model().unwrap().get_int("v0")
-        );
+        let model = check(&mut ctx, f, &SolverConfig::default())
+            .model()
+            .expect("sat");
+        let line = model_to_json(&model).to_line();
+        let back = model_from_json(&Json::parse(&line).unwrap()).unwrap();
+        assert_eq!(model_to_json(&back).to_line(), line);
+        assert_eq!(back.get_int("v0"), model.get_int("v0"));
     }
 
     #[test]
@@ -156,15 +132,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
             other => panic!("expected reals, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unsat_and_unknown_round_trip() {
-        for r in [SolveResult::Unsat, SolveResult::Unknown] {
-            let line = verdict_to_json(&r).to_line();
-            let back = verdict_from_json(&Json::parse(&line).unwrap()).unwrap();
-            assert_eq!(verdict_to_json(&back).to_line(), line);
         }
     }
 }

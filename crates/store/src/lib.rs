@@ -8,8 +8,8 @@
 //!
 //! Every record is **content-addressed** along two axes:
 //!
-//! * a **site** — *where* the result belongs (a canonical-formula hash, a
-//!   `fingerprint:txn` prefix id, a pair of trace fingerprints…);
+//! * a **site** — *where* the result belongs (an app-namespaced
+//!   `trace:api#txn` prefix id, a pair of those, a cycle within a pair…);
 //! * a **content key** — *what* the inputs were when the result was
 //!   computed (solver/tier configuration, lock-model version, the
 //!   fingerprints themselves).
@@ -275,19 +275,6 @@ impl Store {
         }
     }
 
-    /// Every entry of `kind`, as `(site, content, value)` in site order.
-    pub fn entries_of(&self, kind: &str) -> Vec<(String, String, Json)> {
-        let inner = self.inner.read().unwrap();
-        let mut out: Vec<(String, String, Json)> = inner
-            .map
-            .iter()
-            .filter(|((k, _), _)| k == kind)
-            .map(|((_, site), e)| (site.clone(), e.content.clone(), e.value.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.inner.read().unwrap().map.len()
@@ -338,25 +325,6 @@ fn record_line(kind: &str, site: &str, content: &str, value: &Json) -> String {
     record.write(&mut out);
     out.push('\n');
     out
-}
-
-/// Two-lane FNV-1a site hash of an arbitrarily long key (32 hex chars) —
-/// keeps record lines short when the natural site id is a whole canonical
-/// formula.
-pub fn site_hash(key: &str) -> String {
-    let lane = |basis: u64| {
-        let mut h = basis;
-        for &b in key.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
-    format!(
-        "{:016x}{:016x}",
-        lane(0xcbf2_9ce4_8422_2325),
-        lane(0x6c62_272e_07bb_0142)
-    )
 }
 
 #[cfg(test)]
@@ -439,20 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn entries_of_filters_and_sorts() {
-        let path = tmp("entries");
-        let s = Store::open(&path).unwrap();
-        s.put("smt", "zz", "c", Json::u64(1));
-        s.put("smt", "aa", "c", Json::u64(2));
-        s.put("pair3", "aa", "c", Json::u64(3));
-        let smt = s.entries_of("smt");
-        assert_eq!(smt.len(), 2);
-        assert_eq!(smt[0].0, "aa");
-        assert_eq!(smt[1].0, "zz");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn truncated_trailing_record_is_recovered() {
         let path = tmp("truncate");
         let s = Store::open(&path).unwrap();
@@ -517,13 +471,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 3, "header + one line per record");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn site_hash_is_stable_and_wide() {
-        let h = site_hash("(& v0:Int v1:Int)");
-        assert_eq!(h.len(), 32);
-        assert_eq!(h, site_hash("(& v0:Int v1:Int)"));
-        assert_ne!(h, site_hash("(| v0:Int v1:Int)"));
     }
 }

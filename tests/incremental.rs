@@ -2,12 +2,18 @@
 //! must be byte-identical to the cold run that filled it — across thread
 //! counts — while doing **zero** full DPLL(T) solves and exploring
 //! **zero** replay schedules; dirtying one trace must invalidate exactly
-//! the stored outcomes that involve it.
+//! the stored outcomes that involve it; and a store file written by an
+//! earlier version of the tool must keep opening.
 
 use std::path::PathBuf;
-use weseer::apps::Broadleaf;
+use std::time::Duration;
+use weseer::apps::{Broadleaf, Shopizer};
 use weseer::core::{AppAnalysis, Weseer};
 use weseer::obs::MetricsSnapshot;
+
+/// Both tests read deltas of the process-global obs registry, and the
+/// harness runs them on parallel threads: each holds this throughout.
+static OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn store_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -32,9 +38,14 @@ fn render(analysis: &AppAnalysis) -> String {
             None => s.push_str(&format!("{}\n", v.tag())),
         }
     }
+    s.push_str(&format!("funnel {:?}\n", funnel(analysis)));
+    s
+}
+
+/// The deterministic part of the diagnosis statistics (no wall times).
+fn funnel(analysis: &AppAnalysis) -> [usize; 8] {
     let st = &analysis.diagnosis.stats;
-    s.push_str(&format!(
-        "funnel {} {} {} {} {} {} {} {}\n",
+    [
         st.txn_pairs,
         st.pairs_after_phase1,
         st.coarse_cycles,
@@ -43,8 +54,7 @@ fn render(analysis: &AppAnalysis) -> String {
         st.smt_sat,
         st.smt_unsat,
         st.smt_unknown,
-    ));
-    s
+    ]
 }
 
 fn run(path: &PathBuf, threads: usize, dirty: Option<&str>) -> (AppAnalysis, MetricsSnapshot) {
@@ -63,6 +73,7 @@ fn run(path: &PathBuf, threads: usize, dirty: Option<&str>) -> (AppAnalysis, Met
 
 #[test]
 fn warm_runs_are_byte_identical_and_solve_nothing() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     weseer::obs::set_enabled(true);
     let path = store_path("broadleaf");
 
@@ -111,11 +122,6 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
             "kind {kind}: hits+stales must cover the warm hit set"
         );
     }
-    // Formula-keyed SMT verdicts are fingerprint-independent: a dirtied
-    // trace with unchanged content re-derives the same canonical
-    // formulas, so no smt entry ever goes stale.
-    assert_eq!(dm.counter("store.stale.smt"), 0);
-
     // The stale witness entries are exactly the reports involving Ship.
     let involving_ship = cold
         .diagnosis
@@ -130,6 +136,125 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
     assert!(
         dm.counter("store.hit.pair2") > 0,
         "pairs not touching Ship must stay warm"
+    );
+
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The solver tag the previous store format carried in every content key
+/// (its `TierConfig` still had the `cdcl` / `incremental` fields).
+const PARENT_SOLVER: &str = "solver=SolverConfig { max_theory_iters: 500, arith_limits: \
+    Limits { max_constraints: 50000, max_branches: 64 }, sat_decision_budget: 2000000, tiers: \
+    TierConfig { simplify: true, presolve: true, prefix: true, cdcl: true, incremental: true } }";
+
+#[test]
+fn stores_written_by_the_previous_format_still_open() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    weseer::obs::set_enabled(true);
+    let path = store_path("parent-format");
+    let reports_and_funnel = |a: &AppAnalysis| {
+        let reports: String = a
+            .diagnosis
+            .deadlocks
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
+        format!("{reports}{:?}", funnel(a))
+    };
+    let analyze = |store: Option<&PathBuf>| {
+        let mut weseer = Weseer::new().with_threads(2);
+        if let Some(path) = store {
+            weseer = weseer.with_store(path).expect("open store");
+        }
+        let before = weseer::obs::snapshot();
+        let analysis = weseer.analyze(&Shopizer);
+        (analysis, weseer::obs::snapshot().delta_since(&before))
+    };
+    let (cold, _) = analyze(None);
+    let cold_out = reports_and_funnel(&cold);
+
+    // Records exactly as the previous version wrote them: wall times
+    // (`us`) inside pair2/pair3 values, content keys carrying its solver
+    // tag, and an `smt` verdict-cache record — a kind nothing reads any
+    // more. They must open, read stale (or not at all), and be replaced.
+    let pair_tag = format!("lock-model-v1|fine=true|range=true|skip=false|{PARENT_SOLVER}");
+    let fp = "50ac70d7191c28ee1b767deb57f2e571";
+    let ship = "ffc52b3d43c6e537e57ed3cff89cc528";
+    let lines = [
+        "{\"weseer_store\":1}".to_string(),
+        format!(
+            "{{\"kind\":\"smt\",\"site\":\"5d0b4ab1c2a1f3e07d9a0c4be1f2a3b4\",\"content\":\"{PARENT_SOLVER}\",\
+             \"value\":{{\"k\":\"(< v0:Int N3:Int)\",\"r\":{{\"v\":\"unsat\"}}}}}}"
+        ),
+        format!(
+            "{{\"kind\":\"prefix\",\"site\":\"shopizer|0:Register#0\",\"content\":\"{fp}|{PARENT_SOLVER}\",\
+             \"value\":{{\"unsat\":false}}}}"
+        ),
+        format!(
+            "{{\"kind\":\"pair2\",\"site\":\"shopizer|0:Register#0|0:Register#0\",\
+             \"content\":\"{fp}|{fp}|{pair_tag}\",\"value\":{{\"coarse\":0,\"us\":1,\"cycles\":[]}}}}"
+        ),
+        format!(
+            "{{\"kind\":\"pair3\",\"site\":\"shopizer|4:Ship#0|4:Ship#0|3,5,5,6\",\
+             \"content\":\"{ship}|{ship}|{pair_tag}\",\"value\":{{\"verdict\":\"unsat\",\"us\":103127}}}}"
+        ),
+    ];
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write store");
+    let (over_parent, pm) = analyze(Some(&path));
+    assert_eq!(
+        reports_and_funnel(&over_parent),
+        cold_out,
+        "stale records must not leak"
+    );
+    assert_eq!(
+        pm.counter("store.hit"),
+        0,
+        "nothing of the old format applies"
+    );
+    for kind in ["prefix", "pair2", "pair3"] {
+        assert!(
+            pm.counter(&format!("store.stale.{kind}")) >= 1,
+            "the {kind} record must read stale"
+        );
+    }
+    for outcome in ["hit", "stale", "miss"] {
+        assert_eq!(pm.counter(&format!("store.{outcome}.smt")), 0);
+    }
+
+    // The store now also holds this version's records. Give each
+    // pair2/pair3 value the old `us` field back (10 s apiece): they must
+    // still hit, and the phase times must be the time this run spent, not
+    // the sum of what the records claim.
+    let text = std::fs::read_to_string(&path).expect("store present");
+    let with_us: String = text
+        .lines()
+        .map(|l| {
+            let l = if l.contains("\"kind\":\"pair2\"") {
+                l.replace("\"cycles\":", "\"us\":10000000,\"cycles\":")
+            } else if l.contains("\"kind\":\"pair3\"") && !l.contains("\"us\":") {
+                format!(
+                    "{},\"us\":10000000}}}}",
+                    l.strip_suffix("}}").expect("record")
+                )
+            } else {
+                l.to_string()
+            };
+            l + "\n"
+        })
+        .collect();
+    std::fs::write(&path, with_us).expect("rewrite store");
+    let (warm, wm) = analyze(Some(&path));
+    assert_eq!(
+        reports_and_funnel(&warm),
+        cold_out,
+        "extra fields must be skipped"
+    );
+    assert_eq!(wm.counter("store.miss") + wm.counter("store.stale"), 0);
+    assert_eq!(wm.counter("smt.full_solve"), 0);
+    let st = &warm.diagnosis.stats;
+    assert!(
+        st.phase2_time + st.phase3_time < Duration::from_secs(10),
+        "stored wall times must not be replayed: {st:?}"
     );
 
     let _ = std::fs::remove_file(&path);

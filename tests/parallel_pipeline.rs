@@ -1,13 +1,21 @@
 //! End-to-end determinism of the parallel diagnosis: the full Shopizer
 //! pipeline must produce byte-identical reports and funnel counters for
-//! every thread count, and the SMT verdict cache must actually hit on the
-//! real workload (the repeated-API traces re-discharge alpha-equivalent
-//! formulas).
+//! every thread count, the report sink must see exactly the reports the
+//! diagnosis collects, a `max_reports` cap must be visible, and the
+//! tiered fast path must discharge a real share of the workload.
 
-use weseer::analyzer::{diagnose, AnalyzerConfig, DiagnosisStats};
+use std::sync::Mutex;
+use weseer::analyzer::{
+    diagnose, diagnose_with, render_stats, AnalyzerConfig, DeadlockReport, DiagnosisStats,
+};
 use weseer::apps::{ECommerceApp, Fixes, Shopizer};
 use weseer::core::Weseer;
-use weseer::smt::TierConfig;
+use weseer::store::codec::model_to_json;
+
+/// The obs registry is process-global and the harness runs tests on
+/// parallel threads: a test reading counter deltas must not overlap one
+/// that diagnoses. Every test here holds this for its whole body.
+static OBS: Mutex<()> = Mutex::new(());
 
 /// The deterministic projection of `DiagnosisStats` (drops wall times).
 fn funnel(s: &DiagnosisStats) -> [usize; 7] {
@@ -24,6 +32,7 @@ fn funnel(s: &DiagnosisStats) -> [usize; 7] {
 
 #[test]
 fn shopizer_diagnosis_is_identical_across_thread_counts() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let weseer = Weseer::new();
     let (traces, _db) = weseer.collect_traces(&Shopizer, &Fixes::none());
     let catalog = Shopizer.catalog();
@@ -60,41 +69,89 @@ fn shopizer_diagnosis_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn verdict_cache_hits_on_real_workload() {
-    // Run with the tiered fast path off so every candidate reaches the
-    // verdict cache — with tiers on, tier 1 discharges the repeated
-    // alpha-equivalent formulas before the cache ever sees them (that
-    // path is covered by fastpath_discharges_cover_real_workload below).
-    weseer::obs::set_enabled(true);
-    let before = weseer::obs::snapshot();
-    let weseer_tool = Weseer::new();
-    let (traces, _db) = weseer_tool.collect_traces(&Shopizer, &Fixes::none());
-    let mut config = AnalyzerConfig::default();
-    config.solver.tiers = TierConfig::OFF;
-    let diagnosis = diagnose(&Shopizer.catalog(), &traces, &config);
-    let m = weseer::obs::snapshot().delta_since(&before);
-    let hits = m.counters.get("smt.cache_hit").copied().unwrap_or(0);
-    let misses = m.counters.get("smt.cache_miss").copied().unwrap_or(0);
-    assert!(
-        hits > 0,
-        "expected verdict-cache hits on Shopizer (misses={misses})"
-    );
-    // Every analyzer solver dispatch goes through the cache.
-    assert_eq!(
-        hits + misses,
-        diagnosis.stats.fine_candidates as u64,
-        "cache lookups must cover exactly the fine candidates"
-    );
+fn the_sink_sees_exactly_the_collected_reports() {
+    // Streaming is the same function as batch: at every thread count the
+    // sink receives, in order, the very reports `deadlocks` collects.
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let (traces, _db) = Weseer::new().collect_traces(&Shopizer, &Fixes::none());
+    let catalog = Shopizer.catalog();
+    // The rendered report plus the full SAT model in its canonical
+    // (sorted) serialization.
+    let bytes = |r: &DeadlockReport| format!("{r}{}\n", model_to_json(&r.sat_model).to_line());
+    let mut reference: Option<String> = None;
+    for threads in [1, 2, 4] {
+        let config = AnalyzerConfig {
+            threads,
+            ..AnalyzerConfig::default()
+        };
+        let mut streamed = String::new();
+        let diagnosis = diagnose_with(
+            &catalog,
+            &traces,
+            &config,
+            None,
+            None,
+            Some(&mut |r| streamed.push_str(&bytes(r))),
+        );
+        let collected: String = diagnosis.deadlocks.iter().map(bytes).collect();
+        assert!(!diagnosis.truncated);
+        assert_eq!(
+            streamed, collected,
+            "sink vs deadlocks at threads={threads}"
+        );
+        assert_eq!(
+            reference.get_or_insert(collected.clone()),
+            &collected,
+            "reports differ at threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn a_capped_run_says_so_and_keeps_the_prefix() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let (traces, _db) = Weseer::new().collect_traces(&Shopizer, &Fixes::none());
+    let catalog = Shopizer.catalog();
+    let run = |threads: usize, max_reports: usize| {
+        let config = AnalyzerConfig {
+            threads,
+            max_reports,
+            ..AnalyzerConfig::default()
+        };
+        let mut sunk: Vec<String> = Vec::new();
+        let diagnosis = diagnose_with(
+            &catalog,
+            &traces,
+            &config,
+            None,
+            None,
+            Some(&mut |r| sunk.push(r.to_string())),
+        );
+        (diagnosis, sunk)
+    };
+    let (full, full_sunk) = run(1, AnalyzerConfig::default().max_reports);
+    assert!(!full.truncated, "an uncapped run must not claim truncation");
+    assert!(full_sunk.len() > 3, "Shopizer has more than 3 reports");
+    for threads in [1, 4] {
+        let (capped, sunk) = run(threads, 3);
+        assert!(
+            capped.truncated,
+            "threads={threads}: the cap must be visible"
+        );
+        assert_eq!(sunk, full_sunk[..3], "threads={threads}");
+        assert_eq!(capped.deadlocks.len(), 3);
+        assert!(render_stats(&capped).contains("TRUNCATED at max_reports = 3"));
+    }
+    assert!(!render_stats(&full).contains("TRUNCATED"));
 }
 
 #[test]
 fn fastpath_discharges_cover_real_workload() {
     // With all tiers on (the default), the fast path must discharge a
     // real share of Shopizer's candidates, and discharges plus
-    // fall-throughs must partition them. (The verdict cache can't serve
-    // as the partition's other half anymore: the default config solves
-    // incrementally, which bypasses the cache — `fallthrough` counts
-    // every query the fast path handed to a full solver in any mode.)
+    // fall-throughs must partition them (`fallthrough` counts every
+    // query the fast path handed to a full solve).
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     weseer::obs::set_enabled(true);
     let before = weseer::obs::snapshot();
     let weseer_tool = Weseer::new();
@@ -111,11 +168,5 @@ fn fastpath_discharges_cover_real_workload() {
         discharged + c("smt.fastpath.fallthrough"),
         analysis.diagnosis.stats.fine_candidates as u64,
         "fastpath discharges plus fall-throughs must cover exactly the fine candidates"
-    );
-    // Incremental mode must keep the verdict cache out of the loop.
-    assert_eq!(
-        c("smt.cache_hit") + c("smt.cache_miss"),
-        0,
-        "the verdict cache must be bypassed while solving incrementally"
     );
 }
