@@ -1,6 +1,7 @@
 //! The per-experiment reproduction drivers: one function per table/figure
 //! of the paper, each returning rendered text (consumed by the
-//! `reproduce` binary and by EXPERIMENTS.md).
+//! `reproduce` binary and by EXPERIMENTS.md). The drivers that run the
+//! analyzer take the one [`Weseer`] the binary built from its flags.
 
 use crate::render::{bar, table};
 use std::fmt::Write as _;
@@ -9,7 +10,6 @@ use weseer_apps::{Broadleaf, ECommerceApp, Fix, KnownDeadlock, Shopizer};
 use weseer_core::{
     measure_overhead, measure_pruning, run_perf_sweep, PerfConfig, Weseer, FUNNEL_STAGES,
 };
-use weseer_db::IsolationLevel;
 
 /// Table I: the target APIs with inputs and invocation counts.
 pub fn table1() -> String {
@@ -64,8 +64,7 @@ pub fn table1() -> String {
 }
 
 /// Table II: run WeSEER on both apps and print the found deadlock rows.
-pub fn table2() -> String {
-    let weseer = Weseer::new();
+pub fn table2(weseer: &Weseer) -> String {
     let mut out = String::from("Table II: deadlocks found by WeSEER\n");
     let mut rows = Vec::new();
     let mut found_ids = 0usize;
@@ -124,8 +123,7 @@ pub fn table2() -> String {
 
 /// Sec. VII-B baseline: coarse-grained STEPDAD/REDACT cycle counts vs
 /// WeSEER's confirmed deadlocks.
-pub fn baseline() -> String {
-    let weseer = Weseer::new();
+pub fn baseline(weseer: &Weseer) -> String {
     let mut out = String::from("Coarse-grained baseline (STEPDAD/REDACT) vs WeSEER fine-grained\n");
     let mut rows = Vec::new();
     for analysis in [weseer.analyze(&Broadleaf), weseer.analyze(&Shopizer)] {
@@ -285,9 +283,8 @@ pub fn figure(app_name: &str, quick: bool) -> String {
 /// with the [`weseer_obs`] registry enabled and return
 /// `(human_report, json_lines)` — the funnel/timing tables for stdout and
 /// the per-app JSON-lines export for `--metrics-out`.
-pub fn metrics_report() -> (String, String) {
+pub fn metrics_report(weseer: &Weseer) -> (String, String) {
     weseer_obs::set_enabled(true);
-    let weseer = Weseer::new();
     let mut human = String::new();
     let mut json = String::new();
     for analysis in [weseer.analyze(&Broadleaf), weseer.analyze(&Shopizer)] {
@@ -326,7 +323,7 @@ pub fn metrics_report() -> (String, String) {
             c("smt.cdcl.db_reductions"),
         );
         // Warm-vs-cold funnel of the incremental store (present only when
-        // an analysis ran against one, e.g. via WESEER_STORE).
+        // an analysis ran against one, i.e. with `--store`).
         let (sh, ss, sm) = (c("store.hit"), c("store.stale"), c("store.miss"));
         if sh + ss + sm > 0 {
             let temperature = if ss == 0 && sm == 0 {
@@ -443,8 +440,8 @@ fn stage_wallclock_table(m: &weseer_obs::MetricsSnapshot) -> String {
 /// Returns `(human report, witness JSON lines)`; the JSON side carries one
 /// line per report and is byte-for-byte deterministic across runs and
 /// thread counts (CI diffs it).
-pub fn witness_report() -> (String, String) {
-    let weseer = Weseer::new().with_replay();
+pub fn witness_report(weseer: &Weseer) -> (String, String) {
+    let weseer = weseer.clone().with_replay();
     let mut human = String::new();
     let mut json = String::new();
     for analysis in [weseer.analyze(&Broadleaf), weseer.analyze(&Shopizer)] {
@@ -508,526 +505,14 @@ pub fn witness_report() -> (String, String) {
     (human, json)
 }
 
-/// Result of the tiered-solving ablation.
-pub struct Ablation {
-    /// Human-readable per-app speedup tables.
-    pub report: String,
-    /// One JSON line summarizing the run (for `BENCH_smt.json`).
-    pub bench_json: String,
-    /// True if any tier configuration changed a verdict or a report —
-    /// the tiers must be pure optimizations, so this fails CI.
-    pub diverged: bool,
-}
-
-/// One tier configuration's measurements in the ablation.
-struct AblationRow {
-    label: &'static str,
-    full_solve: u64,
-    t0: u64,
-    t1: u64,
-    prefix_kill: u64,
-    solve_wall_us: u64,
-    /// Per-query wall-clock distribution (`smt.solve_us` delta).
-    solve_us: Option<weseer_obs::HistogramSnapshot>,
-    /// Per-full-DPLL(T)-solve wall-clock distribution
-    /// (`smt.full_solve_us` delta).
-    full_solve_us: Option<weseer_obs::HistogramSnapshot>,
-    verdicts: (usize, usize, usize),
-    reports: Vec<String>,
-}
-
-/// One configuration's `wallclock_per_solve` JSON object: query counts
-/// with mean/p50/p90/p99 microseconds, for all queries and for the
-/// queries that reached the full lazy-SMT solver.
-fn wallclock_json(row: &AblationRow) -> String {
-    let h = |hist: &Option<weseer_obs::HistogramSnapshot>| -> (u64, u64, u64, u64, u64) {
-        match hist {
-            Some(h) => (h.count, h.mean(), h.p50(), h.p90(), h.p99()),
-            None => (0, 0, 0, 0, 0),
-        }
-    };
-    let (n, mean, p50, p90, p99) = h(&row.solve_us);
-    let (fn_, fmean, fp50, fp90, fp99) = h(&row.full_solve_us);
-    format!(
-        "{{\"solves\":{n},\"mean_us\":{mean},\"p50_us\":{p50},\"p90_us\":{p90},\
-         \"p99_us\":{p99},\"full_solves\":{fn_},\"full_mean_us\":{fmean},\
-         \"full_p50_us\":{fp50},\"full_p90_us\":{fp90},\"full_p99_us\":{fp99}}}"
-    )
-}
-
-/// The per-app JSON object for `BENCH_smt.json`: headline tiered-vs-
-/// baseline numbers plus one `wallclock_per_solve` row *per named
-/// configuration* — the row names are exactly
-/// [`weseer_smt::TierConfig::ablation_configs`]'s labels, and CI greps
-/// for each of them so the published bench can never drift from the
-/// real knob set again.
-fn ablation_json_entry(app_name: &str, rows: &[AblationRow]) -> String {
-    let baseline = rows.last().expect("at least the baseline row");
-    let tiered = &rows[0];
-    let per_config: Vec<String> = rows
-        .iter()
-        .map(|r| format!("\"{}\":{}", r.label, wallclock_json(r)))
-        .collect();
-    format!(
-        "\"{app_name}\":{{\"full_solve_baseline\":{},\"full_solve_tiered\":{},\
-         \"t0_discharged\":{},\"t1_discharged\":{},\"prefix_kills\":{},\
-         \"solver_wall_us_baseline\":{},\"solver_wall_us_tiered\":{},\
-         \"wallclock_per_solve\":{{{}}}}}",
-        baseline.full_solve,
-        tiered.full_solve,
-        tiered.t0,
-        tiered.t1,
-        tiered.prefix_kill,
-        baseline.solve_wall_us,
-        tiered.solve_wall_us,
-        per_config.join(","),
-    )
-}
-
-/// `--smt-ablation`: diagnose each app once per tier configuration
-/// (all tiers, each tier individually disabled, all off) on the same
-/// traces, assert the verdicts and rendered reports are identical across
-/// configurations, and render the full-solver/wall-time reduction table.
-pub fn smt_ablation(apps: &[&str]) -> Ablation {
-    use weseer_analyzer::diagnose;
-    use weseer_apps::Fixes;
-    use weseer_smt::TierConfig;
-
-    // The knob grid lives next to the knobs themselves: one named row
-    // per real `TierConfig` field (plus the all-on / all-off anchors),
-    // so adding a knob automatically adds its ablation row here and its
-    // `wallclock_per_solve` entry in `BENCH_smt.json`.
-    let configs = TierConfig::ablation_configs();
-
-    weseer_obs::set_enabled(true);
-    let weseer = Weseer::new();
-    let mut report = String::from("Tiered SMT fast-path ablation\n");
-    let mut diverged = false;
-    let mut json_apps = Vec::new();
-
-    for &app_name in apps {
-        let app: &dyn ECommerceApp = match app_name {
-            "broadleaf" => &Broadleaf,
-            "shopizer" => &Shopizer,
-            other => panic!("unknown app {other}"),
-        };
-        let (traces, _db) = weseer.collect_traces(app, &Fixes::none());
-        let catalog = app.catalog();
-
-        let rows: Vec<AblationRow> = configs
-            .iter()
-            .map(|(label, tiers)| {
-                let mut config = weseer.config.clone();
-                config.solver.tiers = *tiers;
-                let before = weseer_obs::snapshot();
-                let diagnosis = diagnose(&catalog, &traces, &config);
-                let m = weseer_obs::snapshot().delta_since(&before);
-                AblationRow {
-                    label,
-                    full_solve: m.counter("smt.full_solve"),
-                    t0: m.counter("smt.fastpath.t0_simplified"),
-                    t1: m.counter("smt.fastpath.t1_sat") + m.counter("smt.fastpath.t1_unsat"),
-                    prefix_kill: m.counter("smt.fastpath.prefix_kill"),
-                    solve_wall_us: m.histogram("smt.solve_us").map(|h| h.sum).unwrap_or(0),
-                    solve_us: m.histogram("smt.solve_us").cloned(),
-                    full_solve_us: m.histogram("smt.full_solve_us").cloned(),
-                    verdicts: (
-                        diagnosis.stats.smt_sat,
-                        diagnosis.stats.smt_unsat,
-                        diagnosis.stats.smt_unknown,
-                    ),
-                    // Cycle identities only: a tier-1 SAT witness model may
-                    // legitimately differ from the full solver's, but which
-                    // deadlocks are reported (and their order) must not.
-                    reports: diagnosis
-                        .deadlocks
-                        .iter()
-                        .map(|r| format!("{:?}", r.cycle))
-                        .collect(),
-                }
-            })
-            .collect();
-
-        // The "no tiers" row is the reference semantics: every other
-        // configuration must reproduce its reports byte-for-byte and
-        // must not *flip* any verdict. It may *refine* the baseline: a
-        // tier can decide a query whose full solve runs out of budget,
-        // so a row may turn baseline Unknowns into Unsats (never the
-        // reverse, and never touching the sat count — a new sat would
-        // surface as a report difference).
-        let baseline = rows.last().unwrap();
-        for row in &rows {
-            let (s, u, k) = row.verdicts;
-            let (bs, bu, bk) = baseline.verdicts;
-            let refines = s == bs && u >= bu && k <= bk && u + k == bu + bk;
-            if !refines {
-                diverged = true;
-                let _ = writeln!(
-                    report,
-                    "DIVERGENCE on {app_name}: '{}' produced verdicts {:?} vs baseline {:?}",
-                    row.label, row.verdicts, baseline.verdicts
-                );
-            }
-            if row.reports != baseline.reports {
-                diverged = true;
-                let first_diff = row
-                    .reports
-                    .iter()
-                    .zip(&baseline.reports)
-                    .find(|(a, b)| a != b)
-                    .map(|(a, b)| format!("first differing cycle: {a} vs {b}"))
-                    .unwrap_or_else(|| "one list is a prefix of the other".into());
-                let _ = writeln!(
-                    report,
-                    "DIVERGENCE on {app_name}: '{}' reported {} cycles vs baseline {} ({first_diff})",
-                    row.label,
-                    row.reports.len(),
-                    baseline.reports.len(),
-                );
-            }
-        }
-
-        let tiered = &rows[0];
-        let table_rows: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.label.to_string(),
-                    r.full_solve.to_string(),
-                    r.t0.to_string(),
-                    r.t1.to_string(),
-                    r.prefix_kill.to_string(),
-                    format!("{:.1}", r.solve_wall_us as f64 / 1000.0),
-                    match &r.full_solve_us {
-                        Some(h) if h.count > 0 => format!("{}/{}", h.mean(), h.p99()),
-                        _ => "-".to_string(),
-                    },
-                    format!("{:?}", r.verdicts),
-                ]
-            })
-            .collect();
-        let _ = writeln!(report, "\n== {app_name} ==");
-        report.push_str(&table(
-            &[
-                "config",
-                "full solves",
-                "t0 discharged",
-                "t1 discharged",
-                "prefix kills",
-                "solver wall (ms)",
-                "full solve mean/p99 (us)",
-                "(sat, unsat, unknown)",
-            ],
-            &table_rows,
-        ));
-        let _ = writeln!(
-            report,
-            "full-solver reduction (no tiers -> all tiers): {} -> {} ({:.2}x)",
-            baseline.full_solve,
-            tiered.full_solve,
-            baseline.full_solve as f64 / tiered.full_solve.max(1) as f64,
-        );
-
-        json_apps.push(ablation_json_entry(app_name, &rows));
-    }
-
-    let bench_json = format!(
-        "{{\"bench\":\"smt_tiered_ablation\",\"diverged\":{},{}}}\n",
-        diverged,
-        json_apps.join(",")
-    );
-    Ablation {
-        report,
-        bench_json,
-        diverged,
-    }
-}
-
-/// Result of the incremental (cold → warm → dirtied) benchmark.
-pub struct IncrementalBench {
-    /// Human-readable wall-time table.
-    pub report: String,
-    /// One JSON line for `BENCH_incremental.json`.
-    pub bench_json: String,
-    /// True if a warm or dirtied run produced different reports/witnesses
-    /// than the cold run, or if a warm run did any full solving or
-    /// schedule exploration — all of which fail CI.
-    pub diverged: bool,
-}
-
-/// The byte-comparison view of one analysis: every deadlock report's
-/// rendered text, every replay verdict (witnesses as canonical JSON),
-/// and the funnel counters. A warm store run must reproduce this
-/// byte-for-byte.
-pub fn render_analysis(analysis: &weseer_core::AppAnalysis) -> String {
-    let mut s = String::new();
-    for r in &analysis.diagnosis.deadlocks {
-        let _ = writeln!(s, "{r}");
-    }
-    if let Some(replay) = &analysis.replay {
-        for v in &replay.verdicts {
-            match v.witness() {
-                Some(w) => {
-                    let _ = writeln!(s, "{}", w.to_json());
-                }
-                None => {
-                    let _ = writeln!(s, "{}", v.tag());
-                }
-            }
-        }
-    }
-    let st = &analysis.diagnosis.stats;
-    let _ = writeln!(
-        s,
-        "funnel: txn_pairs={} phase1={} coarse={} prefix_kills={} fine={} sat={} unsat={} unknown={}",
-        st.txn_pairs,
-        st.pairs_after_phase1,
-        st.coarse_cycles,
-        st.prefix_kills,
-        st.fine_candidates,
-        st.smt_sat,
-        st.smt_unsat,
-        st.smt_unknown,
-    );
-    s
-}
-
-/// `--incremental-bench`: for each app, run the full pipeline (diagnosis
-/// and witness replay) three times against one fresh store file — cold
-/// (fills the store), warm (nothing changed), and with the `Ship` trace
-/// dirtied — timing each run. The warm and dirtied outputs must be
-/// byte-identical to the cold one, and the warm run must do zero full
-/// SMT solves and explore zero replay schedules. Writes the wall times
-/// and store hit rates to `BENCH_incremental.json`.
-pub fn incremental_bench(apps: &[&str]) -> IncrementalBench {
-    use std::time::Instant;
-
-    weseer_obs::set_enabled(true);
-    let mut report = String::from("Incremental warm starts: cold -> warm -> one trace dirtied\n");
-    let mut diverged = false;
-    let mut json_apps = Vec::new();
-    let mut rows = Vec::new();
-
-    for &app_name in apps {
-        let app: &dyn ECommerceApp = match app_name {
-            "broadleaf" => &Broadleaf,
-            "shopizer" => &Shopizer,
-            other => panic!("unknown app {other}"),
-        };
-        let path = std::env::temp_dir().join(format!(
-            "weseer-incremental-{}-{app_name}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        let run = |dirty: Option<&str>| {
-            let mut weseer = Weseer::new()
-                .with_replay()
-                .with_store(&path)
-                .expect("open incremental store");
-            if let Some(api) = dirty {
-                weseer = weseer.with_dirty(api);
-            }
-            let before = weseer_obs::snapshot();
-            let start = Instant::now();
-            let analysis = weseer.analyze(app);
-            let wall = start.elapsed();
-            let metrics = weseer_obs::snapshot().delta_since(&before);
-            (render_analysis(&analysis), wall, metrics)
-        };
-        let (cold_out, cold, _) = run(None);
-        let (warm_out, warm, wm) = run(None);
-        let (dirty_out, dirty, dm) = run(Some("Ship"));
-        let _ = std::fs::remove_file(&path);
-
-        for (label, out) in [("warm", &warm_out), ("dirtied", &dirty_out)] {
-            if *out != cold_out {
-                diverged = true;
-                let _ = writeln!(
-                    report,
-                    "DIVERGENCE on {app_name}: {label} output differs from cold"
-                );
-            }
-        }
-        let warm_full = wm.counter("smt.full_solve");
-        let warm_sched = wm.counter("replay.schedules_explored");
-        if warm_full > 0 || warm_sched > 0 {
-            diverged = true;
-            let _ = writeln!(
-                report,
-                "NOT WARM on {app_name}: {warm_full} full solves, \
-                 {warm_sched} schedules explored on the warm run"
-            );
-        }
-
-        let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-        rows.push(vec![
-            app_name.to_string(),
-            format!("{:.1}", cold.as_secs_f64() * 1000.0),
-            format!("{:.1}", warm.as_secs_f64() * 1000.0),
-            format!("{:.1}", dirty.as_secs_f64() * 1000.0),
-            format!("{speedup:.1}x"),
-            format!(
-                "{}/{}/{}",
-                wm.counter("store.hit"),
-                wm.counter("store.stale"),
-                wm.counter("store.miss")
-            ),
-            format!(
-                "{}/{}/{}",
-                dm.counter("store.hit"),
-                dm.counter("store.stale"),
-                dm.counter("store.miss")
-            ),
-        ]);
-        json_apps.push(format!(
-            "\"{app_name}\":{{\"cold_us\":{},\"warm_us\":{},\"dirty1_us\":{},\
-             \"speedup\":{speedup:.1},\"warm_hit\":{},\"warm_stale\":{},\"warm_miss\":{},\
-             \"dirty_hit\":{},\"dirty_stale\":{},\"warm_full_solves\":{warm_full},\
-             \"warm_schedules_explored\":{warm_sched}}}",
-            cold.as_micros(),
-            warm.as_micros(),
-            dirty.as_micros(),
-            wm.counter("store.hit"),
-            wm.counter("store.stale"),
-            wm.counter("store.miss"),
-            dm.counter("store.hit"),
-            dm.counter("store.stale"),
-        ));
-    }
-
-    report.push_str(&table(
-        &[
-            "app",
-            "cold (ms)",
-            "warm (ms)",
-            "dirty1 (ms)",
-            "speedup",
-            "warm hit/stale/miss",
-            "dirty hit/stale/miss",
-        ],
-        &rows,
-    ));
-    let bench_json = format!(
-        "{{\"bench\":\"incremental_warm_start\",\"diverged\":{},{}}}\n",
-        diverged,
-        json_apps.join(",")
-    );
-    IncrementalBench {
-        report,
-        bench_json,
-        diverged,
-    }
-}
-
-/// Result of the timeline-overhead benchmark.
-pub struct TimelineBench {
-    /// Human-readable overhead table.
-    pub report: String,
-    /// One JSON line for `BENCH_timeline.json`.
-    pub bench_json: String,
-    /// True if enabling the timeline changed any report, verdict, or
-    /// witness byte — recording must be a pure observer, so this fails CI.
-    pub diverged: bool,
-}
-
-/// `--timeline-bench`: for each app, run the full pipeline (diagnosis and
-/// witness replay) with the trace timeline off and then on, timing both.
-/// The outputs must be byte-identical — the timeline is a pure observer —
-/// and the measured overhead lands in `BENCH_timeline.json` (reported,
-/// not gated: wall-clock ratios are too noisy for CI, the target is <3%).
-/// The metrics registry stays off during the timed runs so the numbers
-/// isolate the timeline's own cost.
-pub fn timeline_bench(apps: &[&str]) -> TimelineBench {
-    use std::time::Instant;
-
-    let registry_was_enabled = weseer_obs::enabled();
-    weseer_obs::set_enabled(false);
-    let mut report = String::from("Trace-timeline overhead: identical runs, timeline off vs on\n");
-    let mut diverged = false;
-    let mut json_apps = Vec::new();
-    let mut rows = Vec::new();
-
-    for &app_name in apps {
-        let app: &dyn ECommerceApp = match app_name {
-            "broadleaf" => &Broadleaf,
-            "shopizer" => &Shopizer,
-            other => panic!("unknown app {other}"),
-        };
-        let run = |timeline: bool| {
-            weseer_obs::timeline::reset();
-            weseer_obs::timeline::set_enabled(timeline);
-            let weseer = Weseer::new().with_replay();
-            let start = Instant::now();
-            let analysis = weseer.analyze(app);
-            let wall = start.elapsed();
-            weseer_obs::timeline::set_enabled(false);
-            let snap = weseer_obs::timeline::snapshot();
-            (render_analysis(&analysis), wall, snap)
-        };
-        // One throwaway run to warm allocators and caches, then the pair.
-        let _ = run(false);
-        let (off_out, off, _) = run(false);
-        let (on_out, on, snap) = run(true);
-
-        if on_out != off_out {
-            diverged = true;
-            let _ = writeln!(
-                report,
-                "DIVERGENCE on {app_name}: output with the timeline on \
-                 differs from the timeline-off run"
-            );
-        }
-        let overhead = 100.0 * (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64().max(1e-9);
-        rows.push(vec![
-            app_name.to_string(),
-            format!("{:.1}", off.as_secs_f64() * 1000.0),
-            format!("{:.1}", on.as_secs_f64() * 1000.0),
-            format!("{overhead:+.1}%"),
-            snap.records.len().to_string(),
-            snap.dropped.to_string(),
-            snap.lanes.len().to_string(),
-        ]);
-        json_apps.push(format!(
-            "\"{app_name}\":{{\"off_us\":{},\"on_us\":{},\"overhead_pct\":{overhead:.1},\
-             \"records\":{},\"dropped\":{},\"lanes\":{}}}",
-            off.as_micros(),
-            on.as_micros(),
-            snap.records.len(),
-            snap.dropped,
-            snap.lanes.len(),
-        ));
-    }
-    weseer_obs::set_enabled(registry_was_enabled);
-
-    report.push_str(&table(
-        &[
-            "app", "off (ms)", "on (ms)", "overhead", "records", "dropped", "lanes",
-        ],
-        &rows,
-    ));
-    report.push_str("target: <3% overhead with the timeline on (recorded, not CI-gated)\n");
-    let bench_json = format!(
-        "{{\"bench\":\"timeline_overhead\",\"diverged\":{},{}}}\n",
-        diverged,
-        json_apps.join(",")
-    );
-    TimelineBench {
-        report,
-        bench_json,
-        diverged,
-    }
-}
-
 /// `--anomaly-out`: run the diagnosis pipeline on both apps at the
-/// session isolation level (`--isolation` / `WESEER_ISOLATION`) and
-/// return `(human report, anomaly JSON lines)` — one line per app with
-/// the candidate/verdict grid from the static anomaly oracle and the
-/// interleaving explorer, or `null` under the default serializable level
+/// session isolation level (`--isolation`) and return `(human report,
+/// anomaly JSON lines)` — one line per app with the candidate/verdict
+/// grid from the static anomaly oracle and the interleaving explorer, or
+/// `null` under the default serializable level
 /// (the anomaly stage only runs under weak isolation, keeping the
 /// default output byte-identical to the pre-MVCC tool).
-pub fn anomaly_report() -> (String, String) {
-    let weseer = Weseer::new();
+pub fn anomaly_report(weseer: &Weseer) -> (String, String) {
     let mut human = String::new();
     let mut json = String::new();
     for analysis in [weseer.analyze(&Broadleaf), weseer.analyze(&Shopizer)] {
@@ -1076,256 +561,11 @@ pub fn anomaly_report() -> (String, String) {
     (human, json)
 }
 
-/// Result of the MVCC isolation-level anomaly benchmark.
-pub struct MvccBench {
-    /// Human-readable per-workload, per-level verdict table.
-    pub report: String,
-    /// One JSON line for `BENCH_mvcc.json`.
-    pub bench_json: String,
-    /// True if the isolation levels failed to separate: a planted anomaly
-    /// survived serializable, a weak level missed its anomaly, or no
-    /// weak/strong divergence was observed at all. Fails CI.
-    pub failed: bool,
-}
-
-/// One planted anomaly workload for the MVCC bench: a pair of transaction
-/// instances over a freshly seeded database.
-struct MvccWorkload {
-    name: &'static str,
-    /// The anomaly kind the weakest susceptible level must confirm.
-    expected_kind: &'static str,
-    /// The weakest level where `expected_kind` must show up.
-    must_confirm_at: IsolationLevel,
-    base: weseer_db::Database,
-    instances: Vec<weseer_replay::Instance>,
-}
-
-/// The classic lost-update pair: two read-modify-write withdrawals over
-/// one account row (same shape as `examples/anomaly_lost_update.rs`).
-fn mvcc_lost_update() -> MvccWorkload {
-    use weseer_sqlir::{Catalog, ColType, TableBuilder, Value};
-    let catalog = Catalog::new(vec![TableBuilder::new("Account")
-        .col("ID", ColType::Int)
-        .col("BAL", ColType::Int)
-        .primary_key(&["ID"])
-        .build()
-        .unwrap()])
-    .unwrap();
-    let base = weseer_db::Database::new(catalog);
-    base.seed("Account", vec![vec![Value::Int(1), Value::Int(100)]]);
-    MvccWorkload {
-        name: "lost_update",
-        expected_kind: "lost-update",
-        must_confirm_at: IsolationLevel::ReadCommitted,
-        base,
-        instances: vec![
-            mvcc_instance(
-                "A1",
-                &[
-                    ("SELECT * FROM Account a WHERE a.ID = ?", &[1]),
-                    ("UPDATE Account SET BAL = ? WHERE ID = ?", &[90, 1]),
-                ],
-            ),
-            mvcc_instance(
-                "A2",
-                &[
-                    ("SELECT * FROM Account a WHERE a.ID = ?", &[1]),
-                    ("UPDATE Account SET BAL = ? WHERE ID = ?", &[95, 1]),
-                ],
-            ),
-        ],
-    }
-}
-
-/// The on-call write-skew pair: both sessions check the roster, then each
-/// signs off a different doctor (same shape as
-/// `examples/anomaly_write_skew.rs`).
-fn mvcc_write_skew() -> MvccWorkload {
-    use weseer_sqlir::{Catalog, ColType, TableBuilder, Value};
-    let catalog = Catalog::new(vec![TableBuilder::new("Doctors")
-        .col("ID", ColType::Int)
-        .col("ONCALL", ColType::Int)
-        .primary_key(&["ID"])
-        .build()
-        .unwrap()])
-    .unwrap();
-    let base = weseer_db::Database::new(catalog);
-    base.seed(
-        "Doctors",
-        vec![
-            vec![Value::Int(1), Value::Int(1)],
-            vec![Value::Int(2), Value::Int(1)],
-        ],
-    );
-    MvccWorkload {
-        name: "write_skew",
-        expected_kind: "write-skew",
-        must_confirm_at: IsolationLevel::Snapshot,
-        base,
-        instances: vec![
-            mvcc_instance(
-                "A1",
-                &[
-                    ("SELECT * FROM Doctors d WHERE d.ONCALL = ?", &[1]),
-                    ("UPDATE Doctors SET ONCALL = ? WHERE ID = ?", &[0, 1]),
-                ],
-            ),
-            mvcc_instance(
-                "A2",
-                &[
-                    ("SELECT * FROM Doctors d WHERE d.ONCALL = ?", &[1]),
-                    ("UPDATE Doctors SET ONCALL = ? WHERE ID = ?", &[0, 2]),
-                ],
-            ),
-        ],
-    }
-}
-
-fn mvcc_instance(name: &str, stmts: &[(&str, &[i64])]) -> weseer_replay::Instance {
-    use weseer_sqlir::{parser::parse, Value};
-    weseer_replay::Instance {
-        name: name.into(),
-        stmts: stmts
-            .iter()
-            .enumerate()
-            .map(|(i, (sql, ps))| {
-                weseer_replay::ConcreteStmt::new(
-                    i + 1,
-                    parse(sql).unwrap(),
-                    ps.iter().map(|&v| Value::Int(v)).collect(),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// `--mvcc-bench`: explore both planted anomaly workloads at every
-/// isolation level and verify the levels separate — the lost update is
-/// confirmed at read-committed, the write skew at snapshot, and both
-/// vanish under the default serializable 2PL. Writes the per-cell
-/// verdict grid to `BENCH_mvcc.json`; the weak/strong divergence count
-/// must be nonzero and serializable must be clean, otherwise CI fails.
-pub fn mvcc_bench() -> MvccBench {
-    use weseer_replay::{explore_anomalies, AnomalyOutcome, ReplayConfig};
-
-    let mut report = String::from("MVCC anomaly oracle: planted workloads per isolation level\n");
-    let mut failed = false;
-    let mut divergence = 0usize;
-    let mut rows = Vec::new();
-    let mut json_workloads = Vec::new();
-
-    for workload in [mvcc_lost_update(), mvcc_write_skew()] {
-        let apis: Vec<String> = vec!["ApiA".into(), "ApiB".into()];
-        let mut json_cells = Vec::new();
-        for level in IsolationLevel::ALL {
-            let out = explore_anomalies(
-                &workload.base,
-                &workload.instances,
-                &apis,
-                level,
-                &ReplayConfig::default(),
-            );
-            let (confirmed, kinds, explored, pruned) = match &out {
-                AnomalyOutcome::Anomalous(w) => {
-                    let mut kinds: Vec<String> =
-                        w.anomalies.iter().map(|a| a.kind.clone()).collect();
-                    kinds.dedup();
-                    (true, kinds, w.schedules_explored, w.schedules_pruned)
-                }
-                AnomalyOutcome::Clean { explored, pruned } => {
-                    (false, Vec::new(), *explored, *pruned)
-                }
-            };
-            if confirmed {
-                divergence += 1;
-            }
-            if level == IsolationLevel::Serializable && confirmed {
-                failed = true;
-                let _ = writeln!(
-                    report,
-                    "FAILURE: {} reported an anomaly under serializable 2PL",
-                    workload.name
-                );
-            }
-            if level == workload.must_confirm_at
-                && !kinds.iter().any(|k| k == workload.expected_kind)
-            {
-                failed = true;
-                let _ = writeln!(
-                    report,
-                    "FAILURE: {} did not confirm {} at {}",
-                    workload.name,
-                    workload.expected_kind,
-                    level.name()
-                );
-            }
-            rows.push(vec![
-                workload.name.to_string(),
-                level.name().to_string(),
-                if confirmed { "ANOMALOUS" } else { "clean" }.to_string(),
-                if kinds.is_empty() {
-                    "-".to_string()
-                } else {
-                    kinds.join(",")
-                },
-                explored.to_string(),
-                pruned.to_string(),
-            ]);
-            json_cells.push(format!(
-                "\"{}\":{{\"confirmed\":{confirmed},\"kinds\":[{}],\
-                 \"schedules_explored\":{explored},\"schedules_pruned\":{pruned}}}",
-                level.name(),
-                kinds
-                    .iter()
-                    .map(|k| format!("\"{k}\""))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        json_workloads.push(format!(
-            "\"{}\":{{{}}}",
-            workload.name,
-            json_cells.join(",")
-        ));
-    }
-    if divergence == 0 {
-        failed = true;
-        report.push_str("FAILURE: no isolation level diverged from serializable\n");
-    }
-
-    report.push_str(&table(
-        &[
-            "workload",
-            "isolation",
-            "verdict",
-            "anomalies",
-            "explored",
-            "pruned",
-        ],
-        &rows,
-    ));
-    let _ = writeln!(
-        report,
-        "weak/strong divergence: {divergence} anomalous cells \
-         (lost update at read-committed, write skew at snapshot, \
-         serializable clean)"
-    );
-    let bench_json = format!(
-        "{{\"bench\":\"mvcc_anomaly\",\"failed\":{failed},\"divergence\":{divergence},{}}}\n",
-        json_workloads.join(",")
-    );
-    MvccBench {
-        report,
-        bench_json,
-        failed,
-    }
-}
-
 /// `--verdicts-out`: both apps' batch-pipeline verdicts rendered in the
 /// serving daemon's wire format ([`weseer_serve::verdict_line`]),
 /// broadleaf first then shopizer — the exact bytes `GET /analyze/<app>`
 /// streams, so CI can byte-diff daemon output against this file.
-pub fn batch_verdicts() -> (String, String) {
+pub fn batch_verdicts(weseer: &Weseer) -> (String, String) {
     let mut human = String::from("Batch verdicts (serving wire format):\n");
     let mut lines = String::new();
     for &name in &["broadleaf", "shopizer"] {
@@ -1333,7 +573,7 @@ pub fn batch_verdicts() -> (String, String) {
             "broadleaf" => &Broadleaf,
             _ => &Shopizer,
         };
-        let analysis = Weseer::new().analyze(app);
+        let analysis = weseer.analyze(app);
         let _ = writeln!(
             human,
             "  {name}: {} verdicts",
@@ -1388,54 +628,5 @@ mod tests {
         assert!(t.contains("Register"));
         assert!(t.contains("Checkout"));
         assert!(t.contains("Payment"));
-    }
-
-    #[test]
-    fn ablation_json_has_a_row_per_real_knob() {
-        // `BENCH_smt.json` once published a row no knob produced. The
-        // row set *is* the knob grid: every named configuration gets its
-        // own `wallclock_per_solve` entry, and nothing else does.
-        assert_eq!(weseer_smt::TierConfig::ablation_configs().len(), 5);
-        let rows: Vec<AblationRow> = weseer_smt::TierConfig::ablation_configs()
-            .into_iter()
-            .map(|(label, _)| AblationRow {
-                label,
-                full_solve: 0,
-                t0: 0,
-                t1: 0,
-                prefix_kill: 0,
-                solve_wall_us: 0,
-                solve_us: None,
-                full_solve_us: None,
-                verdicts: (0, 0, 0),
-                reports: Vec::new(),
-            })
-            .collect();
-        let json = ablation_json_entry("shopizer", &rows);
-        for name in [
-            "all_tiers",
-            "no_simplify",
-            "no_presolve",
-            "no_prefix",
-            "no_tiers",
-        ] {
-            assert!(
-                json.contains(&format!("\"{name}\":{{\"solves\"")),
-                "missing per-config row {name} in {json}"
-            );
-        }
-    }
-
-    #[test]
-    fn mvcc_bench_levels_separate() {
-        let bench = mvcc_bench();
-        assert!(!bench.failed, "{}", bench.report);
-        assert!(bench.bench_json.starts_with("{\"bench\":\"mvcc_anomaly\""));
-        assert!(bench.bench_json.contains("\"failed\":false"));
-        assert!(bench.bench_json.contains("\"lost_update\""));
-        assert!(bench.bench_json.contains("\"write_skew\""));
-        // The grid is fully deterministic (no wall-clock fields): CI can
-        // diff BENCH_mvcc.json across runs.
-        assert_eq!(bench.bench_json, mvcc_bench().bench_json);
     }
 }

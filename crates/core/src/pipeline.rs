@@ -19,7 +19,7 @@ use weseer_replay::{
 use weseer_store::{json::Json, Lookup, Store};
 
 /// The WeSEER tool facade.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Weseer {
     /// Analyzer configuration.
     pub config: AnalyzerConfig,
@@ -28,20 +28,18 @@ pub struct Weseer {
     pub replay: Option<weseer_replay::ReplayConfig>,
     /// When set, analyses consult (and feed) this persistent store so a
     /// warm run over unchanged traces skips the heavy phases
-    /// ([`Weseer::with_store`]; also reachable via the `WESEER_STORE`
-    /// environment variable).
+    /// ([`Weseer::with_store`]).
     pub store: Option<Arc<Store>>,
     /// APIs whose traces are treated as changed for store lookups: their
     /// fingerprints are salted, invalidating every stored outcome that
-    /// involves them (`WESEER_DIRTY` env var, or [`Weseer::with_dirty`]).
+    /// involves them ([`Weseer::with_dirty`]).
     pub dirty_apis: BTreeSet<String>,
     /// When set to a non-serializable level, every analysis additionally
     /// runs the weak-isolation anomaly oracle and confirms its candidates
     /// by exploring interleavings at that level
-    /// ([`Weseer::with_isolation`]; also reachable via the
-    /// `WESEER_ISOLATION` environment variable). Trace collection and
-    /// deadlock diagnosis always run at the default serializable level,
-    /// so the deadlock output is untouched.
+    /// ([`Weseer::with_isolation`]). Trace collection and deadlock
+    /// diagnosis always run at the default serializable level, so the
+    /// deadlock output is untouched.
     pub isolation: Option<IsolationLevel>,
 }
 
@@ -67,9 +65,8 @@ pub struct AppAnalysis {
     /// requested.
     pub replay: Option<ReplaySummary>,
     /// Weak-isolation anomaly analysis; `None` unless a non-serializable
-    /// level was requested ([`Weseer::with_isolation`] or
-    /// `WESEER_ISOLATION`). Never feeds the deadlock report, so default
-    /// output stays byte-identical.
+    /// level was requested ([`Weseer::with_isolation`]). Never feeds the
+    /// deadlock report, so default output stays byte-identical.
     pub anomalies: Option<AnomalyAnalysis>,
 }
 
@@ -317,45 +314,14 @@ impl Weseer {
         self
     }
 
-    /// The isolation level for anomaly analysis: the configured one, else
-    /// the `WESEER_ISOLATION` environment variable.
-    fn resolve_isolation(&self) -> Option<IsolationLevel> {
-        self.isolation.or_else(IsolationLevel::from_env)
-    }
-
-    /// The store to use for one analysis: the configured one, else the
-    /// `WESEER_STORE` path (opened fresh per call so repeated analyses
-    /// each see the flushed file).
-    fn resolve_store(&self) -> Option<Arc<Store>> {
-        if self.store.is_some() {
-            return self.store.clone();
-        }
-        match std::env::var("WESEER_STORE") {
-            Ok(p) if !p.is_empty() => Some(Arc::new(
-                Store::open(&p).unwrap_or_else(|e| panic!("WESEER_STORE={p}: {e}")),
-            )),
-            _ => None,
-        }
-    }
-
     /// Per-trace content fingerprints for store keys, with dirty APIs
-    /// (configured plus the comma-separated `WESEER_DIRTY` env var)
     /// salted so their stored outcomes invalidate.
     fn fingerprints(&self, traces: &[CollectedTrace]) -> Vec<String> {
-        let mut dirty = self.dirty_apis.clone();
-        if let Ok(v) = std::env::var("WESEER_DIRTY") {
-            dirty.extend(
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string),
-            );
-        }
         traces
             .iter()
             .map(|t| {
                 let mut fp = t.trace.fingerprint(&t.ctx);
-                if dirty.contains(t.api()) {
+                if self.dirty_apis.contains(t.api()) {
                     fp.push_str("!dirty");
                 }
                 fp
@@ -470,16 +436,13 @@ impl Weseer {
                 path_conds: t.trace.path_conds.len(),
             })
             .collect();
-        let store = self.resolve_store();
-        let fingerprints = store.as_ref().map(|_| self.fingerprints(&traces));
-        let store_ctx = store
-            .as_ref()
-            .zip(fingerprints.as_ref())
-            .map(|(s, fps)| StoreCtx {
-                store: s,
-                fingerprints: fps,
-                namespace: app.name(),
-            });
+        let store = self.store.as_ref();
+        let fingerprints = store.map(|_| self.fingerprints(&traces));
+        let store_ctx = store.zip(fingerprints.as_ref()).map(|(s, fps)| StoreCtx {
+            store: s,
+            fingerprints: fps,
+            namespace: app.name(),
+        });
         let diagnosis = diagnose_with(
             &app.catalog(),
             &traces,
@@ -498,10 +461,10 @@ impl Weseer {
             .as_ref()
             .map(|cfg| Self::replay_reports(app, &diagnosis, &traces, cfg, store_ctx.as_ref()));
         let anomalies = self
-            .resolve_isolation()
+            .isolation
             .filter(|iso| iso.uses_snapshots())
             .map(|iso| Self::anomaly_reports(app, &traces, iso));
-        if let Some(s) = &store {
+        if let Some(s) = store {
             s.flush().unwrap_or_else(|e| panic!("store flush: {e}"));
         }
         drop(pipeline_span);

@@ -65,6 +65,6 @@ pub use anomaly::{AnomalyEvent, AnomalyKind, AnomalyTracker};
 pub use database::{Database, DbStats, Session};
 pub use exec::{ExecData, ExplainRow, MvccCtx, StepResult};
 pub use lock::{AcquireOutcome, LockManager, LockMode, LockStats, LockTarget};
-pub use mvcc::{IsolationLevel, VersionStore, ISOLATION_ENV};
+pub use mvcc::{IsolationLevel, VersionStore};
 pub use storage::{Row, Storage};
 pub use types::{DbError, KeyBound, KeyTuple, RowId, TxnId};

@@ -49,10 +49,6 @@ pub enum IsolationLevel {
     Serializable,
 }
 
-/// Environment variable selecting a default isolation level
-/// (mirrors `WESEER_THREADS` / `WESEER_STORE`).
-pub const ISOLATION_ENV: &str = "WESEER_ISOLATION";
-
 impl IsolationLevel {
     /// All levels, weakest first.
     pub const ALL: [IsolationLevel; 4] = [
@@ -85,19 +81,6 @@ impl IsolationLevel {
             self,
             IsolationLevel::RepeatableRead | IsolationLevel::Snapshot
         )
-    }
-
-    /// The level selected by `WESEER_ISOLATION`, if set.
-    ///
-    /// # Panics
-    /// Panics with the list of valid names when the variable holds an
-    /// unknown level (mirrors `WESEER_THREADS`'s fail-fast parsing).
-    pub fn from_env() -> Option<IsolationLevel> {
-        let raw = std::env::var(ISOLATION_ENV).ok()?;
-        match raw.parse() {
-            Ok(level) => Some(level),
-            Err(e) => panic!("{ISOLATION_ENV}: {e}"),
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! MVCC subsystem integration tests: snapshot visibility per isolation
 //! level, first-updater-wins aborts, anomaly tracking through the real
-//! engine, fork hygiene, and `WESEER_ISOLATION` parsing.
+//! engine, fork hygiene, and isolation-level name parsing.
 
 use weseer_db::{AnomalyKind, Database, DbError, IsolationLevel};
 use weseer_sqlir::parser::parse;
@@ -247,27 +247,20 @@ fn fork_inherits_default_isolation() {
 }
 
 #[test]
-fn isolation_env_parsing() {
-    const ENV: &str = weseer_db::ISOLATION_ENV;
-    // Unset: no override.
-    std::env::remove_var(ENV);
-    assert_eq!(IsolationLevel::from_env(), None);
+fn isolation_level_names_parse_and_a_typo_lists_them() {
+    for level in IsolationLevel::ALL {
+        assert_eq!(level.name().parse(), Ok(level));
+    }
+    assert_eq!("SNAPSHOT".parse(), Ok(IsolationLevel::Snapshot));
 
-    std::env::set_var(ENV, "repeatable-read");
-    assert_eq!(
-        IsolationLevel::from_env(),
-        Some(IsolationLevel::RepeatableRead)
-    );
-    std::env::set_var(ENV, "SNAPSHOT");
-    assert_eq!(IsolationLevel::from_env(), Some(IsolationLevel::Snapshot));
-
-    std::env::set_var(ENV, "chaos-monkey");
-    let panic = std::panic::catch_unwind(IsolationLevel::from_env).unwrap_err();
-    let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("WESEER_ISOLATION"), "got: {msg}");
+    let msg = "chaos-monkey"
+        .parse::<IsolationLevel>()
+        .unwrap_err()
+        .to_string();
     assert!(msg.contains("unknown isolation level"), "got: {msg}");
-    assert!(msg.contains("serializable"), "got: {msg}");
-    std::env::remove_var(ENV);
+    for level in IsolationLevel::ALL {
+        assert!(msg.contains(level.name()), "got: {msg}");
+    }
 }
 
 #[test]

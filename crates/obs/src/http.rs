@@ -19,7 +19,7 @@
 //! parsing, `Connection: close`, one connection at a time — in the same
 //! spirit as the store's hand-rolled JSON: no new dependencies for a
 //! protocol subset a few dozen lines cover. `reproduce --serve <addr>`
-//! (or `WESEER_SERVE=<addr>`) starts it for the duration of a run.
+//! starts it for the duration of a run.
 
 use crate::snapshot::write_json_string;
 use std::io::{BufRead, BufReader, Write as _};

@@ -16,10 +16,9 @@
 //! insertion order), so a solve is a pure function of the clause/call
 //! sequence — the deterministic parallel scheduler relies on that.
 //!
-//! The pre-CDCL chronological-backtracking DPLL survives as
-//! [`solve_dpll_instrumented`], purely as the reference the differential
-//! proptests (and `benches/sat_core.rs`) run against the CDCL core; no
-//! solve path calls it.
+//! The pre-CDCL chronological-backtracking DPLL survives under
+//! `#[cfg(test)]` as `solve_dpll_instrumented`, the oracle the
+//! differential proptests run the CDCL core against.
 
 /// A literal: variable index with polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -669,7 +668,8 @@ pub fn solve_instrumented(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, 
 /// chronological backtracking (flip the last untried decision), no clause
 /// learning. Kept verbatim as the differential-testing oracle for the
 /// CDCL core.
-pub fn solve_dpll_instrumented(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, SatStats) {
+#[cfg(test)]
+fn solve_dpll_instrumented(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, SatStats) {
     let mut stats = SatStats::default();
     let n = cnf.num_vars;
     let code = |l: Lit| -> usize { l.var * 2 + usize::from(l.positive) };

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Which tiers of the fast path run in front of the full solver (see
 /// [`check_tiered`]). All tiers are sound — disabling them changes cost,
-/// never verdicts — which `reproduce --smt-ablation` verifies end to end.
+/// never verdicts — which the root `tier_grid` test verifies end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
     /// Tier 0: bottom-up simplification ([`crate::simplify`]) before
@@ -45,9 +45,9 @@ impl TierConfig {
 
     /// The named knob ablation grid: every row is the default config with
     /// exactly one knob withheld (plus the all-on and all-off endpoints).
-    /// `reproduce --smt-ablation` emits one `BENCH_smt.json` row per
-    /// name and CI gates on exactly these names, so adding a `TierConfig`
-    /// knob without extending this list fails the bench check.
+    /// `tests/tier_grid.rs` diagnoses Shopizer under every row and
+    /// `tests/cdcl_agreement.rs` solves random terms under every row, so
+    /// a new `TierConfig` knob is gated by adding its row here.
     pub fn ablation_configs() -> Vec<(&'static str, TierConfig)> {
         let all = TierConfig::default();
         vec![
