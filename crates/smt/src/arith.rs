@@ -11,7 +11,7 @@
 //! parameters, row columns, and constants.
 
 use crate::rational::{Rat, ZERO};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// A theory variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,8 +145,10 @@ impl Constraint {
 pub enum ArithResult {
     /// Satisfiable with the given assignment (indexed like `vars`).
     Sat(Vec<Rat>),
-    /// Unsatisfiable.
-    Unsat,
+    /// Unsatisfiable, with a *proof core*: the ascending indices of the
+    /// input constraints the refutation was derived from. Their conjunction
+    /// alone is unsatisfiable; the set is not necessarily minimal.
+    Unsat(Vec<usize>),
     /// Resource limit hit (treated as a solver timeout; the paper reports
     /// no deadlock on timeout).
     Unknown,
@@ -170,39 +172,167 @@ impl Default for Limits {
     }
 }
 
+/// The input constraints a row was derived from, as a bitset over input
+/// indices. Every set in one `solve` call has the same width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Provenance(Vec<u64>);
+
+impl Provenance {
+    fn empty(n_inputs: usize) -> Provenance {
+        Provenance(vec![0; n_inputs.div_ceil(64)])
+    }
+
+    fn single(n_inputs: usize, i: usize) -> Provenance {
+        let mut p = Provenance::empty(n_inputs);
+        p.0[i / 64] |= 1 << (i % 64);
+        p
+    }
+
+    fn union(&self, other: &Provenance) -> Provenance {
+        debug_assert_eq!(self.0.len(), other.0.len());
+        Provenance(self.0.iter().zip(&other.0).map(|(a, b)| a | b).collect())
+    }
+
+    fn indices(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+/// A constraint together with the inputs it follows from.
+#[derive(Debug, Clone)]
+struct Row {
+    con: Constraint,
+    from: Provenance,
+}
+
 /// Decide a conjunction of constraints over `vars`.
 pub fn solve(vars: &[VarInfo], cons: &[Constraint], limits: Limits) -> ArithResult {
     // Integer tightening: over integer variables with integer coefficients,
     // `e < 0` is equivalent to `e + 1 ≤ 0`. This keeps Fourier–Motzkin's
     // bounds integral (strict chains like x₀ < x₁ < … otherwise produce
     // fractional midpoints and branch-and-bound blow-ups).
-    let tightened: Vec<Constraint> = cons
+    let rows: Vec<Row> = cons
         .iter()
-        .map(|c| {
+        .enumerate()
+        .map(|(i, c)| {
             let all_int = c.strict
                 && c.expr.constant.is_integer()
                 && c.expr
                     .coeffs
                     .iter()
                     .all(|(&v, k)| vars[v].is_int && k.is_integer());
-            if all_int {
+            let con = if all_int {
                 Constraint {
                     expr: c.expr.add(&LinExpr::constant(Rat::int(1))),
                     strict: false,
                 }
             } else {
                 c.clone()
+            };
+            Row {
+                con,
+                from: Provenance::single(cons.len(), i),
             }
         })
         .collect();
-    solve_rec(vars, tightened, limits, 0)
+    match solve_rec(vars, rows, cons.len(), limits, 0) {
+        FmResult::Sat(m) => ArithResult::Sat(m),
+        FmResult::Unsat(from) => ArithResult::Unsat(from.indices()),
+        FmResult::Unknown => ArithResult::Unknown,
+    }
 }
 
-fn solve_rec(vars: &[VarInfo], cons: Vec<Constraint>, limits: Limits, depth: usize) -> ArithResult {
-    let model = match fm_solve(vars.len(), cons.clone(), limits) {
-        FmResult::Unsat => return ArithResult::Unsat,
-        FmResult::Unknown => return ArithResult::Unknown,
+/// A minimal unsat core and what finding it cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MinimalCore {
+    /// Ascending indices into the input: their conjunction is
+    /// unsatisfiable, and dropping any one of them makes `solve` stop
+    /// answering `Unsat` within the limits.
+    pub kept: Vec<usize>,
+    /// `solve` calls made.
+    pub solves: u64,
+    /// Trials that ran out of budget (`Unknown`); their literal is kept.
+    pub budget_exhausted: u64,
+}
+
+/// Deletion-based unsat-core minimization guided by proof cores.
+///
+/// `proof` is the core `solve` returned for `cons`. Candidates are tried
+/// for deletion in index order, as in the plain loop, but a candidate
+/// outside the current proof core is dropped without a trial: the proof
+/// does not use it, so the set without it is still unsatisfiable and the
+/// trial could only have answered `Unsat`. Each real trial that answers
+/// `Unsat` brings a fresh (usually smaller) proof core. Every keep/drop
+/// decision is therefore the one the plain loop makes, and so is the
+/// result.
+pub fn minimize_core(
+    vars: &[VarInfo],
+    cons: &[Constraint],
+    proof: &[usize],
+    limits: Limits,
+) -> MinimalCore {
+    let mut keep: Vec<usize> = (0..cons.len()).collect();
+    let mut in_proof = vec![false; cons.len()];
+    for &k in proof {
+        in_proof[k] = true;
+    }
+    let (mut solves, mut budget_exhausted) = (0, 0);
+    let mut i = 0;
+    while i < keep.len() {
+        if !in_proof[keep[i]] {
+            keep.remove(i);
+            continue;
+        }
+        // The trial still holds the unvisited candidates outside the
+        // proof, exactly as the plain loop's would: a refutation of it may
+        // go through them.
+        let trial: Vec<Constraint> = keep
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| *j != i)
+            .map(|(_, &k)| cons[k].clone())
+            .collect();
+        solves += 1;
+        match solve(vars, &trial, limits) {
+            ArithResult::Unsat(core) => {
+                keep.remove(i);
+                in_proof.fill(false);
+                for j in core {
+                    in_proof[keep[j]] = true;
+                }
+            }
+            ArithResult::Unknown => {
+                budget_exhausted += 1;
+                i += 1;
+            }
+            ArithResult::Sat(_) => i += 1,
+        }
+    }
+    MinimalCore {
+        kept: keep,
+        solves,
+        budget_exhausted,
+    }
+}
+
+fn solve_rec(
+    vars: &[VarInfo],
+    rows: Vec<Row>,
+    n_inputs: usize,
+    limits: Limits,
+    depth: usize,
+) -> FmResult {
+    let model = match fm_solve(vars.len(), &rows, limits) {
         FmResult::Sat(m) => m,
+        refuted_or_unknown => return refuted_or_unknown,
     };
     // Branch-and-bound: fix the first integer variable with a fractional
     // value.
@@ -211,34 +341,44 @@ fn solve_rec(vars: &[VarInfo], cons: Vec<Constraint>, limits: Limits, depth: usi
         .enumerate()
         .find(|(i, v)| v.is_int && !model[*i].is_integer());
     let (i, _) = match frac {
-        None => return ArithResult::Sat(model),
+        None => return FmResult::Sat(model),
         Some(f) => f,
     };
     if depth >= limits.max_branches {
-        return ArithResult::Unknown;
+        return FmResult::Unknown;
     }
     let floor = model[i].floor() as i64;
+    // A branch row is no input, so it starts with empty provenance: the
+    // two branches together cover every integer, and the union of their
+    // refutations' inputs is what rules the integers out.
+    let branch = |expr: LinExpr| Row {
+        con: Constraint::le0(expr),
+        from: Provenance::empty(n_inputs),
+    };
     // Branch 1: xᵢ ≤ floor.
-    let mut lo = cons.clone();
-    lo.push(Constraint::le0(
+    let mut lo = rows.clone();
+    lo.push(branch(
         LinExpr::var(i).sub(&LinExpr::constant(Rat::int(floor))),
     ));
-    match solve_rec(vars, lo, limits, depth + 1) {
-        ArithResult::Sat(m) => return ArithResult::Sat(m),
-        ArithResult::Unknown => return ArithResult::Unknown,
-        ArithResult::Unsat => {}
-    }
+    let lo_from = match solve_rec(vars, lo, n_inputs, limits, depth + 1) {
+        FmResult::Unsat(from) => from,
+        sat_or_unknown => return sat_or_unknown,
+    };
     // Branch 2: xᵢ ≥ floor + 1, i.e. (floor + 1) - xᵢ ≤ 0.
-    let mut hi = cons;
-    hi.push(Constraint::le0(
+    let mut hi = rows;
+    hi.push(branch(
         LinExpr::constant(Rat::int(floor + 1)).sub(&LinExpr::var(i)),
     ));
-    solve_rec(vars, hi, limits, depth + 1)
+    match solve_rec(vars, hi, n_inputs, limits, depth + 1) {
+        FmResult::Unsat(hi_from) => FmResult::Unsat(lo_from.union(&hi_from)),
+        sat_or_unknown => sat_or_unknown,
+    }
 }
 
 enum FmResult {
     Sat(Vec<Rat>),
-    Unsat,
+    /// Refuted, from these inputs.
+    Unsat(Provenance),
     Unknown,
 }
 
@@ -249,19 +389,22 @@ enum FmResult {
 ///
 /// Constraints are scaled so their leading coefficient is ±1; for equal
 /// coefficient vectors only the tightest bound survives (largest constant;
-/// strict beats non-strict at equal constants). Trivially true ground
-/// constraints are dropped; a trivially false one short-circuits.
-fn compact(cons: Vec<Constraint>) -> Result<Vec<Constraint>, ()> {
-    use std::collections::HashMap;
-    let mut best: HashMap<Vec<(usize, Rat)>, (Rat, bool)> = HashMap::new();
-    let mut ground_false = false;
-    for c in cons {
+/// strict beats non-strict at equal constants; the first seen on an exact
+/// tie) and brings its own provenance. Trivially true ground constraints
+/// are dropped; a trivially false one short-circuits with its provenance.
+///
+/// The output is ordered by coefficient vector, so it — and with it which
+/// of two equally tight parents a refutation names — is a function of the
+/// input alone. Compacting is idempotent, and any subsequence of a
+/// compacted set is itself compacted.
+fn compact(rows: Vec<Row>) -> Result<Vec<Row>, Provenance> {
+    let mut best: BTreeMap<Vec<(usize, Rat)>, (Rat, bool, Provenance)> = BTreeMap::new();
+    for Row { con: c, from } in rows {
         if c.expr.is_constant() {
             let k = c.expr.constant;
             let ok = if c.strict { k < ZERO } else { k <= ZERO };
             if !ok {
-                ground_false = true;
-                break;
+                return Err(from);
             }
             continue; // trivially true
         }
@@ -282,64 +425,67 @@ fn compact(cons: Vec<Constraint>) -> Result<Vec<Constraint>, ()> {
             .collect();
         let constant = c.expr.constant * scale;
         match best.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((constant, c.strict));
+            Entry::Vacant(e) => {
+                e.insert((constant, c.strict, from));
             }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (k0, s0) = *e.get();
+            Entry::Occupied(mut e) => {
+                let &(k0, s0, _) = e.get();
                 // Tighter: larger constant, or equal constant but strict.
                 if constant > k0 || (constant == k0 && c.strict && !s0) {
-                    e.insert((constant, c.strict));
+                    e.insert((constant, c.strict, from));
                 }
             }
         }
     }
-    if ground_false {
-        return Err(());
-    }
     Ok(best
         .into_iter()
-        .map(|(key, (constant, strict))| {
-            let mut coeffs = BTreeMap::new();
-            for (v, k) in key {
-                coeffs.insert(v, k);
-            }
-            Constraint {
-                expr: LinExpr { coeffs, constant },
+        .map(|(key, (constant, strict, from))| Row {
+            con: Constraint {
+                expr: LinExpr {
+                    coeffs: key.into_iter().collect(),
+                    constant,
+                },
                 strict,
-            }
+            },
+            from,
         })
         .collect())
+}
+
+/// A bound on an eliminated variable: `expr ≤ x` or `x ≤ expr` (`<` when
+/// strict).
+struct Bound {
+    expr: LinExpr,
+    strict: bool,
+    from: Provenance,
 }
 
 /// One variable's bound set saved for back-substitution.
 struct Eliminated {
     var: usize,
-    /// Lower bounds: expressions `e` with `e ≤ x` (or `<` when strict).
-    lowers: Vec<(LinExpr, bool)>,
-    /// Upper bounds: expressions `e` with `x ≤ e` (or `<`).
-    uppers: Vec<(LinExpr, bool)>,
+    lowers: Vec<Bound>,
+    uppers: Vec<Bound>,
 }
 
-fn fm_solve(n_vars: usize, mut cons: Vec<Constraint>, limits: Limits) -> FmResult {
+fn fm_solve(n_vars: usize, input: &[Row], limits: Limits) -> FmResult {
     let mut eliminated: Vec<Eliminated> = Vec::new();
+    let mut rows = match compact(input.to_vec()) {
+        Ok(rows) => rows,
+        Err(from) => return FmResult::Unsat(from),
+    };
 
     // Eliminate variables in a greedy order that minimizes the number of
     // generated constraints (lowers × uppers), the classic FM heuristic.
     let mut remaining: Vec<usize> = (0..n_vars).collect();
     while !remaining.is_empty() {
-        cons = match compact(cons) {
-            Ok(c) => c,
-            Err(()) => return FmResult::Unsat,
-        };
         let (pos, _) = remaining
             .iter()
             .enumerate()
             .map(|(pos, &v)| {
                 let mut lo = 0usize;
                 let mut hi = 0usize;
-                for c in &cons {
-                    match c.expr.coeffs.get(&v) {
+                for row in &rows {
+                    match row.con.expr.coeffs.get(&v) {
                         Some(k) if k.signum() > 0 => hi += 1,
                         Some(_) => lo += 1,
                         None => {}
@@ -353,52 +499,62 @@ fn fm_solve(n_vars: usize, mut cons: Vec<Constraint>, limits: Limits) -> FmResul
         let mut lowers = Vec::new();
         let mut uppers = Vec::new();
         let mut rest = Vec::new();
-        for c in cons {
-            match c.expr.coeffs.get(&var).copied() {
-                None => rest.push(c),
+        for row in rows {
+            match row.con.expr.coeffs.get(&var).copied() {
+                None => rest.push(row),
                 Some(coef) => {
-                    // c.expr = coef*x + r ⋈ 0
-                    let mut r = c.expr.clone();
+                    // expr = coef*x + r ⋈ 0, so x ⋈ -r/coef: an upper
+                    // bound for positive coef, a lower bound (flipped
+                    // side) for negative.
+                    let mut r = row.con.expr;
                     r.coeffs.remove(&var);
+                    let bound = Bound {
+                        expr: r.scale(-coef.recip()),
+                        strict: row.con.strict,
+                        from: row.from,
+                    };
                     if coef.signum() > 0 {
-                        // x ⋈ -r/coef : upper bound
-                        uppers.push((r.scale(-coef.recip()), c.strict));
+                        uppers.push(bound);
                     } else {
-                        // x ⋈ -r/coef with flipped side: lower bound
-                        lowers.push((r.scale(-coef.recip()), c.strict));
+                        lowers.push(bound);
                     }
                 }
             }
         }
         // Pairwise combinations: lower ≤ x ≤ upper ⇒ lower - upper ≤ 0.
-        for (lo, s_lo) in &lowers {
-            for (hi, s_hi) in &uppers {
-                rest.push(Constraint {
-                    expr: lo.sub(hi),
-                    strict: *s_lo || *s_hi,
+        for lo in &lowers {
+            for hi in &uppers {
+                rest.push(Row {
+                    con: Constraint {
+                        expr: lo.expr.sub(&hi.expr),
+                        strict: lo.strict || hi.strict,
+                    },
+                    from: lo.from.union(&hi.from),
                 });
                 if rest.len() > limits.max_constraints {
                     return FmResult::Unknown;
                 }
             }
         }
+        // With no combination added, `rest` is a subsequence of a compacted
+        // set and needs no second pass.
+        rows = if lowers.is_empty() || uppers.is_empty() {
+            rest
+        } else {
+            match compact(rest) {
+                Ok(rows) => rows,
+                Err(from) => return FmResult::Unsat(from),
+            }
+        };
         eliminated.push(Eliminated {
             var,
             lowers,
             uppers,
         });
-        cons = rest;
     }
-
-    // All variables gone: remaining constraints are ground.
-    for c in &cons {
-        debug_assert!(c.expr.is_constant());
-        let k = c.expr.constant;
-        let ok = if c.strict { k < ZERO } else { k <= ZERO };
-        if !ok {
-            return FmResult::Unsat;
-        }
-    }
+    // Compacting removed every ground row as it appeared, so none is left
+    // to check.
+    debug_assert!(rows.is_empty());
 
     // Back-substitute in reverse elimination order.
     let mut model = vec![ZERO; n_vars];
@@ -406,12 +562,12 @@ fn fm_solve(n_vars: usize, mut cons: Vec<Constraint>, limits: Limits) -> FmResul
         let lo = e
             .lowers
             .iter()
-            .map(|(expr, s)| (expr.eval(&model), *s))
+            .map(|b| (b.expr.eval(&model), b.strict))
             .max_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let hi = e
             .uppers
             .iter()
-            .map(|(expr, s)| (expr.eval(&model), *s))
+            .map(|b| (b.expr.eval(&model), b.strict))
             .min_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         model[e.var] = match (lo, hi) {
             (None, None) => ZERO,
@@ -509,7 +665,7 @@ mod tests {
         let cons = vec![con(&[(0, 1)], -3, true), con(&[(0, -1)], 5, true)];
         assert_eq!(
             solve(&int_vars(1), &cons, Limits::default()),
-            ArithResult::Unsat
+            ArithResult::Unsat(vec![0, 1])
         );
     }
 
@@ -523,7 +679,7 @@ mod tests {
         ));
         assert_eq!(
             solve(&int_vars(1), &cons, Limits::default()),
-            ArithResult::Unsat
+            ArithResult::Unsat(vec![0, 1])
         );
     }
 
@@ -533,7 +689,7 @@ mod tests {
         let cons = vec![con(&[(0, 2)], -1, false), con(&[(0, -2)], 1, false)];
         assert_eq!(
             solve(&int_vars(1), &cons, Limits::default()),
-            ArithResult::Unsat
+            ArithResult::Unsat(vec![0, 1])
         );
         match solve(&real_vars(1), &cons, Limits::default()) {
             ArithResult::Sat(m) => assert_eq!(m[0], Rat::new(1, 2)),
@@ -570,7 +726,7 @@ mod tests {
         ];
         assert_eq!(
             solve(&real_vars(2), &cons, Limits::default()),
-            ArithResult::Unsat
+            ArithResult::Unsat(vec![0, 1])
         );
     }
 
@@ -600,6 +756,163 @@ mod tests {
                 assert_eq!(m[2], m[0] - m[1]);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// The plain deletion loop `minimize_core` must agree with: one
+    /// from-scratch solve per candidate, nothing skipped. Also returns how
+    /// many trials ran out of budget.
+    fn minimize_by_deletion(
+        vars: &[VarInfo],
+        cons: &[Constraint],
+        limits: Limits,
+    ) -> (Vec<usize>, u64) {
+        let mut keep: Vec<usize> = (0..cons.len()).collect();
+        let mut unknowns = 0;
+        let mut i = 0;
+        while i < keep.len() {
+            let trial: Vec<Constraint> = keep
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .map(|(_, &k)| cons[k].clone())
+                .collect();
+            match solve(vars, &trial, limits) {
+                ArithResult::Unsat(_) => {
+                    keep.remove(i);
+                }
+                ArithResult::Unknown => {
+                    unknowns += 1;
+                    i += 1;
+                }
+                ArithResult::Sat(_) => i += 1,
+            }
+        }
+        (keep, unknowns)
+    }
+
+    #[test]
+    fn integer_refutation_unites_both_branches() {
+        // 2x = 2y + 1 has rational solutions only; 0 ≤ x ≤ 3 bounds the
+        // branching. Every constraint takes part in ruling the integers
+        // out, the unrelated z ≤ 5 does not.
+        let cons = vec![
+            con(&[(0, 2), (1, -2)], -1, false),
+            con(&[(2, 1)], -5, false),
+            con(&[(0, -2), (1, 2)], 1, false),
+            con(&[(0, -1)], 0, false),
+            con(&[(0, 1)], -3, false),
+        ];
+        assert_eq!(
+            solve(&int_vars(3), &cons, Limits::default()),
+            ArithResult::Unsat(vec![0, 2, 3, 4])
+        );
+    }
+
+    /// One free-form row: terms, constant, strictness.
+    type RawRow = (Vec<(usize, i64)>, i64, bool);
+
+    /// A random system: variable kinds, free-form constraints, an equality
+    /// clique and a strict chain (closed into a cycle one time in four).
+    /// About two in three come out unsatisfiable, with minimal cores of one
+    /// to nine constraints.
+    fn system() -> impl Strategy<Value = (Vec<VarInfo>, Vec<Constraint>)> {
+        (
+            proptest::collection::vec(any::<bool>(), 1..13),
+            proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..12, -3i64..4), 1..4),
+                    -12i64..3,
+                    any::<bool>(),
+                ),
+                0..22,
+            ),
+            proptest::collection::vec(0usize..12, 0..6),
+            proptest::collection::vec(0usize..12, 0..6),
+            0u8..4,
+        )
+            .prop_map(|(kinds, raw, clique, chain, closed)| {
+                build_system(&kinds, &raw, &clique, chain, closed == 0)
+            })
+    }
+
+    fn build_system(
+        kinds: &[bool],
+        raw: &[RawRow],
+        clique: &[usize],
+        chain: Vec<usize>,
+        closed: bool,
+    ) -> (Vec<VarInfo>, Vec<Constraint>) {
+        let n = kinds.len();
+        let vars: Vec<VarInfo> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &is_int)| VarInfo {
+                name: format!("v{i}"),
+                is_int,
+            })
+            .collect();
+        let mut cons = Vec::new();
+        for (terms, k, strict) in raw {
+            let terms: Vec<(usize, i64)> = terms
+                .iter()
+                .filter(|&&(_, c)| c != 0)
+                .map(|&(v, c)| (v % n, c))
+                .collect();
+            cons.push(con(&terms, *k, *strict));
+        }
+        for w in clique.windows(2) {
+            let (a, b) = (w[0] % n, w[1] % n);
+            cons.push(con(&[(a, 1), (b, -1)], 0, false));
+            cons.push(con(&[(b, 1), (a, -1)], 0, false));
+        }
+        let mut links: Vec<usize> = chain.iter().map(|v| v % n).collect();
+        if closed && links.len() > 1 {
+            links.push(links[0]);
+        }
+        for w in links.windows(2) {
+            cons.push(con(&[(w[0], 1), (w[1], -1)], 0, true));
+        }
+        // Interleave the planted structure with the free-form rows.
+        cons.reverse();
+        cons.truncate(40);
+        (vars, cons)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 2048 }
+        ))]
+
+        /// A proof core is a sound explanation (its constraints alone are
+        /// refuted), and minimizing from it ends on the very core the
+        /// plain deletion loop finds.
+        #[test]
+        fn proof_cores_refute_and_minimize_like_plain_deletion(
+            sys in system(),
+        ) {
+            let (vars, cons) = sys;
+            let limits = Limits::default();
+            if let ArithResult::Unsat(proof) = solve(&vars, &cons, limits) {
+                prop_assert!(proof.windows(2).all(|w| w[0] < w[1]), "{proof:?}");
+                prop_assert!(proof.iter().all(|&k| k < cons.len()), "{proof:?}");
+                let alone: Vec<Constraint> = proof.iter().map(|&k| cons[k].clone()).collect();
+                prop_assert!(
+                    matches!(solve(&vars, &alone, limits), ArithResult::Unsat(_)),
+                    "proof core {proof:?} is not refuted alone"
+                );
+
+                let guided = minimize_core(&vars, &cons, &proof, limits);
+                let (plain, unknowns) = minimize_by_deletion(&vars, &cons, limits);
+                prop_assert!(guided.budget_exhausted <= unknowns);
+                // A trial the plain loop could not finish is one the guided
+                // loop may never have run; the two are only comparable
+                // when every trial was decided.
+                if unknowns == 0 {
+                    prop_assert_eq!(&guided.kept, &plain);
+                    prop_assert!(guided.solves <= cons.len() as u64);
+                }
+            }
         }
     }
 

@@ -34,6 +34,17 @@ impl Rat {
     /// Panics when `den == 0`.
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "rational with zero denominator");
+        // Integer fast path: nearly every value the theory solver forms
+        // (difference-bound potentials, FM coefficients) has denominator 1,
+        // and `n/1` is already normal — skip the i128 gcd and divisions.
+        if den == 1 {
+            return Rat { num, den };
+        }
+        Rat::normalizing(num, den)
+    }
+
+    /// `num/den` for any non-zero `den`, through the gcd.
+    fn normalizing(num: i128, den: i128) -> Rat {
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den).max(1);
         Rat {
@@ -234,6 +245,42 @@ mod tests {
     fn midpoint_between() {
         let m = Rat::midpoint(Rat::int(1), Rat::int(2));
         assert!(Rat::int(1) < m && m < Rat::int(2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 4096 }
+        ))]
+
+        /// The integer fast path changes no value: every operator, on
+        /// integer-valued and mixed operands alike, agrees with the always
+        /// normalizing construction and leaves a normalized result.
+        #[test]
+        fn fast_path_agrees_with_normalizing(
+            a in -1000i128..1000,
+            b in prop_oneof![Just(1i128), 1i128..50],
+            c in -1000i128..1000,
+            d in prop_oneof![Just(1i128), 1i128..50],
+        ) {
+            let x = Rat::new(a, b);
+            let y = Rat::new(c, d);
+            prop_assert_eq!(x, Rat::normalizing(a, b));
+            let mut results = vec![
+                (x + y, Rat::normalizing(x.num * y.den + y.num * x.den, x.den * y.den)),
+                (x - y, Rat::normalizing(x.num * y.den - y.num * x.den, x.den * y.den)),
+                (x * y, Rat::normalizing(x.num * y.num, x.den * y.den)),
+            ];
+            if !y.is_zero() {
+                results.push((x / y, Rat::normalizing(x.num * y.den, x.den * y.num)));
+                results.push((y.recip(), Rat::normalizing(y.den, y.num)));
+            }
+            for (got, want) in results {
+                prop_assert_eq!(got, want);
+                prop_assert!(got.den > 0 && gcd(got.num, got.den) == 1, "{got:?}");
+            }
+            prop_assert_eq!(x.cmp(&y), (x - y).signum().cmp(&0));
+            prop_assert_eq!(x == y, a * d == c * b);
+        }
     }
 
     proptest! {

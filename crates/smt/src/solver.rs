@@ -160,6 +160,9 @@ pub struct SolverStats {
     pub theory_iters: u64,
     /// Arithmetic-theory conflicts (each adds one blocking clause).
     pub arith_conflicts: u64,
+    /// Arithmetic decision-procedure runs: one per theory round plus the
+    /// trial solves of core minimization.
+    pub arith_solves: u64,
     /// String-theory conflicts (each adds one blocking clause).
     pub str_conflicts: u64,
     /// Total literals across all minimized unsat cores.
@@ -168,7 +171,9 @@ pub struct SolverStats {
     pub max_core_lits: u64,
     /// Unknowns caused by exhausting the SAT decision budget.
     pub sat_budget_exhausted: u64,
-    /// Unknowns caused by exceeding the arithmetic resource limits.
+    /// Arithmetic solves that exceeded the resource limits: the first of
+    /// a theory round (the query answers Unknown) or a core-minimization
+    /// trial (the literal is kept, so the blocked core may not be minimal).
     pub arith_budget_exhausted: u64,
     /// Unknowns caused by running out of theory iterations.
     pub theory_iters_exhausted: u64,
@@ -193,6 +198,7 @@ impl SolverStats {
         self.sat.absorb(other.sat);
         self.theory_iters += other.theory_iters;
         self.arith_conflicts += other.arith_conflicts;
+        self.arith_solves += other.arith_solves;
         self.str_conflicts += other.str_conflicts;
         self.core_lits += other.core_lits;
         self.max_core_lits = self.max_core_lits.max(other.max_core_lits);
@@ -206,9 +212,9 @@ impl SolverStats {
         self.wall_us += other.wall_us;
     }
 
-    /// Total Unknown verdicts attributable to exhausted budgets rather
-    /// than genuine pruning — the "gave up" bucket the ablation separates
-    /// from "pruned".
+    /// Total budget exhaustions — Unknown verdicts rather than genuine
+    /// pruning, plus minimization trials cut short — the "gave up" bucket
+    /// the ablation separates from "pruned".
     pub fn budget_exhausted(&self) -> u64 {
         self.sat_budget_exhausted + self.arith_budget_exhausted + self.theory_iters_exhausted
     }
@@ -262,6 +268,7 @@ pub(crate) fn record_full_solve(
             &[
                 ("tier", "full".to_string()),
                 ("verdict", result.verdict_str().to_string()),
+                ("arith_solves", stats.arith_solves.to_string()),
             ],
         );
     }
@@ -277,6 +284,7 @@ pub(crate) fn record_full_solve(
     weseer_obs::add("smt.sat_propagations", stats.sat.propagations);
     weseer_obs::add("smt.theory_iters", stats.theory_iters);
     weseer_obs::add("smt.arith_conflicts", stats.arith_conflicts);
+    weseer_obs::add("smt.arith_solves", stats.arith_solves);
     weseer_obs::add("smt.str_conflicts", stats.str_conflicts);
     weseer_obs::add("smt.cdcl.conflicts", stats.sat.conflicts);
     weseer_obs::add("smt.cdcl.learned", stats.sat.learned);
@@ -534,10 +542,17 @@ pub(crate) fn theory_round(
         .collect();
 
     // Arithmetic theory.
+    stats.arith_solves += 1;
     let arith_model = match arith::solve(&low.num_vars, &lin_cons, config.arith_limits) {
-        ArithResult::Unsat => {
-            let core =
-                minimize_arith_core(&low.num_vars, &lin_cons, &lin_lits, config.arith_limits);
+        ArithResult::Unsat(proof) => {
+            // The smaller the blocking clause, the fewer SAT+theory
+            // iterations the lazy loop needs (a ~100-literal blocking
+            // clause barely prunes anything).
+            let minimal =
+                arith::minimize_core(&low.num_vars, &lin_cons, &proof, config.arith_limits);
+            stats.arith_solves += minimal.solves;
+            stats.arith_budget_exhausted += minimal.budget_exhausted;
+            let core: Vec<Lit> = minimal.kept.iter().map(|&k| lin_lits[k]).collect();
             stats.arith_conflicts += 1;
             stats.record_core(&core);
             return TheoryOutcome::Conflict(core);
@@ -625,33 +640,6 @@ pub(crate) fn block(low: &mut Lowering, lits: &[Lit]) -> Vec<Lit> {
     let clause: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
     low.cnf.add_clause(clause.clone());
     clause
-}
-
-/// Deletion-based unsat-core minimization for arithmetic conflicts: the
-/// smaller the blocking clause, the fewer SAT+theory iterations the lazy
-/// loop needs (a ~100-literal blocking clause barely prunes anything).
-fn minimize_arith_core(
-    vars: &[arith::VarInfo],
-    cons: &[Constraint],
-    lits: &[Lit],
-    limits: Limits,
-) -> Vec<Lit> {
-    let mut keep: Vec<(Constraint, Lit)> = cons.iter().cloned().zip(lits.iter().copied()).collect();
-    let mut i = 0;
-    while i < keep.len() {
-        let trial: Vec<Constraint> = keep
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, (c, _))| c.clone())
-            .collect();
-        if matches!(arith::solve(vars, &trial, limits), ArithResult::Unsat) {
-            keep.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    keep.into_iter().map(|(_, l)| l).collect()
 }
 
 /// Deletion-based unsat-core minimization for string conflicts.
@@ -1035,6 +1023,64 @@ mod tests {
         total.absorb(stats);
         assert_eq!(total.arith_conflicts, 2 * stats.arith_conflicts);
         assert_eq!(total.max_core_lits, stats.max_core_lits);
+    }
+
+    #[test]
+    fn planted_core_is_found_without_a_trial_per_literal() {
+        // x0 < x1 < x2 < x0 spread among 57 satisfiable atoms over other
+        // variables: one theory round over 60 literals.
+        let mut ctx = Ctx::new();
+        let xs: Vec<_> = (0..22)
+            .map(|i| ctx.var(format!("x{i}"), Sort::Int))
+            .collect();
+        let (zero, hundred, cap) = (ctx.int(0), ctx.int(100), ctx.int(500));
+        let mut parts = Vec::new();
+        for &x in &xs[3..] {
+            let sum = ctx.add(x, xs[0]);
+            parts.extend([ctx.ge(x, zero), ctx.le(x, hundred), ctx.le(sum, cap)]);
+        }
+        let planted = [
+            ctx.lt(xs[0], xs[1]),
+            ctx.lt(xs[1], xs[2]),
+            ctx.lt(xs[2], xs[0]),
+        ];
+        for (at, p) in [5, 28, 51].into_iter().zip(planted) {
+            parts.insert(at, p);
+        }
+        assert_eq!(parts.len(), 60);
+        let f = ctx.and(parts);
+
+        let mut low = Lowering::new();
+        low.assert(&ctx, f);
+        let lin_atoms = low.atoms.iter().filter(|a| matches!(a, Atom::Lin(_)));
+        assert_eq!(lin_atoms.count(), 60);
+        let (sat, _) = sat::Solver::from_cnf(&low.cnf).solve_under_assumptions(&[], u64::MAX);
+        let Some(SatResult::Sat(bool_model)) = sat else {
+            panic!("the boolean skeleton is a conjunction of atoms");
+        };
+        let needed = prime_implicant(&low.cnf, &bool_model);
+        let mut stats = SolverStats::default();
+        let TheoryOutcome::Conflict(mut core) =
+            theory_round(&ctx, &low, &bool_model, &needed, &cfg(), &mut stats)
+        else {
+            panic!("expected an arithmetic conflict");
+        };
+        let mut want: Vec<Lit> = planted
+            .iter()
+            .map(|&t| low.lowered_lit(t).expect("planted atom was lowered"))
+            .collect();
+        core.sort_by_key(|l| l.var);
+        want.sort_by_key(|l| l.var);
+        assert_eq!(core, want);
+        // One solve for the round, then one trial per proof-core literal;
+        // a trial per asserted literal would make it 61.
+        assert!(stats.arith_solves <= 12, "{} solves", stats.arith_solves);
+        assert_eq!(stats.arith_budget_exhausted, 0);
+
+        let (res, full) = check_with_stats(&mut ctx, f, &cfg());
+        assert!(matches!(res, SolveResult::Unsat));
+        assert_eq!(full.arith_solves, stats.arith_solves);
+        assert_eq!((full.arith_conflicts, full.core_lits), (1, 3));
     }
 
     #[test]
