@@ -21,10 +21,16 @@ pub fn witnessed_report(app: &str, report: &DeadlockReport, verdict: &ReplayVerd
         ReplayVerdict::NotReproduced {
             schedules_explored,
             schedules_pruned,
+            budget_hit,
         } => {
+            let cut = if *budget_hit {
+                "; stopped at the exploration budget"
+            } else {
+                ""
+            };
             let _ = writeln!(
                 out,
-                "replay: not reproduced ({schedules_explored} schedules explored, {schedules_pruned} pruned)"
+                "replay: not reproduced ({schedules_explored} schedules explored, {schedules_pruned} pruned{cut})"
             );
         }
         ReplayVerdict::Skipped(reason) => {
@@ -88,8 +94,16 @@ mod tests {
         let verdict = ReplayVerdict::NotReproduced {
             schedules_explored: 9,
             schedules_pruned: 4,
+            budget_hit: false,
         };
         let s = witnessed_report("shopizer", &sample_report(), &verdict);
         assert!(s.contains("not reproduced (9 schedules explored, 4 pruned)"));
+        let cut = ReplayVerdict::NotReproduced {
+            schedules_explored: 256,
+            schedules_pruned: 4,
+            budget_hit: true,
+        };
+        let s = witnessed_report("shopizer", &sample_report(), &cut);
+        assert!(s.contains("4 pruned; stopped at the exploration budget)"));
     }
 }

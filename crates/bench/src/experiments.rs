@@ -466,9 +466,15 @@ pub fn witness_report(weseer: &Weseer) -> (String, String) {
             summary.not_reproduced(),
             summary.skipped(),
         );
+        // A budget-shaped "not reproduced" is said out loud (never on the
+        // two apps today: every one of them is a genuine exhaustion).
+        let cut = match summary.budget_hits() {
+            0 => String::new(),
+            n => format!("; {n} not-reproduced report(s) stopped at the exploration budget"),
+        };
         let _ = writeln!(
             human,
-            "schedules: {explored} explored, {pruned} pruned by sleep sets"
+            "schedules: {explored} explored, {pruned} pruned by sleep sets{cut}"
         );
         let mut first_witness = true;
         for (report, verdict) in analysis.diagnosis.deadlocks.iter().zip(&summary.verdicts) {

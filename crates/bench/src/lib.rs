@@ -2,9 +2,7 @@
 //!
 //! The evaluation-reproduction harness: one driver per table/figure of the
 //! paper (Tables I–III, Figs. 10/11, the Sec. IV pruning measurement, and
-//! the Sec. VII-B coarse-baseline comparison), plus Criterion
-//! micro-benchmarks that carry the paper's ablations over the solver,
-//! the storage engine, and the diagnosis pipeline.
+//! the Sec. VII-B coarse-baseline comparison).
 //!
 //! Run `cargo run -p weseer-bench --bin reproduce --release -- all` to
 //! regenerate every artifact. This crate regenerates and exports; it does

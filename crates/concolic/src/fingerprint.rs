@@ -130,7 +130,10 @@ fn stack_line(st: &StackTrace) -> String {
     frames.join(";")
 }
 
-fn fnv64(data: &[u8], basis: u64) -> u64 {
+/// FNV-1a-64 of `data` from `basis` (the standard offset basis
+/// `0xcbf2_9ce4_8422_2325` for a fresh hash, or a previous result to
+/// continue one over further bytes).
+pub fn fnv64(data: &[u8], basis: u64) -> u64 {
     let mut h = basis;
     for &b in data {
         h ^= b as u64;

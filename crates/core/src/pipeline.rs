@@ -13,8 +13,7 @@ use weseer_apps::{classify, AppLocks, ECommerceApp, Fixes, KnownDeadlock};
 use weseer_concolic::{ExecMode, LibraryMode};
 use weseer_db::{Database, IsolationLevel};
 use weseer_replay::{
-    concretize_txn, explore_anomalies, AnomalyOutcome, AnomalyWitness, Instance, ReplayVerdict,
-    Witness,
+    explore_anomalies, pair_instances, AnomalyOutcome, AnomalyWitness, ReplayVerdict, Witness,
 };
 use weseer_store::{json::Json, Lookup, Store};
 
@@ -96,6 +95,8 @@ pub enum AnomalyVerdict {
         explored: usize,
         /// Branches pruned by sleep sets.
         pruned: usize,
+        /// The search stopped at a budget with schedules left unexplored.
+        budget_hit: bool,
     },
     /// The candidate cannot occur at the session's isolation level (e.g.
     /// a lost update under snapshot isolation's first-updater-wins).
@@ -133,7 +134,8 @@ impl AnomalyAnalysis {
     }
 
     /// Canonical single-line JSON: candidates with their verdict tags and
-    /// witness lines, stable field order.
+    /// witness lines, stable field order. A clean verdict cut short by the
+    /// exploration budget says so (`"budget_hit":true`; absent otherwise).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
@@ -150,8 +152,14 @@ impl AnomalyAnalysis {
                 c.to_json(),
                 v.tag()
             );
-            if let AnomalyVerdict::Confirmed(w) = v {
-                let _ = write!(s, ",\"witness\":{}", w.to_json());
+            match v {
+                AnomalyVerdict::Confirmed(w) => {
+                    let _ = write!(s, ",\"witness\":{}", w.to_json());
+                }
+                AnomalyVerdict::Clean {
+                    budget_hit: true, ..
+                } => s.push_str(",\"budget_hit\":true"),
+                _ => {}
             }
             s.push('}');
         }
@@ -187,6 +195,21 @@ impl ReplaySummary {
         self.count("skipped")
     }
 
+    /// Not-reproduced reports whose search stopped at the exploration
+    /// budget rather than by exhausting the schedule space.
+    pub fn budget_hits(&self) -> usize {
+        let hit = |v: &&ReplayVerdict| {
+            matches!(
+                v,
+                ReplayVerdict::NotReproduced {
+                    budget_hit: true,
+                    ..
+                }
+            )
+        };
+        self.verdicts.iter().filter(hit).count()
+    }
+
     /// Total schedules explored and pruned across all reports.
     pub fn schedule_totals(&self) -> (usize, usize) {
         let mut explored = 0;
@@ -200,6 +223,7 @@ impl ReplaySummary {
                 weseer_replay::ReplayVerdict::NotReproduced {
                     schedules_explored,
                     schedules_pruned,
+                    ..
                 } => {
                     explored += schedules_explored;
                     pruned += schedules_pruned;
@@ -224,6 +248,7 @@ pub const FUNNEL_STAGES: &[(&str, &str)] = &[
     ("deadlocks reported", "analyzer.deadlocks_reported"),
     ("replay confirmed", "replay.confirmed"),
     ("replay not reproduced", "replay.not_reproduced"),
+    ("searches cut by budget", "replay.budget_hit"),
     ("anomaly candidates", "analyzer.anomaly.candidates"),
     ("anomaly confirmed", "replay.anomaly.confirmed"),
     ("anomaly clean", "replay.anomaly.clean"),
@@ -277,13 +302,8 @@ impl Weseer {
 
     /// Replay every diagnosed cycle for a concrete deadlock witness, with
     /// default exploration budgets.
-    pub fn with_replay(self) -> Self {
-        self.with_replay_config(weseer_replay::ReplayConfig::default())
-    }
-
-    /// Replay with explicit exploration budgets.
-    pub fn with_replay_config(mut self, config: weseer_replay::ReplayConfig) -> Self {
-        self.replay = Some(config);
+    pub fn with_replay(mut self) -> Self {
+        self.replay = Some(weseer_replay::ReplayConfig::default());
         self
     }
 
@@ -497,60 +517,38 @@ impl Weseer {
             .len()
             .saturating_sub(AnomalyAnalysis::MAX_CANDIDATES);
         candidates.truncate(AnomalyAnalysis::MAX_CANDIDATES);
-        let order = app.unit_tests();
-        let mut bases: BTreeMap<String, Database> = BTreeMap::new();
-        let empty_model = weseer_smt::Model::default();
+        let mut bases = crate::replay::BaseStates::new(app);
+        // Replays use the traced inputs (the oracle has no SAT model to pin
+        // anything sharper).
+        let traced = weseer_smt::Model::default();
         let verdicts = candidates
             .iter()
             .map(|c| {
                 if !c.levels.iter().any(|l| l == iso.name()) {
                     return AnomalyVerdict::NotApplicable;
                 }
-                let find = |api: &str| traces.iter().find(|t| t.api() == api);
-                let (Some(ta), Some(tb)) = (find(&c.a_api), find(&c.b_api)) else {
-                    return AnomalyVerdict::Skipped("trace missing".into());
+                let sides = [(&*c.a_api, c.a_txn, &traced), (&*c.b_api, c.b_txn, &traced)];
+                let instances = match pair_instances(traces, sides) {
+                    Ok(instances) => instances,
+                    Err(reason) => return AnomalyVerdict::Skipped(reason),
                 };
-                // Replays use the traced inputs (the oracle has no SAT
-                // model to pin anything sharper).
-                let a_stmts = concretize_txn(ta, c.a_txn, &empty_model);
-                let b_stmts = concretize_txn(tb, c.b_txn, &empty_model);
-                if a_stmts.is_empty() || b_stmts.is_empty() {
-                    return AnomalyVerdict::Skipped(
-                        "candidate transaction has no statements".into(),
-                    );
-                }
-                let instances = vec![
-                    Instance {
-                        name: "A1".into(),
-                        stmts: a_stmts,
-                    },
-                    Instance {
-                        name: "A2".into(),
-                        stmts: b_stmts,
-                    },
-                ];
-                let apis = vec![c.a_api.clone(), c.b_api.clone()];
-                // Same base-state rule as deadlock replay: the earlier of
-                // the two APIs in unit-test order fixes the DB state.
-                let first = order
-                    .iter()
-                    .find(|t| **t == c.a_api || **t == c.b_api)
-                    .copied()
-                    .unwrap_or(order[0]);
-                let base = bases
-                    .entry(first.to_string())
-                    .or_insert_with(|| crate::replay::prepare_db(app, first));
                 match explore_anomalies(
-                    base,
+                    bases.for_pair(&c.a_api, &c.b_api),
                     &instances,
-                    &apis,
+                    &[c.a_api.clone(), c.b_api.clone()],
                     iso,
                     &weseer_replay::ReplayConfig::default(),
                 ) {
                     AnomalyOutcome::Anomalous(w) => AnomalyVerdict::Confirmed(w),
-                    AnomalyOutcome::Clean { explored, pruned } => {
-                        AnomalyVerdict::Clean { explored, pruned }
-                    }
+                    AnomalyOutcome::Clean {
+                        explored,
+                        pruned,
+                        budget_hit,
+                    } => AnomalyVerdict::Clean {
+                        explored,
+                        pruned,
+                        budget_hit,
+                    },
                 }
             })
             .collect();
@@ -580,8 +578,7 @@ impl Weseer {
     ) -> ReplaySummary {
         let _span = weseer_obs::span("pipeline.replay");
         let replayer = weseer_replay::Replayer::with_config(traces, config.clone());
-        let order = app.unit_tests();
-        let mut bases: BTreeMap<String, Database> = BTreeMap::new();
+        let mut bases = crate::replay::BaseStates::new(app);
         let cfg_tag = format!("{config:?}");
         let verdicts = diagnosis
             .deadlocks
@@ -618,17 +615,7 @@ impl Weseer {
                         }
                     }
                 }
-                // Trace collection chains DB state across unit tests, so
-                // the cycle's statements ran against the state left by
-                // every test before the *earlier* of the two APIs.
-                let first = order
-                    .iter()
-                    .find(|t| **t == r.cycle.a_api || **t == r.cycle.b_api)
-                    .copied()
-                    .unwrap_or(order[0]);
-                let base = bases
-                    .entry(first.to_string())
-                    .or_insert_with(|| crate::replay::prepare_db(app, first));
+                let base = bases.for_pair(&r.cycle.a_api, &r.cycle.b_api);
                 let verdict = replayer.replay_report(r, base);
                 if let Some((sc, site, content)) = &persist {
                     sc.store
@@ -653,11 +640,20 @@ fn verdict_to_json(v: &ReplayVerdict) -> Json {
         ReplayVerdict::NotReproduced {
             schedules_explored,
             schedules_pruned,
-        } => Json::Obj(vec![
-            ("tag".into(), Json::str("not_reproduced")),
-            ("explored".into(), Json::u64(*schedules_explored as u64)),
-            ("pruned".into(), Json::u64(*schedules_pruned as u64)),
-        ]),
+            budget_hit,
+        } => {
+            let mut fields = vec![
+                ("tag".into(), Json::str("not_reproduced")),
+                ("explored".into(), Json::u64(*schedules_explored as u64)),
+                ("pruned".into(), Json::u64(*schedules_pruned as u64)),
+            ];
+            // Written only when true: a record without the member (every
+            // record of the previous format) reads as a genuine exhaustion.
+            if *budget_hit {
+                fields.push(("budget_hit".into(), Json::Bool(true)));
+            }
+            Json::Obj(fields)
+        }
         ReplayVerdict::Skipped(reason) => Json::Obj(vec![
             ("tag".into(), Json::str("skipped")),
             ("reason".into(), Json::str(reason.clone())),
@@ -676,6 +672,7 @@ fn verdict_from_json(v: &Json) -> Option<ReplayVerdict> {
         "not_reproduced" => Some(ReplayVerdict::NotReproduced {
             schedules_explored: v.get("explored")?.as_u64()? as usize,
             schedules_pruned: v.get("pruned")?.as_u64()? as usize,
+            budget_hit: v.get("budget_hit").and_then(Json::as_bool) == Some(true),
         }),
         "skipped" => Some(ReplayVerdict::Skipped(
             v.get("reason")?.as_str()?.to_string(),
@@ -703,6 +700,26 @@ mod tests {
         assert!(analysis.coarse_cycles > analysis.diagnosis.deadlocks.len());
         // No isolation requested: the anomaly stage must not even run.
         assert!(analysis.anomalies.is_none());
+    }
+
+    #[test]
+    fn budget_hit_is_stored_only_when_true() {
+        let verdict = |budget_hit| ReplayVerdict::NotReproduced {
+            schedules_explored: 256,
+            schedules_pruned: 9,
+            budget_hit,
+        };
+        // A genuine exhaustion keeps the previous record format, byte for byte.
+        let plain = verdict_to_json(&verdict(false));
+        let old_format = r#"{"tag":"not_reproduced","explored":256,"pruned":9}"#;
+        assert_eq!(plain.to_line(), old_format);
+        let cut = verdict_to_json(&verdict(true));
+        for (json, hit) in [(plain, false), (cut, true)] {
+            let back = verdict_from_json(&Json::parse(&json.to_line()).unwrap()).unwrap();
+            assert!(
+                matches!(back, ReplayVerdict::NotReproduced { budget_hit, .. } if budget_hit == hit)
+            );
+        }
     }
 
     #[test]

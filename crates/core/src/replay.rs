@@ -9,6 +9,7 @@
 //! from a barrier, repeatedly, until the database detects a deadlock and
 //! aborts a victim — or an attempt budget runs out.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 use weseer_analyzer::DeadlockReport;
 use weseer_apps::app::collect_trace;
@@ -54,6 +55,39 @@ pub fn prepare_db(app: &dyn ECommerceApp, upto: &str) -> Database {
     db
 }
 
+/// The unit test whose starting state a pair's statements ran against.
+/// Trace collection chains DB state across unit tests, so that is the state
+/// left by every test before the *earlier* of the two APIs in test order.
+fn earlier_api(app: &dyn ECommerceApp, a_api: &str, b_api: &str) -> &'static str {
+    let order = app.unit_tests();
+    let first = order.iter().find(|t| **t == a_api || **t == b_api);
+    first.copied().unwrap_or(order[0])
+}
+
+/// Base databases for schedule replay: one [`prepare_db`] per distinct
+/// starting API, reused across pairs (the search only forks them).
+pub(crate) struct BaseStates<'a> {
+    app: &'a dyn ECommerceApp,
+    prepared: BTreeMap<&'static str, Database>,
+}
+
+impl<'a> BaseStates<'a> {
+    pub(crate) fn new(app: &'a dyn ECommerceApp) -> Self {
+        BaseStates {
+            app,
+            prepared: BTreeMap::new(),
+        }
+    }
+
+    /// The database in the state the pair's traces were collected from.
+    pub(crate) fn for_pair(&mut self, a_api: &str, b_api: &str) -> &Database {
+        let first = earlier_api(self.app, a_api, b_api);
+        self.prepared
+            .entry(first)
+            .or_insert_with(|| prepare_db(self.app, first))
+    }
+}
+
 /// Race the report's two APIs until a deadlock reproduces.
 ///
 /// The two instances use the unit tests' canonical inputs, which the
@@ -66,13 +100,7 @@ pub fn replay<A: ECommerceApp + Copy + Send + Sync + 'static>(
 ) -> ReplayOutcome {
     let a_api = report.cycle.a_api.clone();
     let b_api = report.cycle.b_api.clone();
-    // Prepare up to the earlier of the two APIs in unit-test order.
-    let order = app.unit_tests();
-    let first = order
-        .iter()
-        .find(|t| **t == a_api || **t == b_api)
-        .copied()
-        .unwrap_or(order[0]);
+    let first = earlier_api(&app, &a_api, &b_api);
 
     for attempt in 1..=max_attempts {
         let db = prepare_db(&app, first);

@@ -1,18 +1,17 @@
-//! Weak-isolation anomaly exploration: the deadlock explorer's DFS, run
-//! at a chosen MVCC isolation level, confirming the anomalies the storage
-//! engine's runtime oracle ([`weseer_db::AnomalyTracker`]) reports.
-//!
-//! Where [`crate::explore`] hunts for schedules that *deadlock*,
-//! [`explore_anomalies`] hunts for schedules whose committed history
-//! exhibits a lost update, write skew, or read fracture under
-//! `read-committed`, `repeatable-read`, or `snapshot` isolation. Every
-//! schedule runs against a fresh [`Database::fork`] whose default
-//! isolation is set to the requested level, so plain SELECTs become
-//! lock-free snapshot reads exactly as they would in production. A
-//! deadlock or write-conflict abort inside a schedule fails that instance
-//! and exploration continues — aborted transactions cannot contribute
-//! anomalies, which is precisely how snapshot isolation kills lost
-//! updates.
+//! Weak-isolation anomaly exploration: the replay plane's one schedule
+//! search ([`mod@crate::explore`]) run at a chosen MVCC isolation level
+//! with the *anomaly* goal. Where [`crate::explore()`] hunts for schedules
+//! that *deadlock*, [`explore_anomalies`] hunts for schedules whose
+//! committed history exhibits a lost update, write skew, or read fracture
+//! under `read-committed`, `repeatable-read`, or `snapshot` isolation, as
+//! reported by the storage engine's runtime oracle
+//! ([`weseer_db::AnomalyTracker`]). Every schedule runs against a fresh
+//! [`Database::fork`] whose default isolation is set to the requested
+//! level, so plain SELECTs become lock-free snapshot reads exactly as they
+//! would in production. A deadlock or write-conflict abort inside a
+//! schedule fails that instance and exploration continues — aborted
+//! transactions cannot contribute anomalies, which is precisely how
+//! snapshot isolation kills lost updates.
 //!
 //! As a semantic backstop, every terminal schedule's final table state is
 //! digested and compared against the states reachable by *serial*
@@ -22,10 +21,15 @@
 //! strict 2PL makes this check provably quiet — the property the replay
 //! proptests pin down.
 
-use crate::explore::{Footprints, Instance, Move, ReplayConfig};
-use crate::witness::{join_json_strings, json_escape, render_lock, WitnessInstance, WitnessStep};
+use crate::explore::{search, Finished, Goal, Instance, ReplayConfig};
+use crate::witness::{
+    named, parse_schedule_json, quoted, quoted_list, render_schedule, str_field, strs_field,
+    write_schedule_json, WitnessInstance, WitnessStep,
+};
 use std::fmt::Write as _;
-use weseer_db::{Database, DbError, IsolationLevel, StepResult, TxnId};
+use weseer_concolic::fingerprint::fnv64;
+use weseer_db::{Database, IsolationLevel};
+use weseer_store::json::Json;
 
 /// One confirmed anomaly in a witness schedule.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -65,49 +69,20 @@ impl AnomalyWitness {
     /// identical across runs and thread counts) — the anomaly analogue of
     /// [`crate::Witness::to_json`].
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"isolation\":\"{}\",\"instances\":[",
-            json_escape(&self.isolation)
-        );
-        for (i, inst) in self.instances.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"api\":\"{}\"}}",
-                json_escape(&inst.name),
-                json_escape(&inst.api)
-            );
-        }
-        s.push_str("],\"steps\":[");
-        for (i, st) in self.steps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"instance\":\"{}\",\"label\":\"{}\",\"sql\":\"{}\",\"locks\":[{}],\"outcome\":\"{}\",\"waits_on\":[{}]}}",
-                json_escape(&st.instance),
-                json_escape(&st.label),
-                json_escape(&st.sql),
-                join_json_strings(&st.locks),
-                json_escape(&st.outcome),
-                join_json_strings(&st.waits_on),
-            );
-        }
-        s.push_str("],\"anomalies\":[");
+        let mut s = format!("{{\"isolation\":{},", quoted(&self.isolation));
+        write_schedule_json(&mut s, &self.instances, &self.steps);
+        s.push_str(",\"anomalies\":[");
         for (i, a) in self.anomalies.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             let _ = write!(
                 s,
-                "{{\"kind\":\"{}\",\"table\":\"{}\",\"instances\":[{}],\"detail\":\"{}\"}}",
-                json_escape(&a.kind),
-                json_escape(&a.table),
-                join_json_strings(&a.instances),
-                json_escape(&a.detail),
+                "{{\"kind\":{},\"table\":{},\"instances\":[{}],\"detail\":{}}}",
+                quoted(&a.kind),
+                quoted(&a.table),
+                quoted_list(&a.instances),
+                quoted(&a.detail),
             );
         }
         let _ = write!(
@@ -121,45 +96,19 @@ impl AnomalyWitness {
     /// Parse a witness serialized by [`AnomalyWitness::to_json`];
     /// round-trips byte exactly.
     pub fn from_json(s: &str) -> Option<AnomalyWitness> {
-        use weseer_store::json::Json;
         let v = Json::parse(s).ok()?;
-        let strings = |j: &Json| -> Option<Vec<String>> {
-            j.as_arr()?
-                .iter()
-                .map(|x| x.as_str().map(str::to_string))
-                .collect()
-        };
-        let field =
-            |j: &Json, k: &str| -> Option<String> { j.get(k)?.as_str().map(str::to_string) };
-        let mut instances = Vec::new();
-        for inst in v.get("instances")?.as_arr()? {
-            instances.push(WitnessInstance {
-                name: field(inst, "name")?,
-                api: field(inst, "api")?,
-            });
-        }
-        let mut steps = Vec::new();
-        for st in v.get("steps")?.as_arr()? {
-            steps.push(WitnessStep {
-                instance: field(st, "instance")?,
-                label: field(st, "label")?,
-                sql: field(st, "sql")?,
-                locks: strings(st.get("locks")?)?,
-                outcome: field(st, "outcome")?,
-                waits_on: strings(st.get("waits_on")?)?,
-            });
-        }
+        let (instances, steps) = parse_schedule_json(&v)?;
         let mut anomalies = Vec::new();
         for a in v.get("anomalies")?.as_arr()? {
             anomalies.push(AnomalyFinding {
-                kind: field(a, "kind")?,
-                table: field(a, "table")?,
-                instances: strings(a.get("instances")?)?,
-                detail: field(a, "detail")?,
+                kind: str_field(a, "kind")?,
+                table: str_field(a, "table")?,
+                instances: strs_field(a, "instances")?,
+                detail: str_field(a, "detail")?,
             });
         }
         Some(AnomalyWitness {
-            isolation: field(&v, "isolation")?,
+            isolation: str_field(&v, "isolation")?,
             instances,
             steps,
             anomalies,
@@ -179,23 +128,7 @@ impl AnomalyWitness {
             self.schedules_explored,
             self.schedules_pruned
         );
-        for inst in &self.instances {
-            let _ = writeln!(out, "  {} = {}", inst.name, inst.api);
-        }
-        for st in &self.steps {
-            let _ = write!(
-                out,
-                "  {}.{} [{}] {}",
-                st.instance, st.label, st.outcome, st.sql
-            );
-            if !st.waits_on.is_empty() && st.outcome == "blocked" {
-                let _ = write!(out, "  (waits on {})", st.waits_on.join(", "));
-            }
-            let _ = writeln!(out);
-            if !st.locks.is_empty() {
-                let _ = writeln!(out, "      locks: {}", st.locks.join(", "));
-            }
-        }
+        render_schedule(&mut out, &self.instances, &self.steps);
         for a in &self.anomalies {
             let _ = writeln!(
                 out,
@@ -222,6 +155,8 @@ pub enum AnomalyOutcome {
         explored: usize,
         /// Branches pruned by sleep sets.
         pruned: usize,
+        /// The search stopped at a budget, not by covering the schedule space.
+        budget_hit: bool,
     },
 }
 
@@ -241,19 +176,13 @@ pub fn state_digest(db: &Database) -> String {
     let mut names: Vec<String> = db.catalog().tables().map(|t| t.name.clone()).collect();
     names.sort();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
     for name in &names {
-        eat(name);
-        eat("=");
+        h = fnv64(name.as_bytes(), h);
+        h = fnv64(b"=", h);
         for row in db.dump(name) {
-            eat(&format!("{row:?};"));
+            h = fnv64(format!("{row:?};").as_bytes(), h);
         }
-        eat("|");
+        h = fnv64(b"|", h);
     }
     format!("{h:016x}")
 }
@@ -324,25 +253,62 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// What one anomaly-schedule run produced (mirrors the deadlock
-/// explorer's run result, with terminal schedules classified by the
-/// oracle instead of by the wait-for graph).
-enum AnomalyRun {
-    /// Every instance finished and the committed history shows anomalies.
-    Anomalous {
-        steps: Vec<WitnessStep>,
-        findings: Vec<AnomalyFinding>,
-    },
-    /// Every instance finished; history is clean.
-    Terminal,
-    /// A forced move past the decided prefix was asleep.
-    Redundant,
-    /// Reached a branch point past the decided prefix.
-    Frontier {
-        choices: Vec<usize>,
-        positions: Vec<usize>,
-        sleep: Vec<Move>,
-    },
+/// The anomaly hunt at one isolation level: aborts are not verdicts, and a
+/// schedule is accepted when its committed history is anomalous.
+struct AnomalyGoal {
+    iso: IsolationLevel,
+    /// State digests the serial executions reach.
+    serial: Vec<String>,
+}
+
+impl Goal for AnomalyGoal {
+    type Finding = Vec<AnomalyFinding>;
+    const PREFIX: &'static str = "replay.anomaly";
+
+    fn setup(&self, db: &Database) {
+        db.set_default_isolation(self.iso);
+    }
+
+    /// An abort, not a verdict: the victim's history vanishes and the
+    /// surviving instances keep running — the anomaly question is about
+    /// the history that *commits*.
+    fn on_deadlock(&self, _cycle: &[String]) -> Option<Vec<AnomalyFinding>> {
+        None
+    }
+
+    /// Tracker events first, then the serial-state cross-check (only when
+    /// every instance committed — an abort legitimately removes effects no
+    /// serial order would lose).
+    fn on_terminal(&self, fin: &Finished<'_>) -> Option<Vec<AnomalyFinding>> {
+        let mut findings: Vec<AnomalyFinding> = fin
+            .db
+            .anomaly_events()
+            .into_iter()
+            .map(|ev| AnomalyFinding {
+                kind: ev.kind.name().to_string(),
+                table: ev.table.clone(),
+                instances: fin.names(&ev.txns),
+                detail: ev.detail.clone(),
+            })
+            .collect();
+        if findings.is_empty() && !fin.failed.iter().any(|&f| f) && fin.instances.len() <= 3 {
+            let digest = state_digest(&fin.db);
+            if !self.serial.contains(&digest) {
+                findings.push(AnomalyFinding {
+                    kind: "non-serializable-state".into(),
+                    table: "*".into(),
+                    instances: fin.instances.iter().map(|i| i.name.clone()).collect(),
+                    detail: format!(
+                        "final state {digest} matches none of the {} serial execution(s)",
+                        self.serial.len()
+                    ),
+                });
+            }
+        }
+        findings.sort();
+        findings.dedup();
+        (!findings.is_empty()).then_some(findings)
+    }
 }
 
 /// Explore interleavings of `instances` over forks of `base` at isolation
@@ -357,275 +323,26 @@ pub fn explore_anomalies(
     config: &ReplayConfig,
 ) -> AnomalyOutcome {
     debug_assert_eq!(instances.len(), apis.len());
-    let _span = weseer_obs::span("replay.anomaly.explore");
-    let fps = Footprints::new(instances);
-    let serial = serial_state_digests(base, instances, iso);
-    let mut explored = 0usize;
-    let mut pruned = 0usize;
-    let mut runs = 0usize;
-    let mut stack: Vec<(Vec<usize>, Vec<Move>)> = vec![(Vec::new(), Vec::new())];
-
-    let outcome = loop {
-        let Some((decisions, sleep)) = stack.pop() else {
-            break AnomalyOutcome::Clean { explored, pruned };
-        };
-        if explored >= config.max_schedules || runs >= config.max_runs {
-            break AnomalyOutcome::Clean { explored, pruned };
-        }
-        runs += 1;
-        match run_anomaly(
-            base,
-            instances,
-            &fps,
-            iso,
-            &serial,
-            &decisions,
-            sleep,
-            config.max_steps,
-        ) {
-            AnomalyRun::Anomalous { steps, findings } => {
-                explored += 1;
-                break AnomalyOutcome::Anomalous(Box::new(AnomalyWitness {
-                    isolation: iso.name().to_string(),
-                    instances: instances
-                        .iter()
-                        .zip(apis)
-                        .map(|(inst, api)| WitnessInstance {
-                            name: inst.name.clone(),
-                            api: api.clone(),
-                        })
-                        .collect(),
-                    steps,
-                    anomalies: findings,
-                    schedules_explored: explored,
-                    schedules_pruned: pruned,
-                }));
-            }
-            AnomalyRun::Terminal => {
-                explored += 1;
-            }
-            AnomalyRun::Redundant => {
-                pruned += 1;
-            }
-            AnomalyRun::Frontier {
-                choices,
-                positions,
-                sleep,
-            } => {
-                let mut children: Vec<(Vec<usize>, Vec<Move>)> = Vec::new();
-                let mut explored_here: Vec<Move> = Vec::new();
-                for &choice in &choices {
-                    let mv: Move = (choice, positions[choice]);
-                    if sleep.contains(&mv) {
-                        pruned += 1;
-                        continue;
-                    }
-                    let mut child_dec = decisions.clone();
-                    child_dec.push(choice);
-                    let mut child_sleep: Vec<Move> = sleep
-                        .iter()
-                        .chain(explored_here.iter())
-                        .filter(|m| !fps.dependent(**m, mv))
-                        .copied()
-                        .collect();
-                    child_sleep.sort_unstable();
-                    child_sleep.dedup();
-                    children.push((child_dec, child_sleep));
-                    explored_here.push(mv);
-                }
-                for child in children.into_iter().rev() {
-                    stack.push(child);
-                }
-            }
-        }
+    let goal = AnomalyGoal {
+        iso,
+        serial: serial_state_digests(base, instances, iso),
     };
-    weseer_obs::add("replay.anomaly.schedules_explored", explored as u64);
-    weseer_obs::add("replay.anomaly.schedules_pruned", pruned as u64);
-    weseer_obs::incr(match &outcome {
-        AnomalyOutcome::Anomalous(_) => "replay.anomaly.confirmed",
-        AnomalyOutcome::Clean { .. } => "replay.anomaly.clean",
-    });
-    outcome
-}
-
-/// Execute one schedule at isolation `iso` from the root on a fresh fork,
-/// following `decisions` at branch points. Unlike the deadlock explorer,
-/// a deadlock (or write-conflict) abort fails the instance and the
-/// schedule continues: the anomaly question is about the history that
-/// *commits*.
-#[allow(clippy::too_many_arguments)]
-fn run_anomaly(
-    base: &Database,
-    instances: &[Instance],
-    fps: &Footprints,
-    iso: IsolationLevel,
-    serial: &[String],
-    decisions: &[usize],
-    mut sleep: Vec<Move>,
-    max_steps: usize,
-) -> AnomalyRun {
-    let db = base.fork();
-    db.set_default_isolation(iso);
-    let n = instances.len();
-    let mut sessions: Vec<_> = (0..n).map(|_| db.session()).collect();
-    for s in &mut sessions {
-        s.begin();
-    }
-    let txn_ids: Vec<TxnId> = sessions
-        .iter()
-        .map(|s| s.txn_id().expect("begun transaction has an id"))
-        .collect();
-    let name_of = |t: TxnId| -> String {
-        txn_ids
-            .iter()
-            .position(|x| *x == t)
-            .map(|i| instances[i].name.clone())
-            .unwrap_or_else(|| t.to_string())
-    };
-
-    let mut pos = vec![0usize; n];
-    let mut done = vec![false; n];
-    let mut failed = vec![false; n];
-    let mut blocked = vec![false; n];
-    let mut steps_rec: Vec<WitnessStep> = Vec::new();
-    let mut di = 0usize;
-
-    for _ in 0..max_steps {
-        let runnable: Vec<usize> = (0..n)
-            .filter(|&i| !done[i] && !failed[i] && !blocked[i] && pos[i] < instances[i].stmts.len())
-            .collect();
-        if runnable.is_empty() {
-            return finish_anomaly(&db, serial, instances, &txn_ids, &failed, steps_rec);
-        }
-        let choice = if runnable.len() == 1 {
-            runnable[0]
-        } else if di < decisions.len() {
-            let c = decisions[di];
-            di += 1;
-            if !runnable.contains(&c) {
-                return AnomalyRun::Terminal;
-            }
-            c
-        } else {
-            return AnomalyRun::Frontier {
-                choices: runnable,
-                positions: pos,
-                sleep,
-            };
+    let s = search(base, instances, &goal, config);
+    let Some((steps, anomalies)) = s.found else {
+        weseer_obs::incr("replay.anomaly.clean");
+        return AnomalyOutcome::Clean {
+            explored: s.explored,
+            pruned: s.pruned,
+            budget_hit: s.budget_hit,
         };
-
-        let mv: Move = (choice, pos[choice]);
-        if di >= decisions.len() {
-            if sleep.contains(&mv) {
-                return AnomalyRun::Redundant;
-            }
-            sleep.retain(|m| !fps.dependent(*m, mv));
-        }
-
-        let inst = &instances[choice];
-        let cs = &inst.stmts[pos[choice]];
-        let mut step = WitnessStep {
-            instance: inst.name.clone(),
-            label: cs.label.clone(),
-            sql: cs.sql.clone(),
-            locks: Vec::new(),
-            outcome: String::new(),
-            waits_on: Vec::new(),
-        };
-        match sessions[choice].execute_nowait(&cs.stmt, &cs.params) {
-            Ok(StepResult::Done(data)) => {
-                step.locks = data.locks.iter().map(|(t, m)| render_lock(t, *m)).collect();
-                step.outcome = "ok".into();
-                steps_rec.push(step);
-                pos[choice] += 1;
-                if pos[choice] == inst.stmts.len() {
-                    let _ = sessions[choice].commit();
-                    done[choice] = true;
-                    for b in blocked.iter_mut() {
-                        *b = false;
-                    }
-                }
-            }
-            Ok(StepResult::Blocked { on, target, mode }) => {
-                step.locks = vec![render_lock(&target, mode)];
-                step.outcome = "blocked".into();
-                step.waits_on = on.iter().map(|t| name_of(*t)).collect();
-                steps_rec.push(step);
-                blocked[choice] = true;
-            }
-            Err(DbError::Deadlock { cycle }) => {
-                // An abort, not a verdict: the victim's history vanishes
-                // and the surviving instances keep running.
-                step.outcome = "deadlock".into();
-                step.waits_on = cycle.iter().map(|t| name_of(*t)).collect();
-                steps_rec.push(step);
-                failed[choice] = true;
-                for b in blocked.iter_mut() {
-                    *b = false;
-                }
-            }
-            Err(e) => {
-                step.outcome = format!("error: {e}");
-                steps_rec.push(step);
-                if sessions[choice].in_txn() {
-                    sessions[choice].rollback();
-                }
-                failed[choice] = true;
-                for b in blocked.iter_mut() {
-                    *b = false;
-                }
-            }
-        }
-    }
-    AnomalyRun::Terminal
-}
-
-/// Classify a terminal schedule: tracker events first, then the
-/// serial-state cross-check (only when every instance committed — an
-/// abort legitimately removes effects no serial order would lose).
-fn finish_anomaly(
-    db: &Database,
-    serial: &[String],
-    instances: &[Instance],
-    txn_ids: &[TxnId],
-    failed: &[bool],
-    steps: Vec<WitnessStep>,
-) -> AnomalyRun {
-    let name_of = |t: TxnId| -> String {
-        txn_ids
-            .iter()
-            .position(|x| *x == t)
-            .map(|i| instances[i].name.clone())
-            .unwrap_or_else(|| t.to_string())
     };
-    let mut findings: Vec<AnomalyFinding> = db
-        .anomaly_events()
-        .into_iter()
-        .map(|ev| AnomalyFinding {
-            kind: ev.kind.name().to_string(),
-            table: ev.table.clone(),
-            instances: ev.txns.iter().map(|t| name_of(*t)).collect(),
-            detail: ev.detail.clone(),
-        })
-        .collect();
-    if findings.is_empty() && !failed.iter().any(|&f| f) && instances.len() <= 3 {
-        let digest = state_digest(db);
-        if !serial.contains(&digest) {
-            findings.push(AnomalyFinding {
-                kind: "non-serializable-state".into(),
-                table: "*".into(),
-                instances: instances.iter().map(|i| i.name.clone()).collect(),
-                detail: format!(
-                    "final state {digest} matches none of the {} serial execution(s)",
-                    serial.len()
-                ),
-            });
-        }
-    }
-    if findings.is_empty() {
-        return AnomalyRun::Terminal;
-    }
-    findings.sort();
-    findings.dedup();
-    AnomalyRun::Anomalous { steps, findings }
+    weseer_obs::incr("replay.anomaly.confirmed");
+    AnomalyOutcome::Anomalous(Box::new(AnomalyWitness {
+        isolation: iso.name().to_string(),
+        instances: named(instances, apis),
+        steps,
+        anomalies,
+        schedules_explored: s.explored,
+        schedules_pruned: s.pruned,
+    }))
 }

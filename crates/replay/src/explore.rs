@@ -1,12 +1,22 @@
-//! Deterministic DFS over statement-level interleavings with sleep-set
-//! (DPOR-style) pruning.
+//! The replay plane's one schedule search: a deterministic DFS over
+//! statement-level interleavings with sleep-set (DPOR-style) pruning,
+//! generic over what it is looking for (a crate-private `Goal`).
+//!
+//! [`explore`] hunts for a schedule that *deadlocks*;
+//! [`crate::anomaly::explore_anomalies`] runs the same search at a weak
+//! isolation level and hunts for a schedule whose *committed history* is
+//! anomalous. The two goals differ at exactly four points — how a fresh
+//! fork is set up, what a wait-for cycle means, how a finished schedule is
+//! classified, and the prefix of their span and counter names — and share
+//! everything else: the driver loop, frontier expansion, sleep sets, DFS
+//! order and the per-schedule executor.
 //!
 //! Every explored schedule runs from the root against a fresh
 //! [`Database::fork`], so runs are fully independent and bit-identical
 //! regardless of exploration order or thread count. Statements execute in
 //! nowait mode ([`weseer_db::Session::execute_nowait`]): a lock conflict
 //! records a persistent wait-for edge and returns control instead of
-//! parking a thread, which gives the explorer instant, deterministic
+//! parking a thread, which gives the search instant, deterministic
 //! deadlock detection from the lock manager's wait-for graph.
 //!
 //! Pruning uses sleep sets keyed on table-level lock footprints: after
@@ -55,7 +65,7 @@ pub struct Instance {
 }
 
 /// A scheduling decision: `(instance index, statement position)`.
-pub(crate) type Move = (usize, usize);
+type Move = (usize, usize);
 
 /// Result of exploring all schedules within budget.
 #[derive(Debug)]
@@ -77,6 +87,8 @@ pub enum ExploreOutcome {
         explored: usize,
         /// Branches pruned by sleep sets.
         pruned: usize,
+        /// The search stopped at a budget, not by covering the schedule space.
+        budget_hit: bool,
     },
 }
 
@@ -102,10 +114,10 @@ impl Footprint {
 /// is widened to every table the transaction touches, as writes: its
 /// completion commits, and the commit releases every lock the transaction
 /// holds — reordering it past any conflicting move changes behavior.
-pub(crate) struct Footprints(Vec<Vec<Footprint>>);
+struct Footprints(Vec<Vec<Footprint>>);
 
 impl Footprints {
-    pub(crate) fn new(instances: &[Instance]) -> Footprints {
+    fn new(instances: &[Instance]) -> Footprints {
         let per_instance = instances
             .iter()
             .map(|inst| {
@@ -138,7 +150,7 @@ impl Footprints {
     /// Whether two moves are dependent: same instance (program order), or
     /// overlapping table footprints with at least one write. Out-of-range
     /// positions are conservatively dependent.
-    pub(crate) fn dependent(&self, a: Move, b: Move) -> bool {
+    fn dependent(&self, a: Move, b: Move) -> bool {
         if a.0 == b.0 {
             return true;
         }
@@ -149,15 +161,67 @@ impl Footprints {
     }
 }
 
+/// What a search is looking for: the four points at which the deadlock
+/// hunt and the anomaly hunt differ.
+pub(crate) trait Goal {
+    /// What a witness schedule carries besides its steps.
+    type Finding;
+    /// Prefix of the span and counter names (`{PREFIX}.explore`,
+    /// `{PREFIX}.schedules_explored`, `{PREFIX}.schedules_pruned`).
+    const PREFIX: &'static str;
+    /// Prepare a fresh fork before its sessions begin.
+    fn setup(&self, _db: &Database) {}
+    /// A statement closed a wait-for cycle (instance names, victim first).
+    /// `Some` ends the search with this schedule as the witness; `None`
+    /// fails the victim and lets the surviving instances run on.
+    fn on_deadlock(&self, cycle: &[String]) -> Option<Self::Finding>;
+    /// Every instance committed or failed. `Some` ends the search.
+    fn on_terminal(&self, fin: &Finished<'_>) -> Option<Self::Finding>;
+}
+
+/// One schedule's state; handed to [`Goal::on_terminal`] once every
+/// instance has committed or failed.
+pub(crate) struct Finished<'a> {
+    /// The fork the schedule ran against.
+    pub db: Database,
+    /// The interleaved instances.
+    pub instances: &'a [Instance],
+    /// Which instances aborted (deadlock victim, write conflict, error).
+    pub failed: Vec<bool>,
+    txn_ids: Vec<TxnId>,
+}
+
+impl Finished<'_> {
+    /// The instances running transactions `ts`, by name.
+    pub fn names(&self, ts: &[TxnId]) -> Vec<String> {
+        let name = |t: &TxnId| match self.txn_ids.iter().position(|x| x == t) {
+            Some(i) => self.instances[i].name.clone(),
+            None => t.to_string(),
+        };
+        ts.iter().map(name).collect()
+    }
+}
+
+/// What [`search`] came back with.
+pub(crate) struct Searched<F> {
+    /// The first schedule in DFS order the goal accepted, with its finding.
+    pub found: Option<(Vec<WitnessStep>, F)>,
+    /// Schedules completed (including the found one).
+    pub explored: usize,
+    /// Branches pruned by sleep sets.
+    pub pruned: usize,
+    /// The search stopped at `max_schedules` / `max_runs`, or cut a
+    /// schedule at `max_steps`, instead of emptying the DFS stack.
+    pub budget_hit: bool,
+}
+
 /// What one schedule run produced.
-enum RunResult {
-    /// The lock manager reported a wait-for cycle.
-    Deadlock {
-        steps: Vec<WitnessStep>,
-        cycle: Vec<String>,
-    },
-    /// Every instance committed or failed; no deadlock on this path.
-    Terminal,
+enum RunResult<F> {
+    /// The goal accepted this schedule.
+    Found { steps: Vec<WitnessStep>, finding: F },
+    /// Every instance committed or failed and the goal passed (`cut`: the
+    /// schedule was abandoned at `max_steps` instead).
+    Terminal { cut: bool },
     /// A forced move past the decided prefix was in the sleep set: the
     /// whole continuation reorders an already-explored schedule.
     Redundant,
@@ -172,36 +236,46 @@ enum RunResult {
     },
 }
 
-/// Explore interleavings of `instances` over forks of `base`, depth first,
-/// until a schedule deadlocks or budgets are exhausted.
-pub fn explore(base: &Database, instances: &[Instance], config: &ReplayConfig) -> ExploreOutcome {
-    let _span = weseer_obs::span("replay.explore");
+/// Depth-first search over the interleavings of `instances` on forks of
+/// `base`, until `goal` accepts a schedule or the budgets run out.
+pub(crate) fn search<G: Goal>(
+    base: &Database,
+    instances: &[Instance],
+    goal: &G,
+    config: &ReplayConfig,
+) -> Searched<G::Finding> {
+    let _span = weseer_obs::span(&format!("{}.explore", G::PREFIX));
     let fps = Footprints::new(instances);
-    let mut explored = 0usize;
-    let mut pruned = 0usize;
-    let mut runs = 0usize;
+    let (mut explored, mut pruned, mut runs) = (0usize, 0usize, 0usize);
+    let (mut found, mut budget_hit) = (None, false);
     // DFS stack of (decided prefix, sleep set at the node).
     let mut stack: Vec<(Vec<usize>, Vec<Move>)> = vec![(Vec::new(), Vec::new())];
 
-    let outcome = loop {
-        let Some((decisions, sleep)) = stack.pop() else {
-            break ExploreOutcome::Exhausted { explored, pruned };
-        };
+    while let Some((decisions, sleep)) = stack.pop() {
         if explored >= config.max_schedules || runs >= config.max_runs {
-            break ExploreOutcome::Exhausted { explored, pruned };
+            budget_hit = true;
+            break;
         }
         runs += 1;
-        let result = run(base, instances, &fps, &decisions, sleep, config.max_steps);
+        let result = run(
+            base,
+            instances,
+            &fps,
+            goal,
+            &decisions,
+            sleep,
+            config.max_steps,
+        );
         if weseer_obs::timeline::enabled() {
             let outcome = match &result {
-                RunResult::Deadlock { .. } => "deadlock",
-                RunResult::Terminal => "terminal",
+                RunResult::Found { .. } => "found",
+                RunResult::Terminal { .. } => "terminal",
                 RunResult::Redundant => "redundant",
                 RunResult::Frontier { .. } => "frontier",
             };
             weseer_obs::timeline::instant(
                 "replay.schedule",
-                "replay",
+                G::PREFIX,
                 &[
                     ("run", runs.to_string()),
                     ("depth", decisions.len().to_string()),
@@ -210,21 +284,16 @@ pub fn explore(base: &Database, instances: &[Instance], config: &ReplayConfig) -
             );
         }
         match result {
-            RunResult::Deadlock { steps, cycle } => {
+            RunResult::Found { steps, finding } => {
                 explored += 1;
-                break ExploreOutcome::Deadlock {
-                    steps,
-                    cycle,
-                    explored,
-                    pruned,
-                };
+                found = Some((steps, finding));
+                break;
             }
-            RunResult::Terminal => {
+            RunResult::Terminal { cut } => {
                 explored += 1;
+                budget_hit |= cut;
             }
-            RunResult::Redundant => {
-                pruned += 1;
-            }
+            RunResult::Redundant => pruned += 1,
             RunResult::Frontier {
                 choices,
                 positions,
@@ -253,61 +322,72 @@ pub fn explore(base: &Database, instances: &[Instance], config: &ReplayConfig) -
                     children.push((child_dec, child_sleep));
                     explored_here.push(mv);
                 }
-                for child in children.into_iter().rev() {
-                    stack.push(child);
-                }
+                stack.extend(children.into_iter().rev());
             }
         }
-    };
-    weseer_obs::add("replay.schedules_explored", explored as u64);
-    weseer_obs::add("replay.schedules_pruned", pruned as u64);
-    outcome
+    }
+    weseer_obs::add(
+        &format!("{}.schedules_explored", G::PREFIX),
+        explored as u64,
+    );
+    weseer_obs::add(&format!("{}.schedules_pruned", G::PREFIX), pruned as u64);
+    if budget_hit {
+        weseer_obs::incr("replay.budget_hit");
+    }
+    Searched {
+        found,
+        explored,
+        pruned,
+        budget_hit,
+    }
 }
 
 /// Execute one schedule from the root on a fresh fork of `base`, following
 /// `decisions` at branch points, then stopping at the next branch point (or
-/// running to termination/deadlock when none remains).
-fn run(
+/// running until the goal accepts or every instance has terminated).
+fn run<G: Goal>(
     base: &Database,
     instances: &[Instance],
     fps: &Footprints,
+    goal: &G,
     decisions: &[usize],
     mut sleep: Vec<Move>,
     max_steps: usize,
-) -> RunResult {
-    let db = base.fork();
+) -> RunResult<G::Finding> {
     let n = instances.len();
-    let mut sessions: Vec<_> = (0..n).map(|_| db.session()).collect();
+    let mut fin = Finished {
+        db: base.fork(),
+        instances,
+        failed: vec![false; n],
+        txn_ids: Vec::new(),
+    };
+    goal.setup(&fin.db);
+    let mut sessions: Vec<_> = (0..n).map(|_| fin.db.session()).collect();
     for s in &mut sessions {
         s.begin();
+        fin.txn_ids
+            .push(s.txn_id().expect("begun transaction has an id"));
     }
-    let txn_ids: Vec<TxnId> = sessions
-        .iter()
-        .map(|s| s.txn_id().expect("begun transaction has an id"))
-        .collect();
-    let name_of = |t: TxnId| -> String {
-        txn_ids
-            .iter()
-            .position(|x| *x == t)
-            .map(|i| instances[i].name.clone())
-            .unwrap_or_else(|| t.to_string())
-    };
 
     let mut pos = vec![0usize; n];
     let mut done = vec![false; n];
-    let mut failed = vec![false; n];
     let mut blocked = vec![false; n];
-    let mut steps_rec: Vec<WitnessStep> = Vec::new();
+    let mut steps: Vec<WitnessStep> = Vec::new();
     let mut di = 0usize;
 
     for _ in 0..max_steps {
         let runnable: Vec<usize> = (0..n)
-            .filter(|&i| !done[i] && !failed[i] && !blocked[i] && pos[i] < instances[i].stmts.len())
+            .filter(|&i| {
+                !done[i] && !fin.failed[i] && !blocked[i] && pos[i] < instances[i].stmts.len()
+            })
             .collect();
         if runnable.is_empty() {
             // Blocked instances cannot persist here: a closing cycle errors
             // out at acquire time, and a finished instance wakes everyone.
-            return RunResult::Terminal;
+            return match goal.on_terminal(&fin) {
+                Some(finding) => RunResult::Found { steps, finding },
+                None => RunResult::Terminal { cut: false },
+            };
         }
         let choice = if runnable.len() == 1 {
             runnable[0]
@@ -317,7 +397,7 @@ fn run(
             if !runnable.contains(&c) {
                 // Divergence from the recorded prefix; deterministic
                 // execution makes this unreachable, but fail safe.
-                return RunResult::Terminal;
+                return RunResult::Terminal { cut: false };
             }
             c
         } else {
@@ -355,47 +435,77 @@ fn run(
             Ok(StepResult::Done(data)) => {
                 step.locks = data.locks.iter().map(|(t, m)| render_lock(t, *m)).collect();
                 step.outcome = "ok".into();
-                steps_rec.push(step);
+                steps.push(step);
                 pos[choice] += 1;
                 if pos[choice] == inst.stmts.len() {
                     let _ = sessions[choice].commit();
                     done[choice] = true;
                     // Released locks may unblock anyone; let them retry.
-                    for b in blocked.iter_mut() {
-                        *b = false;
-                    }
+                    blocked.fill(false);
                 }
             }
             Ok(StepResult::Blocked { on, target, mode }) => {
                 step.locks = vec![render_lock(&target, mode)];
                 step.outcome = "blocked".into();
-                step.waits_on = on.iter().map(|t| name_of(*t)).collect();
-                steps_rec.push(step);
+                step.waits_on = fin.names(&on);
+                steps.push(step);
                 blocked[choice] = true;
             }
-            Err(DbError::Deadlock { cycle }) => {
-                let cycle_names: Vec<String> = cycle.iter().map(|t| name_of(*t)).collect();
-                step.outcome = "deadlock".into();
-                step.waits_on = cycle_names.clone();
-                steps_rec.push(step);
-                return RunResult::Deadlock {
-                    steps: steps_rec,
-                    cycle: cycle_names,
-                };
-            }
             Err(e) => {
-                step.outcome = format!("error: {e}");
-                steps_rec.push(step);
-                // `execute_nowait` already rolled back aborting errors;
-                // roll back statement-level ones (e.g. duplicate key) too —
-                // partial replays cannot meaningfully continue.
-                sessions[choice].rollback();
-                failed[choice] = true;
-                for b in blocked.iter_mut() {
-                    *b = false;
+                let finding = if let DbError::Deadlock { cycle } = &e {
+                    step.outcome = "deadlock".into();
+                    step.waits_on = fin.names(cycle);
+                    goal.on_deadlock(&step.waits_on)
+                } else {
+                    step.outcome = format!("error: {e}");
+                    None
+                };
+                steps.push(step);
+                if let Some(finding) = finding {
+                    return RunResult::Found { steps, finding };
                 }
+                // The instance is out: `execute_nowait` already rolled back
+                // aborting errors; roll back statement-level ones (e.g.
+                // duplicate key) too — partial replays cannot meaningfully
+                // continue — and let everyone it blocked retry.
+                sessions[choice].rollback();
+                fin.failed[choice] = true;
+                blocked.fill(false);
             }
         }
     }
-    RunResult::Terminal
+    RunResult::Terminal { cut: true }
+}
+
+/// The deadlock hunt: the first wait-for cycle ends the search.
+struct DeadlockGoal;
+
+impl Goal for DeadlockGoal {
+    type Finding = Vec<String>;
+    const PREFIX: &'static str = "replay";
+    fn on_deadlock(&self, cycle: &[String]) -> Option<Vec<String>> {
+        Some(cycle.to_vec())
+    }
+    fn on_terminal(&self, _fin: &Finished<'_>) -> Option<Vec<String>> {
+        None
+    }
+}
+
+/// Explore interleavings of `instances` over forks of `base`, depth first,
+/// until a schedule deadlocks or budgets are exhausted.
+pub fn explore(base: &Database, instances: &[Instance], config: &ReplayConfig) -> ExploreOutcome {
+    let s = search(base, instances, &DeadlockGoal, config);
+    match s.found {
+        Some((steps, cycle)) => ExploreOutcome::Deadlock {
+            steps,
+            cycle,
+            explored: s.explored,
+            pruned: s.pruned,
+        },
+        None => ExploreOutcome::Exhausted {
+            explored: s.explored,
+            pruned: s.pruned,
+            budget_hit: s.budget_hit,
+        },
+    }
 }

@@ -11,12 +11,16 @@
 //!    traced statements with parameter values evaluated under the SAT
 //!    model (projected per instance via [`weseer_smt::Model::strip_prefix`]),
 //!    so the replayed inputs are exactly the ones the solver chose.
-//! 2. **Explore** ([`explore`]) — deterministic DFS over statement-level
-//!    interleavings of the two transactions against a fresh
-//!    [`weseer_db::Database::fork`], with sleep-set (DPOR-style) pruning
-//!    keyed on table-level lock footprints. Statements run in nowait mode,
-//!    so the lock manager's wait-for graph yields instant deterministic
-//!    cycle detection without threads or timeouts.
+//! 2. **Explore** ([`explore`](mod@explore)) — deterministic DFS over
+//!    statement-level interleavings of the two transactions against a
+//!    fresh [`weseer_db::Database::fork`], with sleep-set (DPOR-style)
+//!    pruning keyed on table-level lock footprints. Statements run in
+//!    nowait mode, so the lock manager's wait-for graph yields instant
+//!    deterministic cycle detection without threads or timeouts. There is
+//!    one search with two goals: [`explore()`] stops at the first wait-for
+//!    cycle; [`explore_anomalies`] ([`anomaly`]) runs the same loop at a
+//!    weak isolation level, treats a cycle as an abort, and classifies
+//!    the committed history of every schedule that runs to the end.
 //! 3. **Witness** ([`witness`]) — the first deadlocking schedule becomes a
 //!    [`Witness`]: ordered steps (instance, statement, concrete SQL, locks
 //!    acquired) plus the final wait-for cycle, renderable as text and as
@@ -26,7 +30,9 @@
 //! came from and classifies it [`ReplayVerdict::Confirmed`] (a witness
 //! exists), [`ReplayVerdict::NotReproduced`] (no schedule in budget
 //! deadlocked — e.g. a cycle SAT under the lock model but not reachable in
-//! the engine), or [`ReplayVerdict::Skipped`] (missing trace/transaction).
+//! the engine; `budget_hit` tells a search that ran out of budget from one
+//! that covered the whole reduced schedule space), or
+//! [`ReplayVerdict::Skipped`] (missing trace/transaction).
 
 pub mod anomaly;
 pub mod concretize;
@@ -43,6 +49,7 @@ pub use witness::{render_lock, Witness, WitnessInstance, WitnessStep};
 
 use weseer_analyzer::{CollectedTrace, DeadlockReport};
 use weseer_db::Database;
+use weseer_smt::Model;
 
 /// The outcome of replaying one diagnosed cycle.
 #[derive(Debug, Clone)]
@@ -55,6 +62,8 @@ pub enum ReplayVerdict {
         schedules_explored: usize,
         /// Branches pruned by sleep sets.
         schedules_pruned: usize,
+        /// A search stopped at its budget: "not reproduced *so far*".
+        budget_hit: bool,
     },
     /// Replay was not attempted, with the reason.
     Skipped(String),
@@ -93,10 +102,7 @@ pub struct Replayer<'a> {
 impl<'a> Replayer<'a> {
     /// A replayer over the traces the analyzer diagnosed.
     pub fn new(traces: &'a [CollectedTrace]) -> Replayer<'a> {
-        Replayer {
-            traces,
-            config: ReplayConfig::default(),
-        }
+        Replayer::with_config(traces, ReplayConfig::default())
     }
 
     /// Override exploration budgets.
@@ -119,55 +125,36 @@ impl<'a> Replayer<'a> {
     }
 
     fn replay_report_inner(&self, report: &DeadlockReport, base: &Database) -> ReplayVerdict {
-        let find = |api: &str| self.traces.iter().find(|t| t.api() == api);
-        let Some(ta) = find(&report.cycle.a_api) else {
-            return ReplayVerdict::Skipped(format!("no trace for API {}", report.cycle.a_api));
-        };
-        let Some(tb) = find(&report.cycle.b_api) else {
-            return ReplayVerdict::Skipped(format!("no trace for API {}", report.cycle.b_api));
-        };
-        let concretize = |model_a: &weseer_smt::Model, model_b: &weseer_smt::Model| {
-            (
-                concretize_txn(ta, report.cycle.a_txn, model_a),
-                concretize_txn(tb, report.cycle.b_txn, model_b),
+        let c = &report.cycle;
+        let pair = |a: &Model, b: &Model| {
+            pair_instances(
+                self.traces,
+                [(&c.a_api, c.a_txn, a), (&c.b_api, c.b_txn, b)],
             )
         };
-        let (a_stmts, b_stmts) = concretize(
-            &report.sat_model.strip_prefix("A1."),
-            &report.sat_model.strip_prefix("A2."),
-        );
-        if a_stmts.is_empty() || b_stmts.is_empty() {
-            return ReplayVerdict::Skipped("cycle transaction has no statements".into());
-        }
-
         // Attempt 1: the solver's inputs. Attempt 2 (only if the first
         // exhausts its budget, and only when it differs): the inputs
         // observed during tracing — a partial SAT model can pick
         // degenerate values (e.g. every key equal) that serialize the two
         // transactions even though the traced inputs deadlock.
-        let sqls = |a: &[ConcreteStmt], b: &[ConcreteStmt]| -> Vec<String> {
-            a.iter().chain(b).map(|s| s.sql.clone()).collect()
+        let solved = pair(
+            &report.sat_model.strip_prefix("A1."),
+            &report.sat_model.strip_prefix("A2."),
+        );
+        let empty = Model::default();
+        let mut attempts = match (solved, pair(&empty, &empty)) {
+            (Ok(solved), Ok(traced)) => vec![solved, traced],
+            (Err(reason), _) | (_, Err(reason)) => return ReplayVerdict::Skipped(reason),
         };
-        let model_sql = sqls(&a_stmts, &b_stmts);
-        let mut total_explored = 0;
-        let mut total_pruned = 0;
-        let mut attempts = vec![(a_stmts, b_stmts)];
-        let empty = weseer_smt::Model::default();
-        let (ca, cb) = concretize(&empty, &empty);
-        if sqls(&ca, &cb) != model_sql {
-            attempts.push((ca, cb));
+        let sqls = |pair: &[Instance]| -> Vec<String> {
+            let stmts = pair.iter().flat_map(|inst| &inst.stmts);
+            stmts.map(|s| s.sql.clone()).collect()
+        };
+        if sqls(&attempts[0]) == sqls(&attempts[1]) {
+            attempts.pop();
         }
-        for (a_stmts, b_stmts) in attempts {
-            let instances = vec![
-                Instance {
-                    name: "A1".into(),
-                    stmts: a_stmts,
-                },
-                Instance {
-                    name: "A2".into(),
-                    stmts: b_stmts,
-                },
-            ];
+        let (mut total_explored, mut total_pruned, mut any_budget_hit) = (0, 0, false);
+        for instances in attempts {
             match explore(base, &instances, &self.config) {
                 ExploreOutcome::Deadlock {
                     steps,
@@ -176,31 +163,51 @@ impl<'a> Replayer<'a> {
                     pruned,
                 } => {
                     return ReplayVerdict::Confirmed(Box::new(Witness {
-                        instances: vec![
-                            WitnessInstance {
-                                name: "A1".into(),
-                                api: report.cycle.a_api.clone(),
-                            },
-                            WitnessInstance {
-                                name: "A2".into(),
-                                api: report.cycle.b_api.clone(),
-                            },
-                        ],
+                        instances: witness::named(&instances, [&c.a_api, &c.b_api]),
                         steps,
                         cycle,
                         schedules_explored: total_explored + explored,
                         schedules_pruned: total_pruned + pruned,
-                    }))
+                    }));
                 }
-                ExploreOutcome::Exhausted { explored, pruned } => {
+                ExploreOutcome::Exhausted {
+                    explored,
+                    pruned,
+                    budget_hit,
+                } => {
                     total_explored += explored;
                     total_pruned += pruned;
+                    any_budget_hit |= budget_hit;
                 }
             }
         }
         ReplayVerdict::NotReproduced {
             schedules_explored: total_explored,
             schedules_pruned: total_pruned,
+            budget_hit: any_budget_hit,
         }
     }
+}
+
+/// The instances `[A1, A2]` of a diagnosed pair — the one place a report
+/// or anomaly candidate becomes something the search can run: find each
+/// side's trace by API name and concretize its `txn`-th transaction under
+/// that side's model (already projected onto the instance's namespace).
+/// `sides` is `(api, txn, model)` for A1 then A2; `Err` carries the reason
+/// replay cannot be attempted.
+pub fn pair_instances(
+    traces: &[CollectedTrace],
+    sides: [(&str, usize, &Model); 2],
+) -> Result<Vec<Instance>, String> {
+    let instance = |(name, (api, txn, model)): (&str, (&str, usize, &Model))| {
+        let trace = traces.iter().find(|t| t.api() == api);
+        let trace = trace.ok_or_else(|| format!("no trace for API {api}"))?;
+        let stmts = concretize_txn(trace, txn, model);
+        if stmts.is_empty() {
+            return Err("cycle transaction has no statements".to_string());
+        }
+        let name = name.to_string();
+        Ok(Instance { name, stmts })
+    };
+    ["A1", "A2"].into_iter().zip(sides).map(instance).collect()
 }

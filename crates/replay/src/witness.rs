@@ -1,8 +1,12 @@
 //! Concrete deadlock witnesses: the ordered schedule that provably
-//! deadlocks, ready to attach to a diagnosis report or export as JSON.
+//! deadlocks, ready to attach to a diagnosis report or export as JSON —
+//! plus the one schedule codec (`instances` + `steps` writer, parser and
+//! renderer) that [`crate::AnomalyWitness`] shares.
 
 use std::fmt::Write as _;
 use weseer_db::{KeyBound, LockMode, LockTarget};
+use weseer_obs::snapshot::write_json_string;
+use weseer_store::json::Json;
 
 /// One executed (or attempted) statement in the witness schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,38 +62,12 @@ impl Witness {
     /// Canonical single-line JSON rendering (stable field order; byte
     /// identical across runs and thread counts).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"instances\":[");
-        for (i, inst) in self.instances.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"api\":\"{}\"}}",
-                json_escape(&inst.name),
-                json_escape(&inst.api)
-            );
-        }
-        s.push_str("],\"steps\":[");
-        for (i, st) in self.steps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"instance\":\"{}\",\"label\":\"{}\",\"sql\":\"{}\",\"locks\":[{}],\"outcome\":\"{}\",\"waits_on\":[{}]}}",
-                json_escape(&st.instance),
-                json_escape(&st.label),
-                json_escape(&st.sql),
-                join_json_strings(&st.locks),
-                json_escape(&st.outcome),
-                join_json_strings(&st.waits_on),
-            );
-        }
+        let mut s = String::from("{");
+        write_schedule_json(&mut s, &self.instances, &self.steps);
         let _ = write!(
             s,
-            "],\"cycle\":[{}],\"schedules_explored\":{},\"schedules_pruned\":{}}}",
-            join_json_strings(&self.cycle),
+            ",\"cycle\":[{}],\"schedules_explored\":{},\"schedules_pruned\":{}}}",
+            quoted_list(&self.cycle),
             self.schedules_explored,
             self.schedules_pruned
         );
@@ -101,38 +79,12 @@ impl Witness {
     /// which is what lets the incremental store persist confirmed
     /// witnesses and re-export them byte-identically on warm runs.
     pub fn from_json(s: &str) -> Option<Witness> {
-        use weseer_store::json::Json;
         let v = Json::parse(s).ok()?;
-        let strings = |j: &Json| -> Option<Vec<String>> {
-            j.as_arr()?
-                .iter()
-                .map(|x| x.as_str().map(str::to_string))
-                .collect()
-        };
-        let field =
-            |j: &Json, k: &str| -> Option<String> { j.get(k)?.as_str().map(str::to_string) };
-        let mut instances = Vec::new();
-        for inst in v.get("instances")?.as_arr()? {
-            instances.push(WitnessInstance {
-                name: field(inst, "name")?,
-                api: field(inst, "api")?,
-            });
-        }
-        let mut steps = Vec::new();
-        for st in v.get("steps")?.as_arr()? {
-            steps.push(WitnessStep {
-                instance: field(st, "instance")?,
-                label: field(st, "label")?,
-                sql: field(st, "sql")?,
-                locks: strings(st.get("locks")?)?,
-                outcome: field(st, "outcome")?,
-                waits_on: strings(st.get("waits_on")?)?,
-            });
-        }
+        let (instances, steps) = parse_schedule_json(&v)?;
         Some(Witness {
             instances,
             steps,
-            cycle: strings(v.get("cycle")?)?,
+            cycle: strs_field(&v, "cycle")?,
             schedules_explored: v.get("schedules_explored")?.as_u64()? as usize,
             schedules_pruned: v.get("schedules_pruned")?.as_u64()? as usize,
         })
@@ -148,23 +100,7 @@ impl Witness {
             self.schedules_explored,
             self.schedules_pruned
         );
-        for inst in &self.instances {
-            let _ = writeln!(out, "  {} = {}", inst.name, inst.api);
-        }
-        for st in &self.steps {
-            let _ = write!(
-                out,
-                "  {}.{} [{}] {}",
-                st.instance, st.label, st.outcome, st.sql
-            );
-            if !st.waits_on.is_empty() && st.outcome == "blocked" {
-                let _ = write!(out, "  (waits on {})", st.waits_on.join(", "));
-            }
-            let _ = writeln!(out);
-            if !st.locks.is_empty() {
-                let _ = writeln!(out, "      locks: {}", st.locks.join(", "));
-            }
-        }
+        render_schedule(&mut out, &self.instances, &self.steps);
         if !self.cycle.is_empty() {
             let mut c = self.cycle.join(" -> ");
             let _ = write!(c, " -> {}", self.cycle[0]);
@@ -197,33 +133,132 @@ pub fn render_lock(target: &LockTarget, mode: LockMode) -> String {
     }
 }
 
-pub(crate) fn join_json_strings(parts: &[String]) -> String {
-    let mut s = String::new();
-    for (i, p) in parts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", json_escape(p));
-    }
-    s
+/// The witness legend: each instance with the API whose trace it replays
+/// (`apis` parallel to `instances`).
+pub(crate) fn named<'a>(
+    instances: &[crate::Instance],
+    apis: impl IntoIterator<Item = &'a String>,
+) -> Vec<WitnessInstance> {
+    let pairs = instances.iter().zip(apis);
+    pairs
+        .map(|(inst, api)| WitnessInstance {
+            name: inst.name.clone(),
+            api: api.clone(),
+        })
+        .collect()
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// `s` as a JSON string literal (quotes and escapes included).
+pub(crate) fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
+    out
+}
+
+/// `parts` as the comma-separated items of a JSON string array.
+pub(crate) fn quoted_list(parts: &[String]) -> String {
+    parts
+        .iter()
+        .map(|p| quoted(p))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Append `"instances":[…],"steps":[…]` — the two members every witness
+/// kind serializes identically.
+pub(crate) fn write_schedule_json(
+    out: &mut String,
+    instances: &[WitnessInstance],
+    steps: &[WitnessStep],
+) {
+    out.push_str("\"instances\":[");
+    for (i, inst) in instances.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"name\":{},\"api\":{}}}",
+            quoted(&inst.name),
+            quoted(&inst.api)
+        );
+    }
+    out.push_str("],\"steps\":[");
+    for (i, st) in steps.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"instance\":{},\"label\":{},\"sql\":{},\"locks\":[{}],\"outcome\":{},\"waits_on\":[{}]}}",
+            quoted(&st.instance),
+            quoted(&st.label),
+            quoted(&st.sql),
+            quoted_list(&st.locks),
+            quoted(&st.outcome),
+            quoted_list(&st.waits_on),
+        );
+    }
+    out.push(']');
+}
+
+/// String member `k` of object `j`.
+pub(crate) fn str_field(j: &Json, k: &str) -> Option<String> {
+    j.get(k)?.as_str().map(str::to_string)
+}
+
+/// String-array member `k` of object `j`.
+pub(crate) fn strs_field(j: &Json, k: &str) -> Option<Vec<String>> {
+    let items = j.get(k)?.as_arr()?.iter();
+    items.map(|x| x.as_str().map(str::to_string)).collect()
+}
+
+/// Inverse of [`write_schedule_json`] on the parsed enclosing object.
+pub(crate) fn parse_schedule_json(v: &Json) -> Option<(Vec<WitnessInstance>, Vec<WitnessStep>)> {
+    let mut instances = Vec::new();
+    for inst in v.get("instances")?.as_arr()? {
+        instances.push(WitnessInstance {
+            name: str_field(inst, "name")?,
+            api: str_field(inst, "api")?,
+        });
+    }
+    let mut steps = Vec::new();
+    for st in v.get("steps")?.as_arr()? {
+        steps.push(WitnessStep {
+            instance: str_field(st, "instance")?,
+            label: str_field(st, "label")?,
+            sql: str_field(st, "sql")?,
+            locks: strs_field(st, "locks")?,
+            outcome: str_field(st, "outcome")?,
+            waits_on: strs_field(st, "waits_on")?,
+        });
+    }
+    Some((instances, steps))
+}
+
+/// Append the `name = api` legend and one line per step (plus its locks).
+pub(crate) fn render_schedule(
+    out: &mut String,
+    instances: &[WitnessInstance],
+    steps: &[WitnessStep],
+) {
+    for inst in instances {
+        let _ = writeln!(out, "  {} = {}", inst.name, inst.api);
+    }
+    for st in steps {
+        let _ = write!(
+            out,
+            "  {}.{} [{}] {}",
+            st.instance, st.label, st.outcome, st.sql
+        );
+        if !st.waits_on.is_empty() && st.outcome == "blocked" {
+            let _ = write!(out, "  (waits on {})", st.waits_on.join(", "));
+        }
+        let _ = writeln!(out);
+        if !st.locks.is_empty() {
+            let _ = writeln!(out, "      locks: {}", st.locks.join(", "));
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -123,9 +123,14 @@ fn disjoint_tables_prune_and_terminate() {
         inst("A2", &[("UPDATE U SET V = ? WHERE ID = ?", &[2, 1])]),
     ];
     match explore(&base, &instances, &ReplayConfig::default()) {
-        ExploreOutcome::Exhausted { explored, pruned } => {
+        ExploreOutcome::Exhausted {
+            explored,
+            pruned,
+            budget_hit,
+        } => {
             assert!(explored >= 1);
             assert!(pruned >= 1, "independent moves should be pruned");
+            assert!(!budget_hit, "the whole reduced space fits the budget");
         }
         other => panic!("expected exhausted, got {other:?}"),
     }
@@ -167,7 +172,29 @@ fn budget_caps_exploration() {
     };
     // With a single run the DFS cannot reach the deadlocking interleaving.
     match explore(&base, &instances, &config) {
-        ExploreOutcome::Exhausted { explored, .. } => assert!(explored <= 1),
+        ExploreOutcome::Exhausted {
+            explored,
+            budget_hit,
+            ..
+        } => {
+            assert!(explored <= 1);
+            assert!(budget_hit, "stopping at max_runs must say so");
+        }
         ExploreOutcome::Deadlock { explored, .. } => assert!(explored <= 1),
+    }
+    // A schedule abandoned at max_steps is budget-shaped too.
+    let config = ReplayConfig {
+        max_steps: 1,
+        ..ReplayConfig::default()
+    };
+    match explore(&base, &instances, &config) {
+        ExploreOutcome::Exhausted { budget_hit, .. } => assert!(budget_hit),
+        other => panic!("one step cannot deadlock, got {other:?}"),
+    }
+    // A genuine exhaustion — the whole space explored — is not flagged.
+    let serial = vec![cross_update_instances().remove(0)];
+    match explore(&base, &serial, &ReplayConfig::default()) {
+        ExploreOutcome::Exhausted { budget_hit, .. } => assert!(!budget_hit),
+        other => panic!("a lone transaction cannot deadlock, got {other:?}"),
     }
 }

@@ -9,11 +9,13 @@
 //!   stored order with no whitespace, so a value serializes to one
 //!   canonical line.
 //!
-//! String escaping matches the witness exporter's rules: `"` `\`
-//! `\n` `\r` `\t` get two-character escapes, all other control characters
-//! `\u00XX`.
+//! String escaping is the workspace's one escaper
+//! ([`weseer_obs::snapshot::write_json_string`], shared with the witness
+//! and metrics exporters): `"` `\` `\n` `\r` `\t` get two-character
+//! escapes, all other control characters `\u00XX`.
 
 use std::fmt::Write as _;
+use weseer_obs::snapshot::write_json_string;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +114,7 @@ impl Json {
                 let _ = write!(out, "{b}");
             }
             Json::Num(n) => out.push_str(n),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -129,7 +131,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -156,24 +158,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

@@ -132,7 +132,12 @@ fn main() {
         &ReplayConfig::default(),
     );
     match out {
-        AnomalyOutcome::Clean { explored, pruned } => {
+        AnomalyOutcome::Clean {
+            explored,
+            pruned,
+            budget_hit,
+        } => {
+            assert!(!budget_hit, "clean must mean every schedule was covered");
             println!("clean: {explored} schedules explored, {pruned} pruned");
         }
         AnomalyOutcome::Anomalous(w) => panic!("serializable must be clean: {}", w.render()),

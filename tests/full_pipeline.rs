@@ -28,6 +28,27 @@ fn facade_finds_every_table2_row() {
     }
 }
 
+/// What the retired `ablation_no_range_locks` bench was for, as a fact
+/// instead of a timing: the Alg. 3 range-lock arm finds deadlocks the
+/// row-lock-only model cannot see. (On Shopizer the knob moves nothing.)
+#[test]
+fn range_locks_find_deadlocks_the_row_lock_model_misses() {
+    let cycles = |weseer: &Weseer| -> Vec<String> {
+        let reports = weseer.analyze(&Broadleaf).diagnosis.deadlocks;
+        reports.iter().map(|r| format!("{:?}", r.cycle)).collect()
+    };
+    let mut row_locks_only = Weseer::new();
+    row_locks_only.config.use_range_locks = false;
+    let with_ranges = cycles(&Weseer::new());
+    let without = cycles(&row_locks_only);
+    assert_eq!(with_ranges.len(), 124);
+    assert_eq!(without.len(), 115, "range locks account for 9 reports");
+    assert!(
+        without.iter().all(|c| with_ranges.contains(c)),
+        "dropping the range-lock arm must only lose reports"
+    );
+}
+
 #[test]
 fn register_report_replays_into_a_real_deadlock() {
     // d1: two concurrent registrations — the report names Register twice;

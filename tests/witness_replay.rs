@@ -22,6 +22,10 @@ fn run(threads: usize) -> (Vec<&'static str>, Vec<String>) {
         summary.confirmed() >= 1,
         "at least one shopizer SAT cycle must replay-confirm"
     );
+    // Shopizer's not-reproduced reports are genuine exhaustions of the
+    // (reduced) schedule space, not searches cut short by the budget.
+    assert_eq!(summary.not_reproduced(), 7);
+    assert_eq!(summary.budget_hits(), 0);
     let mut tags = Vec::new();
     let mut jsons = Vec::new();
     for (report, verdict) in analysis.diagnosis.deadlocks.iter().zip(&summary.verdicts) {
