@@ -300,7 +300,7 @@ pub fn metrics_report(weseer: &Weseer) -> (String, String) {
             human,
             "SMT fast path: {} tier-0 discharged, {} tier-1 discharged \
              ({} sat / {} unsat), {} prefix kills, {} fell through \
-             ({} full solves)",
+             ({} full solves; tier-1 arm search capped on {})",
             c("smt.fastpath.t0_simplified"),
             c("smt.fastpath.t1_sat") + c("smt.fastpath.t1_unsat"),
             c("smt.fastpath.t1_sat"),
@@ -308,6 +308,7 @@ pub fn metrics_report(weseer: &Weseer) -> (String, String) {
             c("smt.fastpath.prefix_kill"),
             c("smt.fastpath.fallthrough"),
             c("smt.full_solve"),
+            c("smt.fastpath.t1_capped"),
         );
         // CDCL internals of the full solves that did run: how hard the
         // persistent SAT core worked and how much it carried across

@@ -475,7 +475,16 @@ impl Weseer {
         for r in &diagnosis.deadlocks {
             *groups.entry(classify(app.name(), r)).or_insert(0) += 1;
         }
-        let coarse_cycles = coarse_cycle_count(&traces);
+        // The baseline count is the diagnosis's own phase-2 count unless
+        // the diagnosis scanned a different job list: every pair (brute
+        // force) or fewer pairs (prefix kills). Store hits restore the
+        // per-pair counts, so a warm run qualifies too.
+        let is_baseline = !self.config.skip_filter_phases && diagnosis.stats.prefix_kills == 0;
+        let coarse_cycles = if is_baseline {
+            diagnosis.stats.coarse_cycles
+        } else {
+            coarse_cycle_count(&traces)
+        };
         let replay = self
             .replay
             .as_ref()

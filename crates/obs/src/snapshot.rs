@@ -156,21 +156,30 @@ impl MetricsSnapshot {
 }
 
 /// Append `s` as a JSON string literal (quotes and escapes included).
+/// Runs of bytes that need no escape are copied whole: the bytes that do
+/// (`"`, `\`, controls) are ASCII, so a split never lands inside a
+/// multi-byte character.
 pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[copied..i]);
+        copied = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 
@@ -236,5 +245,49 @@ mod tests {
         let mut s = String::new();
         write_json_string(&mut s, "a\"b\\c\n\t\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\n\\t\\u0001\"");
+    }
+
+    /// The escaper one character at a time, as it was before it copied
+    /// unescaped runs whole.
+    fn escape_char_by_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_escaper_equals_char_by_char() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            "",
+            "plain ascii",
+            "\"",
+            "\\",
+            "\"\"\\\\\"",
+            "ends with a quote\"",
+            "\\starts with a backslash",
+            "SELECT * FROM T WHERE NAME = 'caf\u{e9}' AND K = \"\u{4e2d}\u{6587}\"",
+            "\u{1f600}\n\u{1f600}\\\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}",
+            &controls,
+            &format!("x{controls}\u{e9}{controls}\""),
+        ];
+        for case in cases {
+            let mut got = String::new();
+            write_json_string(&mut got, case);
+            assert_eq!(got, escape_char_by_char(case), "escaping {case:?}");
+        }
     }
 }

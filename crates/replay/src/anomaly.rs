@@ -255,10 +255,10 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 
 /// The anomaly hunt at one isolation level: aborts are not verdicts, and a
 /// schedule is accepted when its committed history is anomalous.
-struct AnomalyGoal {
-    iso: IsolationLevel,
+pub(crate) struct AnomalyGoal {
+    pub(crate) iso: IsolationLevel,
     /// State digests the serial executions reach.
-    serial: Vec<String>,
+    pub(crate) serial: Vec<String>,
 }
 
 impl Goal for AnomalyGoal {

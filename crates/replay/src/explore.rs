@@ -11,13 +11,23 @@
 //! everything else: the driver loop, frontier expansion, sleep sets, DFS
 //! order and the per-schedule executor.
 //!
-//! Every explored schedule runs from the root against a fresh
-//! [`Database::fork`], so runs are fully independent and bit-identical
-//! regardless of exploration order or thread count. Statements execute in
-//! nowait mode ([`weseer_db::Session::execute_nowait`]): a lock conflict
-//! records a persistent wait-for edge and returns control instead of
-//! parking a thread, which gives the search instant, deterministic
-//! deadlock detection from the lock manager's wait-for graph.
+//! There is one [`Database::fork`] per root-to-leaf path of the search
+//! tree, not per node: a run re-executes the decided prefix of the node it
+//! was popped for, and at every branch point after that the driver expands
+//! the node — siblings go on the DFS stack — and the run carries on into
+//! the first awake child *in the same fork*. Execution is deterministic
+//! and nothing happens between a branch point and the child's first move,
+//! so this visits the same nodes in the same order with the same sleep
+//! sets as re-reaching every child from the root would (the in-crate
+//! differential test keeps that expansion as its reference); only the
+//! forks and the repeated prefixes are gone. `max_runs` counts nodes
+//! visited, `max_schedules` schedules completed, `max_steps` the steps of
+//! one path from the root. Forks share nothing, so results are
+//! bit-identical regardless of thread count. Statements execute in nowait
+//! mode ([`weseer_db::Session::execute_nowait`]): a lock conflict records
+//! a persistent wait-for edge and returns control instead of parking a
+//! thread, which gives the search instant, deterministic deadlock
+//! detection from the lock manager's wait-for graph.
 //!
 //! Pruning uses sleep sets keyed on table-level lock footprints: after
 //! exploring instance `i`'s move at a branch point, sibling branches
@@ -37,10 +47,11 @@ use weseer_db::{Database, DbError, StepResult, TxnId};
 pub struct ReplayConfig {
     /// Maximum schedules run to completion (deadlock or all-terminated).
     pub max_schedules: usize,
-    /// Maximum total runs, including prefix re-executions that stop at a
-    /// frontier (defensive cap on DFS work).
+    /// Maximum search-tree nodes visited: the root and every child of a
+    /// branch point entered (defensive cap on DFS work).
     pub max_runs: usize,
-    /// Maximum steps within one schedule (defensive; schedules are short).
+    /// Maximum steps within one schedule, counted from the root
+    /// (defensive; schedules are short).
     pub max_steps: usize,
 }
 
@@ -215,7 +226,7 @@ pub(crate) struct Searched<F> {
     pub budget_hit: bool,
 }
 
-/// What one schedule run produced.
+/// How one fork's execution ended.
 enum RunResult<F> {
     /// The goal accepted this schedule.
     Found { steps: Vec<WitnessStep>, finding: F },
@@ -225,15 +236,164 @@ enum RunResult<F> {
     /// A forced move past the decided prefix was in the sleep set: the
     /// whole continuation reorders an already-explored schedule.
     Redundant,
-    /// Reached a branch point past the decided prefix: `choices` are the
-    /// runnable instances, `positions` their next statement positions, and
-    /// `sleep` the sleep set as evolved by the moves executed since the
-    /// node's parent frontier.
-    Frontier {
-        choices: Vec<usize>,
-        positions: Vec<usize>,
-        sleep: Vec<Move>,
-    },
+    /// Every choice at a branch point was asleep.
+    Dead,
+    /// The first awake child of a branch point was refused by the budget.
+    Budget,
+    /// Test-only reference expansion: the children are on the stack and
+    /// each will be re-reached from the root on a fork of its own.
+    #[cfg(test)]
+    Frontier,
+}
+
+impl<F> RunResult<F> {
+    fn tag(&self) -> &'static str {
+        match self {
+            RunResult::Found { .. } => "found",
+            RunResult::Terminal { .. } => "terminal",
+            RunResult::Redundant => "redundant",
+            RunResult::Dead => "dead",
+            RunResult::Budget => "budget",
+            #[cfg(test)]
+            RunResult::Frontier => "frontier",
+        }
+    }
+}
+
+/// The DFS driver's state: what is still to visit and what has been counted.
+struct Dfs<'a> {
+    fps: Footprints,
+    config: &'a ReplayConfig,
+    /// Nodes still to visit: (decided prefix, sleep set at the node).
+    stack: Vec<(Vec<usize>, Vec<Move>)>,
+    explored: usize,
+    pruned: usize,
+    /// Nodes visited: the root and every child entered.
+    runs: usize,
+    /// Database forks made: one per root-to-leaf path.
+    forks: usize,
+    budget_hit: bool,
+    /// Reference expansion for the differential test: end the run at every
+    /// branch point and re-reach each child from the root.
+    #[cfg(test)]
+    restart: bool,
+}
+
+impl<'a> Dfs<'a> {
+    fn new(instances: &[Instance], config: &'a ReplayConfig) -> Dfs<'a> {
+        Dfs {
+            fps: Footprints::new(instances),
+            config,
+            stack: vec![(Vec::new(), Vec::new())],
+            explored: 0,
+            pruned: 0,
+            runs: 0,
+            forks: 0,
+            budget_hit: false,
+            #[cfg(test)]
+            restart: false,
+        }
+    }
+
+    /// The next node to visit; `None` once the stack is empty or a budget
+    /// is spent with a node still on it.
+    fn visit(&mut self) -> Option<(Vec<usize>, Vec<Move>)> {
+        let node = self.stack.pop()?;
+        if self.explored >= self.config.max_schedules || self.runs >= self.config.max_runs {
+            self.budget_hit = true;
+            return None;
+        }
+        self.runs += 1;
+        Some(node)
+    }
+
+    /// Expand the branch point reached along `path` with sleep set `sleep`:
+    /// push its awake children (lowest instance index on top, for a
+    /// deterministic DFS order) and enter the first. `Ok` is that child's
+    /// choice and sleep set, for the run to continue with on the same
+    /// fork; `Err` is how the run ends instead.
+    fn expand<F>(
+        &mut self,
+        path: &[usize],
+        choices: &[usize],
+        positions: &[usize],
+        sleep: &[Move],
+    ) -> Result<(usize, Vec<Move>), RunResult<F>> {
+        let mut children: Vec<(Vec<usize>, Vec<Move>)> = Vec::new();
+        let mut explored_here: Vec<Move> = Vec::new();
+        for &choice in choices {
+            let mv: Move = (choice, positions[choice]);
+            if sleep.contains(&mv) {
+                self.pruned += 1;
+                continue;
+            }
+            let mut child_dec = path.to_vec();
+            child_dec.push(choice);
+            let mut child_sleep: Vec<Move> = sleep
+                .iter()
+                .chain(explored_here.iter())
+                .filter(|m| !self.fps.dependent(**m, mv))
+                .copied()
+                .collect();
+            child_sleep.sort_unstable();
+            child_sleep.dedup();
+            children.push((child_dec, child_sleep));
+            explored_here.push(mv);
+        }
+        if children.is_empty() {
+            return Err(RunResult::Dead);
+        }
+        self.stack.extend(children.into_iter().rev());
+        #[cfg(test)]
+        if self.restart {
+            return Err(RunResult::Frontier);
+        }
+        match self.visit() {
+            Some((decisions, child_sleep)) => Ok((decisions[path.len()], child_sleep)),
+            None => Err(RunResult::Budget),
+        }
+    }
+
+    /// Visit nodes until the goal accepts a schedule, the stack is empty or
+    /// a budget is spent.
+    fn search<G: Goal>(
+        &mut self,
+        base: &Database,
+        instances: &[Instance],
+        goal: &G,
+    ) -> Option<(Vec<WitnessStep>, G::Finding)> {
+        while let Some((decisions, sleep)) = self.visit() {
+            self.forks += 1;
+            let result = run(self, base, instances, goal, decisions, sleep);
+            if weseer_obs::timeline::enabled() {
+                weseer_obs::timeline::instant(
+                    "replay.schedule",
+                    G::PREFIX,
+                    &[
+                        ("run", self.runs.to_string()),
+                        ("fork", self.forks.to_string()),
+                        ("outcome", result.tag().to_string()),
+                    ],
+                );
+            }
+            match result {
+                RunResult::Found { steps, finding } => {
+                    self.explored += 1;
+                    return Some((steps, finding));
+                }
+                RunResult::Terminal { cut } => {
+                    self.explored += 1;
+                    self.budget_hit |= cut;
+                }
+                RunResult::Redundant => self.pruned += 1,
+                RunResult::Dead => {}
+                RunResult::Budget => break,
+                #[cfg(test)]
+                RunResult::Frontier => {}
+            }
+        }
+        None
+    }
 }
 
 /// Depth-first search over the interleavings of `instances` on forks of
@@ -245,114 +405,40 @@ pub(crate) fn search<G: Goal>(
     config: &ReplayConfig,
 ) -> Searched<G::Finding> {
     let _span = weseer_obs::span(&format!("{}.explore", G::PREFIX));
-    let fps = Footprints::new(instances);
-    let (mut explored, mut pruned, mut runs) = (0usize, 0usize, 0usize);
-    let (mut found, mut budget_hit) = (None, false);
-    // DFS stack of (decided prefix, sleep set at the node).
-    let mut stack: Vec<(Vec<usize>, Vec<Move>)> = vec![(Vec::new(), Vec::new())];
-
-    while let Some((decisions, sleep)) = stack.pop() {
-        if explored >= config.max_schedules || runs >= config.max_runs {
-            budget_hit = true;
-            break;
-        }
-        runs += 1;
-        let result = run(
-            base,
-            instances,
-            &fps,
-            goal,
-            &decisions,
-            sleep,
-            config.max_steps,
-        );
-        if weseer_obs::timeline::enabled() {
-            let outcome = match &result {
-                RunResult::Found { .. } => "found",
-                RunResult::Terminal { .. } => "terminal",
-                RunResult::Redundant => "redundant",
-                RunResult::Frontier { .. } => "frontier",
-            };
-            weseer_obs::timeline::instant(
-                "replay.schedule",
-                G::PREFIX,
-                &[
-                    ("run", runs.to_string()),
-                    ("depth", decisions.len().to_string()),
-                    ("outcome", outcome.to_string()),
-                ],
-            );
-        }
-        match result {
-            RunResult::Found { steps, finding } => {
-                explored += 1;
-                found = Some((steps, finding));
-                break;
-            }
-            RunResult::Terminal { cut } => {
-                explored += 1;
-                budget_hit |= cut;
-            }
-            RunResult::Redundant => pruned += 1,
-            RunResult::Frontier {
-                choices,
-                positions,
-                sleep,
-            } => {
-                // Expand children; push in reverse so the lowest instance
-                // index is explored first (deterministic DFS order).
-                let mut children: Vec<(Vec<usize>, Vec<Move>)> = Vec::new();
-                let mut explored_here: Vec<Move> = Vec::new();
-                for &choice in &choices {
-                    let mv: Move = (choice, positions[choice]);
-                    if sleep.contains(&mv) {
-                        pruned += 1;
-                        continue;
-                    }
-                    let mut child_dec = decisions.clone();
-                    child_dec.push(choice);
-                    let mut child_sleep: Vec<Move> = sleep
-                        .iter()
-                        .chain(explored_here.iter())
-                        .filter(|m| !fps.dependent(**m, mv))
-                        .copied()
-                        .collect();
-                    child_sleep.sort_unstable();
-                    child_sleep.dedup();
-                    children.push((child_dec, child_sleep));
-                    explored_here.push(mv);
-                }
-                stack.extend(children.into_iter().rev());
-            }
-        }
-    }
+    let mut dfs = Dfs::new(instances, config);
+    let found = dfs.search(base, instances, goal);
     weseer_obs::add(
         &format!("{}.schedules_explored", G::PREFIX),
-        explored as u64,
+        dfs.explored as u64,
     );
-    weseer_obs::add(&format!("{}.schedules_pruned", G::PREFIX), pruned as u64);
-    if budget_hit {
+    weseer_obs::add(
+        &format!("{}.schedules_pruned", G::PREFIX),
+        dfs.pruned as u64,
+    );
+    if dfs.budget_hit {
         weseer_obs::incr("replay.budget_hit");
     }
     Searched {
         found,
-        explored,
-        pruned,
-        budget_hit,
+        explored: dfs.explored,
+        pruned: dfs.pruned,
+        budget_hit: dfs.budget_hit,
     }
 }
 
-/// Execute one schedule from the root on a fresh fork of `base`, following
-/// `decisions` at branch points, then stopping at the next branch point (or
-/// running until the goal accepts or every instance has terminated).
+/// Execute one root-to-leaf path on a fresh fork of `base`: follow `path`
+/// (the decided prefix, one choice per branch point) to the node being
+/// visited, then at every further branch point let `dfs` expand it and
+/// carry on into its first awake child — extending `path` — until the
+/// goal accepts, every instance has terminated, or the continuation is
+/// known redundant.
 fn run<G: Goal>(
+    dfs: &mut Dfs<'_>,
     base: &Database,
     instances: &[Instance],
-    fps: &Footprints,
     goal: &G,
-    decisions: &[usize],
+    mut path: Vec<usize>,
     mut sleep: Vec<Move>,
-    max_steps: usize,
 ) -> RunResult<G::Finding> {
     let n = instances.len();
     let mut fin = Finished {
@@ -373,9 +459,10 @@ fn run<G: Goal>(
     let mut done = vec![false; n];
     let mut blocked = vec![false; n];
     let mut steps: Vec<WitnessStep> = Vec::new();
+    // How many of `path`'s choices have been taken.
     let mut di = 0usize;
 
-    for _ in 0..max_steps {
+    for _ in 0..dfs.config.max_steps {
         let runnable: Vec<usize> = (0..n)
             .filter(|&i| {
                 !done[i] && !fin.failed[i] && !blocked[i] && pos[i] < instances[i].stmts.len()
@@ -391,8 +478,8 @@ fn run<G: Goal>(
         }
         let choice = if runnable.len() == 1 {
             runnable[0]
-        } else if di < decisions.len() {
-            let c = decisions[di];
+        } else if di < path.len() {
+            let c = path[di];
             di += 1;
             if !runnable.contains(&c) {
                 // Divergence from the recorded prefix; deterministic
@@ -401,24 +488,28 @@ fn run<G: Goal>(
             }
             c
         } else {
-            return RunResult::Frontier {
-                choices: runnable,
-                positions: pos,
-                sleep,
-            };
+            match dfs.expand(&path, &runnable, &pos, &sleep) {
+                Ok((c, child_sleep)) => {
+                    path.push(c);
+                    di += 1;
+                    sleep = child_sleep;
+                    c
+                }
+                Err(end) => return end,
+            }
         };
 
         let mv: Move = (choice, pos[choice]);
-        if di >= decisions.len() {
-            // Past the parent frontier. A forced move that is asleep means
-            // this continuation only reorders an explored schedule.
-            // (Decided moves can't be asleep: the driver filters them.)
+        if di >= path.len() {
+            // At or past the node being visited. A forced move that is
+            // asleep means this continuation only reorders an explored
+            // schedule. (Chosen moves can't be asleep: `expand` skips them.)
             if sleep.contains(&mv) {
                 return RunResult::Redundant;
             }
-            // Executed moves wake dependent sleeping moves. (The decided
-            // prefix's wakes are already reflected in the inherited set.)
-            sleep.retain(|m| !fps.dependent(*m, mv));
+            // Executed moves wake dependent sleeping moves. (The wakes of
+            // the moves before the node are already in its sleep set.)
+            sleep.retain(|m| !dfs.fps.dependent(*m, mv));
         }
 
         let inst = &instances[choice];
@@ -507,5 +598,156 @@ pub fn explore(base: &Database, instances: &[Instance], config: &ReplayConfig) -
             pruned: s.pruned,
             budget_hit: s.budget_hit,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Differential test of the one-fork-per-path search against the
+    //! expansion it replaced: the same DFS with `restart` set ends the run
+    //! at every branch point and re-reaches each child from the root on a
+    //! fork of its own. Everything a caller can observe must be equal,
+    //! including where a budget cuts the search.
+
+    use super::*;
+    use crate::anomaly::{serial_state_digests, AnomalyGoal};
+    use proptest::prelude::*;
+    use weseer_db::IsolationLevel;
+    use weseer_sqlir::{parser::parse, Catalog, ColType, TableBuilder, Value};
+
+    const TABLES: [&str; 3] = ["T0", "T1", "T2"];
+
+    fn base_db() -> Database {
+        let table = |name: &str| {
+            TableBuilder::new(name)
+                .col("ID", ColType::Int)
+                .col("V", ColType::Int)
+                .primary_key(&["ID"])
+                .build()
+                .unwrap()
+        };
+        let db = Database::new(Catalog::new(TABLES.iter().map(|t| table(t)).collect()).unwrap());
+        for t in TABLES {
+            let rows = (0..2).map(|k| vec![Value::Int(k), Value::Int(0)]);
+            db.seed(t, rows.collect());
+        }
+        db
+    }
+
+    /// `(is_update, table, key, value)`.
+    type Stmt = (bool, usize, i64, i64);
+
+    /// The workload shapes of `tests/reduction_props.rs`: 2–3 instances of
+    /// 1–3 statements; in a quarter the second instance mirrors the first
+    /// (cross-order locks), in another quarter it mirrors it with reads and
+    /// writes swapped (write skew).
+    fn workload_strategy() -> impl Strategy<Value = Vec<Vec<Stmt>>> {
+        let stmt =
+            (0u8..3, 0usize..3, 0i64..2, 1i64..100).prop_map(|(kind, t, k, v)| (kind > 0, t, k, v));
+        let instance = proptest::collection::vec(stmt, 1..4);
+        (proptest::collection::vec(instance, 2..4), 0u8..4).prop_map(|(mut workload, shape)| {
+            if shape < 2 {
+                let mirrored = workload[0].iter().rev();
+                workload[1] = mirrored
+                    .map(|&(is_update, t, k, v)| (is_update ^ (shape == 1), t, k, v))
+                    .collect();
+            }
+            workload
+        })
+    }
+
+    fn instances(workload: &[Vec<Stmt>]) -> Vec<Instance> {
+        let stmt = |i: usize, &(is_update, t, key, val): &Stmt| {
+            let table = TABLES[t];
+            let (sql, params) = if is_update {
+                let sql = format!("UPDATE {table} SET V = ? WHERE ID = ?");
+                (sql, vec![Value::Int(val), Value::Int(key)])
+            } else {
+                let sql = format!("SELECT * FROM {table} a WHERE a.ID = ?");
+                (sql, vec![Value::Int(key)])
+            };
+            ConcreteStmt::new(i + 1, parse(&sql).unwrap(), params)
+        };
+        let instance = |(n, stmts): (usize, &Vec<Stmt>)| Instance {
+            name: format!("A{}", n + 1),
+            stmts: stmts.iter().enumerate().map(|(i, s)| stmt(i, s)).collect(),
+        };
+        workload.iter().enumerate().map(instance).collect()
+    }
+
+    /// Everything one search produced, plus its fork count.
+    type Observed<F> = (
+        Option<(Vec<WitnessStep>, F)>,
+        (usize, usize, usize, bool),
+        usize,
+    );
+
+    fn observe<G: Goal>(
+        base: &Database,
+        instances: &[Instance],
+        goal: &G,
+        config: &ReplayConfig,
+        restart: bool,
+    ) -> Observed<G::Finding> {
+        let mut dfs = Dfs::new(instances, config);
+        dfs.restart = restart;
+        let found = dfs.search(base, instances, goal);
+        let counts = (dfs.explored, dfs.pruned, dfs.runs, dfs.budget_hit);
+        (found, counts, dfs.forks)
+    }
+
+    /// Both expansions of one search agree; returns whether it found.
+    fn assert_same_search<G: Goal>(
+        base: &Database,
+        instances: &[Instance],
+        goal: &G,
+        config: &ReplayConfig,
+    ) -> Result<bool, TestCaseError>
+    where
+        G::Finding: PartialEq + std::fmt::Debug,
+    {
+        let (found, counts, forks) = observe(base, instances, goal, config, false);
+        let (ref_found, ref_counts, ref_forks) = observe(base, instances, goal, config, true);
+        prop_assert_eq!(&found, &ref_found, "witness under {:?}", config);
+        prop_assert_eq!(
+            counts,
+            ref_counts,
+            "(explored, pruned, runs, budget_hit) under {:?}",
+            config
+        );
+        let runs = counts.2;
+        prop_assert_eq!(ref_forks, runs, "the reference forks once per node");
+        // The second node visited is always the first child of the first
+        // branch point, entered without a new fork.
+        prop_assert_eq!(forks < runs, runs > 1, "{} forks for {} nodes", forks, runs);
+        Ok(found.is_some())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn continuing_in_the_fork_equals_restarting_from_the_root(
+            workload in workload_strategy(),
+        ) {
+            let base = base_db();
+            let instances = instances(&workload);
+            let config = |max_schedules: usize, max_runs: usize| ReplayConfig {
+                max_schedules,
+                max_runs,
+                max_steps: 512,
+            };
+            let mut configs = vec![config(100_000, 1_000_000)];
+            configs.extend([1, 3, 7].map(|max_runs| config(100_000, max_runs)));
+            configs.extend([1, 2].map(|max_schedules| config(max_schedules, 1_000_000)));
+            for config in &configs {
+                assert_same_search(&base, &instances, &DeadlockGoal, config)?;
+                for iso in [IsolationLevel::ReadCommitted, IsolationLevel::Snapshot] {
+                    let serial = serial_state_digests(&base, &instances, iso);
+                    let goal = AnomalyGoal { iso, serial };
+                    assert_same_search(&base, &instances, &goal, config)?;
+                }
+            }
+        }
     }
 }

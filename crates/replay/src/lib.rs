@@ -12,9 +12,11 @@
 //!    model (projected per instance via [`weseer_smt::Model::strip_prefix`]),
 //!    so the replayed inputs are exactly the ones the solver chose.
 //! 2. **Explore** ([`explore`](mod@explore)) — deterministic DFS over
-//!    statement-level interleavings of the two transactions against a
-//!    fresh [`weseer_db::Database::fork`], with sleep-set (DPOR-style)
-//!    pruning keyed on table-level lock footprints. Statements run in
+//!    statement-level interleavings of the two transactions, one
+//!    [`weseer_db::Database::fork`] per root-to-leaf path (a run continues
+//!    through branch points into the first child instead of restarting),
+//!    with sleep-set (DPOR-style) pruning keyed on table-level lock
+//!    footprints. Statements run in
 //!    nowait mode, so the lock manager's wait-for graph yields instant
 //!    deterministic cycle detection without threads or timeouts. There is
 //!    one search with two goals: [`explore()`] stops at the first wait-for

@@ -94,8 +94,10 @@ impl IncrementalSolver {
                 (result, stats)
             }
             Fastpath::Continue(term) => {
-                let (result, full_stats) = self.check_assuming(ctx, term);
-                stats.absorb(full_stats);
+                let full_start = std::time::Instant::now();
+                let result = self.check_assuming_inner(ctx, term, &mut stats);
+                solver::record_full_solve(start, full_start, &result, &mut stats);
+                self.queries += 1;
                 (result, stats)
             }
         }
@@ -112,7 +114,7 @@ impl IncrementalSolver {
         let start = std::time::Instant::now();
         let mut stats = SolverStats::default();
         let result = self.check_assuming_inner(ctx, assertion, &mut stats);
-        solver::record_full_solve(start, &result, &mut stats);
+        solver::record_full_solve(start, start, &result, &mut stats);
         self.queries += 1;
         (result, stats)
     }

@@ -7,8 +7,9 @@
 //! * **difference bounds** — every unit-coefficient numeric atom
 //!   (`x − y ⋈ c`, `x ⋈ c`, and equalities, which contribute both
 //!   directions) becomes an edge in a constraint graph with a designated
-//!   zero node; Bellman–Ford either finds a negative cycle (definite
-//!   UNSAT) or yields potentials that double as a candidate assignment.
+//!   zero node; shortest-path relaxation either finds a negative cycle
+//!   (definite UNSAT) or yields potentials that double as a candidate
+//!   assignment.
 //!   Interval bounds are exactly the zero-node edges, and strict bounds
 //!   between integer variables are tightened to closed integer bounds
 //!   first, so pure-integer contradictions like `x < 3 ∧ x > 2` are
@@ -38,12 +39,33 @@
 //! the full solver. See DESIGN.md ("Tier-1 soundness") for why never
 //! claiming UNSAT on a SAT formula is the safety invariant of the whole
 //! fast path.
+//!
+//! One query asks for up to `MAX_COMBOS` + 1 candidates, each the implied
+//! constraints plus a few arms plus the integer splits of its disequality
+//! repair, so the constraint graph is built once per query and kept in an
+//! incremental store (`DiffStore`): adding an edge re-relaxes only what
+//! it moves, and everything past the implied base is undone before the
+//! next candidate. Two properties make that invisible from outside:
+//!
+//! * **Potentials are canonical.** The store keeps them equal to the
+//!   *exact* shortest distances from a virtual source, and those are a
+//!   function of the edge set alone — not of insertion order, node
+//!   numbering or relaxation order. A candidate therefore does not depend
+//!   on how its constraint set was reached (from scratch, or by extending
+//!   and rolling back a shared store), and neither does any model,
+//!   verdict or witness downstream.
+//! * **A refused constraint leaves nothing behind.** An `add` that would
+//!   close a negative cycle restores the potentials, the edge list and
+//!   the node table to their state before the call, and arms and splits
+//!   are undone as a group. A speculative choice can therefore never
+//!   leak into the base store, which is the only thing UNSAT is claimed
+//!   from.
 
 use crate::model::{Model, ModelKey, ModelValue};
 use crate::rational::{Rat, ZERO};
 use crate::strings::{self, StrResult, StrTerm};
 use crate::term::{CmpKind, Ctx, Sort, TermId, TermKind};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Verdict of the abstract pre-solver.
 #[derive(Debug, Clone)]
@@ -63,21 +85,37 @@ pub const MAX_COMBOS: usize = 64;
 
 /// Pre-solve `assertion`. Never builds terms, so the context is shared.
 pub fn presolve(ctx: &Ctx, assertion: TermId) -> PresolveResult {
+    presolve_with_cap(ctx, assertion).0
+}
+
+/// [`presolve`], also reporting whether the answer is an `Unknown` whose
+/// arm enumeration stopped at [`MAX_COMBOS`] with combinations left
+/// untried (the solver wiring counts these as `smt.fastpath.t1_capped`).
+pub(crate) fn presolve_with_cap(ctx: &Ctx, assertion: TermId) -> (PresolveResult, bool) {
     let mut lits = Lits::default();
     let mut disjs: Vec<Vec<(TermId, bool)>> = Vec::new();
     collect(ctx, assertion, false, &mut lits, &mut Some(&mut disjs));
 
-    // Definite-UNSAT pass over the implied conjunctive skeleton.
-    let base = match solve_lits(ctx, &lits) {
-        None => return PresolveResult::Unsat,
-        Some(c) => c,
-    };
+    // Definite-UNSAT pass over the implied conjunctive skeleton. This is
+    // the only place UNSAT is claimed: everything added to the store
+    // after `base` is a choice (an arm, an integer split) and is rolled
+    // back before the next one is tried.
+    let mut store = DiffStore::new();
+    if solve_scalars(&lits).is_none() || !store.add_all(ctx, &lits.cons) {
+        return (PresolveResult::Unsat, false);
+    }
+    let base = store.mark();
 
     let vars = VarSets::collect(ctx, assertion);
+    // The unconditional SAT gate: a candidate is returned only as a total
+    // model that evaluates the original formula to true.
+    let gate = |cand: Candidate| {
+        build_model(ctx, &vars, &cand).filter(|model| model.satisfies(ctx, assertion))
+    };
 
     // Definite-SAT pass 1: greedy arm selection. Walk the disjunctions in
     // order, asserting the first arm whose literals keep the accumulated
-    // set solvable; scales to formulas with many disjunctive conjuncts
+    // set feasible; scales to formulas with many disjunctive conjuncts
     // where exhaustive combination enumeration cannot.
     {
         let mut chosen = lits.clone();
@@ -86,7 +124,9 @@ pub fn presolve(ctx: &Ctx, assertion: TermId) -> PresolveResult {
             let picked = arms.iter().find_map(|&(arm, arm_neg)| {
                 let mut with_arm = chosen.clone();
                 collect(ctx, arm, arm_neg, &mut with_arm, &mut None);
-                solve_lits(ctx, &with_arm).map(|_| with_arm)
+                let feasible = solve_scalars(&with_arm).is_some()
+                    && store.add_all(ctx, &with_arm.cons[chosen.cons.len()..]);
+                feasible.then_some(with_arm)
             });
             match picked {
                 Some(with_arm) => chosen = with_arm,
@@ -97,14 +137,16 @@ pub fn presolve(ctx: &Ctx, assertion: TermId) -> PresolveResult {
             }
         }
         if solvable {
-            if let Some(cand) = solve_lits(ctx, &chosen) {
-                if let Some(model) = build_model(ctx, &vars, &cand) {
-                    if model.satisfies(ctx, assertion) {
-                        return PresolveResult::Sat(model);
-                    }
-                }
+            let held = chosen.cons.len(); // every arm is already in the store
+            if let Some(model) = candidate(ctx, &chosen, held, &mut store).and_then(gate) {
+                return (PresolveResult::Sat(model), false);
             }
         }
+        store.undo_to(base);
+    }
+    if disjs.is_empty() {
+        // No arms to vary: the one candidate there is was just rejected.
+        return (PresolveResult::Unknown, false);
     }
 
     // Definite-SAT pass 2: bounded exhaustive arm enumeration (mixed
@@ -115,33 +157,22 @@ pub fn presolve(ctx: &Ctx, assertion: TermId) -> PresolveResult {
         .map(|arms| arms.len().max(1))
         .try_fold(1usize, |acc, n| acc.checked_mul(n))
         .unwrap_or(usize::MAX);
-    let attempts = total.min(MAX_COMBOS);
-    for combo in 0..attempts {
-        let cand = if disjs.is_empty() {
-            Some(base.clone())
-        } else {
-            let mut chosen = lits.clone();
-            let mut rest = combo;
-            for arms in &disjs {
-                let n = arms.len().max(1);
-                let (pick, pick_neg) = arms[rest % n];
-                rest /= n;
-                collect(ctx, pick, pick_neg, &mut chosen, &mut None);
-            }
-            solve_lits(ctx, &chosen)
-        };
-        if let Some(cand) = cand {
-            if let Some(model) = build_model(ctx, &vars, &cand) {
-                if model.satisfies(ctx, assertion) {
-                    return PresolveResult::Sat(model);
-                }
-            }
+    for combo in 0..total.min(MAX_COMBOS) {
+        let mut chosen = lits.clone();
+        let mut rest = combo;
+        for arms in &disjs {
+            let n = arms.len().max(1);
+            let (pick, pick_neg) = arms[rest % n];
+            rest /= n;
+            collect(ctx, pick, pick_neg, &mut chosen, &mut None);
         }
-        if disjs.is_empty() {
-            break;
+        let found = candidate(ctx, &chosen, lits.cons.len(), &mut store).and_then(gate);
+        store.undo_to(base);
+        if let Some(model) = found {
+            return (PresolveResult::Sat(model), false);
         }
     }
-    PresolveResult::Unknown
+    (PresolveResult::Unknown, total > MAX_COMBOS)
 }
 
 // ---- literal collection ----------------------------------------------
@@ -332,7 +363,7 @@ fn str_term(ctx: &Ctx, t: TermId) -> Option<StrTerm> {
 // ---- constraint solving ----------------------------------------------
 
 /// Candidate assignment pieces for one literal set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Candidate {
     num: HashMap<TermId, Rat>,
     strs: HashMap<String, String>,
@@ -340,10 +371,11 @@ struct Candidate {
     sels: Vec<(TermId, TermId, bool)>,
 }
 
-/// Decide the recognized literals: `None` means definitely UNSAT (every
-/// constraint used is implied by the input), `Some` carries a candidate
-/// assignment for the recognized part.
-fn solve_lits(ctx: &Ctx, lits: &Lits) -> Option<Candidate> {
+/// Decide the non-numeric literals — ground falsity, boolean polarity
+/// clashes and string congruence. `None` means they are contradictory;
+/// `Some` carries the string and boolean halves of a candidate.
+#[allow(clippy::type_complexity)]
+fn solve_scalars(lits: &Lits) -> Option<(HashMap<String, String>, HashMap<String, bool>)> {
     if lits.ground_false {
         return None;
     }
@@ -357,20 +389,28 @@ fn solve_lits(ctx: &Ctx, lits: &Lits) -> Option<Candidate> {
     }
 
     // String congruence (union–find with pinned literals).
-    let strs = match strings::solve(&lits.str_eqs, &lits.str_neqs) {
-        StrResult::Unsat => return None,
-        StrResult::Sat(m) => m,
-    };
+    match strings::solve(&lits.str_eqs, &lits.str_neqs) {
+        StrResult::Unsat => None,
+        StrResult::Sat(strs) => Some((strs, bools)),
+    }
+}
 
-    // Implied numeric skeleton: UNSAT here is UNSAT of the formula.
-    let (mut num, mut constrained) = dbm_solve(ctx, &lits.cons)?;
+/// Build the candidate assignment for `lits` on a store that already
+/// holds `lits.cons[..held]`. `None` means the literals are infeasible.
+/// Whatever this adds to the store — the remaining constraints and the
+/// repair's integer splits — is the caller's to undo.
+fn candidate(ctx: &Ctx, lits: &Lits, held: usize, store: &mut DiffStore) -> Option<Candidate> {
+    let (strs, bools) = solve_scalars(lits)?;
+    if !store.add_all(ctx, &lits.cons[held..]) {
+        return None;
+    }
 
     // Disequality repair, round 1: violated diseqs between constrained
-    // integer sides are re-solved with an integer split (`a ≤ b − 1`,
-    // then `b ≤ a − 1`) added to the difference-bounds system. A split
-    // that fails both ways just leaves the diseq violated for the gate
-    // to reject — it is *not* UNSAT, because earlier splits were choices.
-    let mut extra = lits.cons.clone();
+    // integer sides get an integer split (`a ≤ b − 1`, then `b ≤ a − 1`)
+    // added to the store. A split that fails both ways just leaves the
+    // diseq violated for the gate to reject — it is *not* UNSAT, because
+    // earlier splits were choices.
+    let mut num = store.values();
     let mut resolved = true;
     while resolved {
         resolved = false;
@@ -383,23 +423,16 @@ fn solve_lits(ctx: &Ctx, lits: &Lits) -> Option<Candidate> {
                 (a, b),
                 (DiseqSide::Var(_) | DiseqSide::Const(_), DiseqSide::Var(_))
                     | (DiseqSide::Var(_), DiseqSide::Const(_))
-            ) && side_constrained(a, &constrained)
-                && side_constrained(b, &constrained);
+            ) && store.side_constrained(a)
+                && store.side_constrained(b);
             if !(both_pinned && int_a && int_b) {
                 continue;
             }
-            for (lo, hi) in [(a, b), (b, a)] {
-                let split = split_con(lo, hi);
-                extra.push(split);
-                if let Some((n2, c2)) = dbm_solve(ctx, &extra) {
-                    num = n2;
-                    constrained = c2;
-                    resolved = true;
-                    break;
-                }
-                extra.pop();
-            }
+            resolved = [(a, b), (b, a)]
+                .into_iter()
+                .any(|(lo, hi)| store.add(ctx, &split_con(lo, hi)));
             if resolved {
+                num = store.values();
                 break; // re-scan: the new potentials move other diseqs
             }
         }
@@ -426,8 +459,8 @@ fn solve_lits(ctx: &Ctx, lits: &Lits) -> Option<Candidate> {
             continue;
         }
         let free = match (a, b) {
-            (DiseqSide::Var(v), _) if !constrained.contains(v) => Some(*v),
-            (_, DiseqSide::Var(v)) if !constrained.contains(v) => Some(*v),
+            (DiseqSide::Var(v), _) if !store.constrained(*v) => Some(*v),
+            (_, DiseqSide::Var(v)) if !store.constrained(*v) => Some(*v),
             _ => None,
         };
         // When both sides stay pinned to the same value the diseq is not
@@ -447,70 +480,173 @@ fn solve_lits(ctx: &Ctx, lits: &Lits) -> Option<Candidate> {
     })
 }
 
-/// Build the difference-bounds graph for `cons` and run Bellman–Ford.
-/// `None` means the unit-shaped subset is unsatisfiable; `Some` carries
-/// the potentials (a candidate assignment) and the set of variables that
-/// actually appeared in edges.
-#[allow(clippy::type_complexity)]
-fn dbm_solve(ctx: &Ctx, cons: &[LinCon]) -> Option<(HashMap<TermId, Rat>, HashSet<TermId>)> {
-    // Node 0 is the zero reference; constraints that are not
-    // unit-difference shaped are skipped (they only weaken the SAT
-    // candidate, never the UNSAT claim).
-    let mut node_of: HashMap<TermId, usize> = HashMap::new();
-    let mut nodes: Vec<TermId> = Vec::new();
-    // Edge (from, to, w): value(to) − value(from) ≤ w.
-    let mut edges: Vec<(usize, usize, Rat)> = Vec::new();
-    for con in cons {
-        match dbm_edge(ctx, con, &mut node_of, &mut nodes) {
-            DbmEdge::Edge(f, t, w) => edges.push((f, t, w)),
-            DbmEdge::GroundFalse => return None,
-            DbmEdge::Skip => {}
+/// What [`DiffStore::undo_to`] reverts, newest first.
+#[derive(Debug)]
+#[cfg_attr(test, derive(Clone, PartialEq))]
+enum Undo {
+    /// A potential was lowered; the node and its previous value.
+    Dist(usize, Rat),
+    /// An edge was appended to this node's out-list.
+    Edge(usize),
+    /// A node was appended.
+    Node,
+}
+
+/// The incremental difference-bound store: the constraint graph of every
+/// unit-shaped [`LinCon`] added so far, with potentials that are at all
+/// times the *exact* shortest distances from a virtual source that
+/// reaches every node at cost zero. Exact distances are a function of the
+/// edge set alone — not of insertion order, node numbering or relaxation
+/// order — so a candidate read off the store is the one a from-scratch
+/// Bellman–Ford over the same constraints yields.
+#[derive(Debug)]
+#[cfg_attr(test, derive(Clone, PartialEq))]
+struct DiffStore {
+    /// Node 0 is the zero reference; `vars[i]` is the variable of node
+    /// `i + 1`. Constraints that are not unit-difference shaped add
+    /// nothing (they only weaken the SAT candidate, never the UNSAT
+    /// claim).
+    node_of: HashMap<TermId, usize>,
+    vars: Vec<TermId>,
+    /// `out[f]` holds `(t, w)` for every edge value(t) − value(f) ≤ w.
+    out: Vec<Vec<(usize, Rat)>>,
+    dist: Vec<Rat>,
+    trail: Vec<Undo>,
+}
+
+impl DiffStore {
+    fn new() -> DiffStore {
+        DiffStore {
+            node_of: HashMap::new(),
+            vars: Vec::new(),
+            out: vec![Vec::new()],
+            dist: vec![ZERO],
+            trail: Vec::new(),
         }
     }
 
-    // Bellman–Ford from a virtual source (all distances start at zero):
-    // an improvement in round |V| means a negative cycle ⇒ UNSAT.
-    let n = nodes.len() + 1;
-    let mut dist = vec![ZERO; n];
-    for round in 0..n {
-        let mut changed = false;
-        for &(f, t, w) in &edges {
-            let cand = dist[f] + w;
-            if cand < dist[t] {
-                dist[t] = cand;
-                changed = true;
+    /// A point [`DiffStore::undo_to`] can return to.
+    fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Restore the exact state the store had at `mark`.
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            match self.trail.pop().expect("trail is longer than the mark") {
+                Undo::Dist(node, old) => self.dist[node] = old,
+                Undo::Edge(from) => {
+                    self.out[from].pop();
+                }
+                Undo::Node => {
+                    let var = self.vars.pop().expect("a node was recorded");
+                    self.node_of.remove(&var);
+                    self.out.pop();
+                    self.dist.pop();
+                }
             }
         }
-        if !changed {
-            break;
+    }
+
+    /// Add every constraint, or none of them if one makes the store
+    /// infeasible.
+    fn add_all(&mut self, ctx: &Ctx, cons: &[LinCon]) -> bool {
+        let mark = self.mark();
+        let feasible = cons.iter().all(|con| self.add(ctx, con));
+        if !feasible {
+            self.undo_to(mark);
         }
-        if round == n - 1 {
-            return None;
+        feasible
+    }
+
+    /// Add one constraint. `false` means the store would become
+    /// infeasible (a negative cycle, or a ground-false constraint); the
+    /// store is then exactly as it was before the call.
+    fn add(&mut self, ctx: &Ctx, con: &LinCon) -> bool {
+        let mark = self.mark();
+        let known = self.vars.len();
+        let (from, to, w) = match dbm_edge(ctx, con, &mut self.node_of, &mut self.vars) {
+            DbmEdge::Edge(f, t, w) => (f, t, w),
+            DbmEdge::GroundFalse => return false,
+            DbmEdge::Skip => return true,
+        };
+        for _ in known..self.vars.len() {
+            // A fresh node has no in-edges: the virtual source's zero.
+            self.out.push(Vec::new());
+            self.dist.push(ZERO);
+            self.trail.push(Undo::Node);
+        }
+        self.out[from].push((to, w));
+        self.trail.push(Undo::Edge(from));
+        if self.dist[from] + w >= self.dist[to] {
+            return true; // the potentials already satisfy the new edge
+        }
+
+        // Re-relax forward from the edge's head. The graph without the
+        // new edge has no negative cycle, so every negative cycle runs
+        // through it — and a walk that lowers the tail's (exact)
+        // potential must use the new edge, closing one. Until that
+        // happens this is FIFO label correcting on a graph without
+        // negative cycles: each node is queued at most |V| times.
+        self.lower(to, self.dist[from] + w);
+        let mut queue = VecDeque::from([to]);
+        let mut queued = vec![false; self.dist.len()];
+        queued[to] = true;
+        while let Some(u) = queue.pop_front() {
+            queued[u] = false;
+            for i in 0..self.out[u].len() {
+                let (v, w) = self.out[u][i];
+                let through = self.dist[u] + w;
+                if through >= self.dist[v] {
+                    continue;
+                }
+                if v == from {
+                    self.undo_to(mark);
+                    return false;
+                }
+                self.lower(v, through);
+                if !queued[v] {
+                    queued[v] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        true
+    }
+
+    fn lower(&mut self, node: usize, to: Rat) {
+        self.trail.push(Undo::Dist(node, self.dist[node]));
+        self.dist[node] = to;
+    }
+
+    /// Whether `v` appears in an edge.
+    fn constrained(&self, v: TermId) -> bool {
+        self.node_of.contains_key(&v)
+    }
+
+    fn side_constrained(&self, s: &DiseqSide) -> bool {
+        match s {
+            DiseqSide::Var(v) => self.constrained(*v),
+            DiseqSide::Const(_) => true,
         }
     }
 
-    // Potentials relative to the zero node are a candidate assignment.
-    let zero = dist[0];
-    let mut num: HashMap<TermId, Rat> = HashMap::new();
-    let mut constrained: HashSet<TermId> = HashSet::new();
-    for (i, &v) in nodes.iter().enumerate() {
-        num.insert(v, dist[i + 1] - zero);
-        constrained.insert(v);
+    /// Potentials relative to the zero node: a candidate assignment for
+    /// every constrained variable.
+    fn values(&self) -> HashMap<TermId, Rat> {
+        let zero = self.dist[0];
+        self.vars
+            .iter()
+            .zip(&self.dist[1..])
+            .map(|(&v, &d)| (v, d - zero))
+            .collect()
     }
-    Some((num, constrained))
 }
 
 fn side_is_int(ctx: &Ctx, s: &DiseqSide) -> bool {
     match s {
         DiseqSide::Var(v) => ctx.sort(*v) == &Sort::Int,
         DiseqSide::Const(c) => c.is_integer(),
-    }
-}
-
-fn side_constrained(s: &DiseqSide, constrained: &HashSet<TermId>) -> bool {
-    match s {
-        DiseqSide::Var(v) => constrained.contains(v),
-        DiseqSide::Const(_) => true,
     }
 }
 
@@ -608,9 +744,9 @@ fn dbm_edge(
         // fractional bound tightens to `≤ ⌊w⌋`. Both preserve the integer
         // solution set exactly.
         if con.strict {
-            w = Rat::int((w.ceil() - 1) as i64);
+            w = Rat::new(w.ceil() - 1, 1);
         } else if !w.is_integer() {
-            w = Rat::int(w.floor() as i64);
+            w = Rat::new(w.floor(), 1);
         }
     }
     DbmEdge::Edge(from, to, w)
@@ -752,6 +888,7 @@ fn build_model(ctx: &Ctx, vars: &VarSets, cand: &Candidate) -> Option<Model> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn interval_contradiction_is_unsat() {
@@ -763,6 +900,21 @@ mod tests {
         let hi = ctx.lt(x, three); // x < 3 — no integer fits
         let f = ctx.and([lo, hi]);
         assert!(matches!(presolve(&ctx, f), PresolveResult::Unsat));
+    }
+
+    #[test]
+    fn bound_past_i64_is_not_wrapped_into_a_contradiction() {
+        // 0 ≤ x < 10^19 over an integer: the tightened bound 10^19 − 1
+        // does not fit an i64, and a wrapped (negative) bound would close
+        // a negative cycle with 0 ≤ x — UNSAT on a satisfiable formula.
+        let mut ctx = Ctx::new();
+        let x = ctx.var("x", Sort::Int);
+        let zero = ctx.int(0);
+        let huge = ctx.real(Rat::new(10_000_000_000_000_000_000, 1));
+        let lo = ctx.ge(x, zero);
+        let hi = ctx.lt(x, huge);
+        let f = ctx.and([lo, hi]);
+        assert!(!matches!(presolve(&ctx, f), PresolveResult::Unsat));
     }
 
     #[test]
@@ -1010,5 +1162,253 @@ mod tests {
         // gate rejects — fall through rather than guess.
         let f = ctx.ne(sum, z);
         assert!(matches!(presolve(&ctx, f), PresolveResult::Unknown));
+    }
+
+    // ---- the incremental store against the code it replaced ----------
+
+    /// The from-scratch solver [`DiffStore`] replaced, kept verbatim as
+    /// the differential oracle.
+    ///
+    /// Build the difference-bounds graph for `cons` and run Bellman–Ford.
+    /// `None` means the unit-shaped subset is unsatisfiable; `Some` carries
+    /// the potentials (a candidate assignment) and the set of variables that
+    /// actually appeared in edges.
+    #[allow(clippy::type_complexity)]
+    fn dbm_solve(ctx: &Ctx, cons: &[LinCon]) -> Option<(HashMap<TermId, Rat>, HashSet<TermId>)> {
+        // Node 0 is the zero reference; constraints that are not
+        // unit-difference shaped are skipped (they only weaken the SAT
+        // candidate, never the UNSAT claim).
+        let mut node_of: HashMap<TermId, usize> = HashMap::new();
+        let mut nodes: Vec<TermId> = Vec::new();
+        // Edge (from, to, w): value(to) − value(from) ≤ w.
+        let mut edges: Vec<(usize, usize, Rat)> = Vec::new();
+        for con in cons {
+            match dbm_edge(ctx, con, &mut node_of, &mut nodes) {
+                DbmEdge::Edge(f, t, w) => edges.push((f, t, w)),
+                DbmEdge::GroundFalse => return None,
+                DbmEdge::Skip => {}
+            }
+        }
+
+        // Bellman–Ford from a virtual source (all distances start at zero):
+        // an improvement in round |V| means a negative cycle ⇒ UNSAT.
+        let n = nodes.len() + 1;
+        let mut dist = vec![ZERO; n];
+        for round in 0..n {
+            let mut changed = false;
+            for &(f, t, w) in &edges {
+                let cand = dist[f] + w;
+                if cand < dist[t] {
+                    dist[t] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            if round == n - 1 {
+                return None;
+            }
+        }
+
+        // Potentials relative to the zero node are a candidate assignment.
+        let zero = dist[0];
+        let mut num: HashMap<TermId, Rat> = HashMap::new();
+        let mut constrained: HashSet<TermId> = HashSet::new();
+        for (i, &v) in nodes.iter().enumerate() {
+            num.insert(v, dist[i + 1] - zero);
+            constrained.insert(v);
+        }
+        Some((num, constrained))
+    }
+
+    /// `Σ coeffs·var + constant ≤ 0` (`< 0` when strict).
+    fn con(coeffs: &[(TermId, i64)], constant: Rat, strict: bool) -> LinCon {
+        LinCon {
+            coeffs: coeffs.iter().map(|&(v, c)| (v, Rat::int(c))).collect(),
+            constant,
+            strict,
+        }
+    }
+
+    /// `v ≤ bound`.
+    fn at_most(v: TermId, bound: i64) -> LinCon {
+        con(&[(v, 1)], Rat::int(-bound), false)
+    }
+
+    /// `v ≥ bound`.
+    fn at_least(v: TermId, bound: i64) -> LinCon {
+        con(&[(v, -1)], Rat::int(bound), false)
+    }
+
+    fn store_of(ctx: &Ctx, cons: &[LinCon]) -> DiffStore {
+        let mut store = DiffStore::new();
+        assert!(store.add_all(ctx, cons), "the fixture must be feasible");
+        store
+    }
+
+    #[test]
+    fn failed_split_rolls_back_and_the_other_direction_succeeds() {
+        // x = 1 and y ∈ [0, 1] share the potential 1. The split x ≤ y − 1
+        // needs y ≥ 2 and fails; y ≤ x − 1 puts y at 0.
+        let mut ctx = Ctx::new();
+        let x = ctx.var("x", Sort::Int);
+        let y = ctx.var("y", Sort::Int);
+        let cons = [at_least(x, 1), at_most(x, 1), at_least(y, 0), at_most(y, 1)];
+        let mut store = store_of(&ctx, &cons);
+        assert_eq!(store.values()[&x], store.values()[&y]);
+        let before = store.clone();
+        let (sx, sy) = (DiseqSide::Var(x), DiseqSide::Var(y));
+        assert!(!store.add(&ctx, &split_con(&sx, &sy)));
+        assert_eq!(store, before, "a failed split must leave no trace");
+        assert!(store.add(&ctx, &split_con(&sy, &sx)));
+        assert_eq!(store.values()[&x], Rat::int(1));
+        assert_eq!(store.values()[&y], ZERO);
+
+        // The same through the front door.
+        let one = ctx.int(1);
+        let zero = ctx.int(0);
+        let parts = [
+            ctx.eq(x, one),
+            ctx.ge(y, zero),
+            ctx.le(y, one),
+            ctx.ne(x, y),
+        ];
+        let f = ctx.and(parts);
+        match presolve(&ctx, f) {
+            PresolveResult::Sat(m) => {
+                assert_eq!((m.get_int("x"), m.get_int("y")), (Some(1), Some(0)))
+            }
+            other => panic!("expected SAT, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_add_between_known_nodes_restores_the_potentials() {
+        // x ≤ y ≤ z, then z ≤ x − 1: the relaxation lowers z and y before
+        // it reaches the tail x and sees the cycle. No node is new, so
+        // the rollback is all potentials and one edge.
+        let mut ctx = Ctx::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| ctx.var(n, Sort::Int));
+        let cons = [
+            con(&[(x, 1), (y, -1)], ZERO, false),
+            con(&[(y, 1), (z, -1)], ZERO, false),
+        ];
+        let mut store = store_of(&ctx, &cons);
+        let before = store.clone();
+        assert!(!store.add(&ctx, &con(&[(z, 1), (x, -1)], Rat::int(1), false)));
+        assert_eq!(store, before);
+        assert_eq!(store.values(), dbm_solve(&ctx, &cons).expect("feasible").0);
+    }
+
+    #[test]
+    fn failed_group_removes_the_node_it_introduced() {
+        // One edge into a node without other edges cannot close a cycle,
+        // so a fresh node only ever fails as part of a group: w = 7/2
+        // over an integer is w ≤ 3 (introduces w) and then w ≥ 4.
+        let mut ctx = Ctx::new();
+        let x = ctx.var("x", Sort::Int);
+        let w = ctx.var("w", Sort::Int);
+        let mut store = store_of(&ctx, &[at_most(x, 5)]);
+        let before = store.clone();
+        let half = Rat::new(7, 2);
+        let group = [con(&[(w, 1)], -half, false), con(&[(w, -1)], half, false)];
+        assert!(!store.add_all(&ctx, &group));
+        assert_eq!(store, before);
+        assert!(!store.constrained(w));
+        // A ground-false constraint fails without touching anything.
+        assert!(!store.add(&ctx, &con(&[], Rat::int(1), false)));
+        assert_eq!(store, before);
+    }
+
+    /// One generated constraint: its variables (indices into the case's
+    /// four), their coefficients, the constant as a fraction, strictness.
+    type RawCon = (Vec<(usize, i64)>, (i128, i128), bool);
+
+    fn raw_con() -> impl Strategy<Value = RawCon> {
+        // x − y ⋈ c; the same variable twice cancels to a ground atom.
+        let difference = (
+            0usize..4,
+            0usize..4,
+            prop_oneof![Just(1i64), Just(-1), Just(2)],
+        )
+            .prop_map(|(a, b, c)| vec![(a, c), (b, -c)]);
+        let shape = prop_oneof![
+            // x ⋈ c, scaled either way
+            (
+                0usize..4,
+                prop_oneof![Just(1i64), Just(-1), Just(2), Just(-3)]
+            )
+                .prop_map(|(v, c)| vec![(v, c)]),
+            // twice as likely: difference edges are what closes cycles
+            difference.clone(),
+            difference,
+            // not unit shaped: skipped by the store and the oracle alike
+            (0usize..4, 0usize..4).prop_map(|(a, b)| vec![(a, 2), (b, -1)]),
+            // ground: violated when the constant is positive (or zero, strict)
+            Just(Vec::new()),
+        ];
+        (
+            shape,
+            (
+                -4i128..=4,
+                prop_oneof![Just(1i128), Just(1), Just(2), Just(3)],
+            ),
+            any::<bool>(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 256 } else { 4096 }
+        ))]
+
+        /// The store is the from-scratch solver, one constraint at a
+        /// time: after every `add` its feasibility answer, its node set
+        /// and its potentials equal `dbm_solve` on the accepted prefix,
+        /// and a refused `add` leaves it `==` its state before the call.
+        #[test]
+        fn store_agrees_with_from_scratch_bellman_ford(
+            int_sorted in proptest::collection::vec(any::<bool>(), 4..5),
+            raw in proptest::collection::vec(raw_con(), 0..13),
+        ) {
+            let mut ctx = Ctx::new();
+            let vars: Vec<TermId> = int_sorted
+                .iter()
+                .enumerate()
+                .map(|(i, &int)| ctx.var(format!("v{i}"), if int { Sort::Int } else { Sort::Real }))
+                .collect();
+            let mut store = DiffStore::new();
+            let mut accepted: Vec<LinCon> = Vec::new();
+            for (terms, (num, den), strict) in raw {
+                let mut coeffs: BTreeMap<TermId, Rat> = BTreeMap::new();
+                for (v, c) in terms {
+                    let e = coeffs.entry(vars[v]).or_insert(ZERO);
+                    *e = *e + Rat::int(c);
+                }
+                coeffs.retain(|_, c| !c.is_zero());
+                let next = LinCon { coeffs, constant: Rat::new(num, den), strict };
+
+                let before = store.clone();
+                let added = store.add(&ctx, &next);
+                accepted.push(next);
+                let oracle = dbm_solve(&ctx, &accepted);
+                prop_assert_eq!(added, oracle.is_some(), "feasibility of {:?}", accepted);
+                match oracle {
+                    Some((num, constrained)) => {
+                        prop_assert_eq!(store.values(), num, "potentials of {:?}", accepted);
+                        for &v in &vars {
+                            prop_assert_eq!(store.constrained(v), constrained.contains(&v));
+                        }
+                    }
+                    None => {
+                        prop_assert!(store == before, "refused add left a trace: {:?}", accepted);
+                        accepted.pop();
+                    }
+                }
+            }
+            store.undo_to(0);
+            prop_assert!(store == DiffStore::new(), "a full undo must empty the store");
+        }
     }
 }

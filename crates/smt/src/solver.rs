@@ -243,28 +243,33 @@ pub fn check_with_stats(
     let start = std::time::Instant::now();
     let mut stats = SolverStats::default();
     let result = check_inner(ctx, assertion, config, &mut stats);
-    record_full_solve(start, &result, &mut stats);
+    record_full_solve(start, start, &result, &mut stats);
     (result, stats)
 }
 
-/// Record the per-call observability for one full (non-fastpath) solve:
-/// wall-clock histograms, the timeline slice, and the aggregated search
-/// counters — including the CDCL internals
+/// Record the per-call observability for one query the full solver
+/// answered: wall-clock histograms, the timeline slice, and the
+/// aggregated search counters — including the CDCL internals
 /// (`smt.cdcl.{conflicts,learned,restarts,propagations,db_reductions}`).
-/// Shared by [`check_with_stats`] and the incremental solver so the
-/// funnel counters mean the same thing in every mode.
+/// `query_start` is when the query arrived — `smt.solve_us`, the slice
+/// and `wall_us` cover the fast-path tiers it fell through — and
+/// `full_start` when the full solver took over (`smt.full_solve_us`).
+/// Shared by [`check_with_stats`], [`check_tiered`] and the incremental
+/// solver so the funnel counters mean the same thing in every mode.
 pub(crate) fn record_full_solve(
-    start: std::time::Instant,
+    query_start: std::time::Instant,
+    full_start: std::time::Instant,
     result: &SolveResult,
     stats: &mut SolverStats,
 ) {
-    let elapsed = start.elapsed();
+    let full_elapsed = full_start.elapsed();
+    let elapsed = query_start.elapsed();
     stats.wall_us = elapsed.as_micros() as u64;
     if weseer_obs::timeline::enabled() {
         weseer_obs::timeline::complete_since(
             "smt.solve",
             "smt",
-            start,
+            query_start,
             &[
                 ("tier", "full".to_string()),
                 ("verdict", result.verdict_str().to_string()),
@@ -273,7 +278,7 @@ pub(crate) fn record_full_solve(
         );
     }
     weseer_obs::observe_duration("smt.solve_us", elapsed);
-    weseer_obs::observe_duration("smt.full_solve_us", elapsed);
+    weseer_obs::observe_duration("smt.full_solve_us", full_elapsed);
     weseer_obs::add("smt.solve_calls", 1);
     weseer_obs::add("smt.full_solve", 1);
     weseer_obs::add("smt.sat_budget_exhausted", stats.sat_budget_exhausted);
@@ -334,8 +339,11 @@ pub(crate) fn fastpath(
     }
     if config.tiers.presolve {
         let start = std::time::Instant::now();
-        let pre = presolve::presolve(ctx, term);
+        let (pre, capped) = presolve::presolve_with_cap(ctx, term);
         weseer_obs::observe_duration("smt.fastpath.t1_us", start.elapsed());
+        if capped {
+            weseer_obs::add("smt.fastpath.t1_capped", 1);
+        }
         match pre {
             PresolveResult::Unsat => {
                 #[cfg(debug_assertions)]
@@ -386,8 +394,9 @@ pub fn check_tiered(
             (result, stats)
         }
         Fastpath::Continue(term) => {
-            let (result, full_stats) = check_with_stats(ctx, term, config);
-            stats.absorb(full_stats);
+            let full_start = std::time::Instant::now();
+            let result = check_inner(ctx, term, config, &mut stats);
+            record_full_solve(start, full_start, &result, &mut stats);
             (result, stats)
         }
     }

@@ -51,6 +51,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, RwLock};
+use weseer_obs::snapshot::write_json_string;
 
 /// Store header line (schema version 1).
 const HEADER: &str = "{\"weseer_store\":1}";
@@ -300,7 +301,7 @@ impl Store {
         }
         for key in &inner.dirty {
             let e = &inner.map[key];
-            out.push_str(&record_line(&key.0, &key.1, &e.content, &e.value));
+            write_record(&mut out, &key.0, &key.1, &e.content, &e.value);
         }
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -312,18 +313,25 @@ impl Store {
     }
 }
 
-/// One serialized store record, newline-terminated — shared by the batch
-/// flush and the live write-through path so both produce identical lines.
+/// Append one serialized store record, newline-terminated, to `out` —
+/// shared by the batch flush and the live write-through path so both
+/// produce identical lines.
+fn write_record(out: &mut String, kind: &str, site: &str, content: &str, value: &Json) {
+    out.push_str("{\"kind\":");
+    write_json_string(out, kind);
+    out.push_str(",\"site\":");
+    write_json_string(out, site);
+    out.push_str(",\"content\":");
+    write_json_string(out, content);
+    out.push_str(",\"value\":");
+    value.write(out);
+    out.push_str("}\n");
+}
+
+/// One record as a line of its own.
 fn record_line(kind: &str, site: &str, content: &str, value: &Json) -> String {
-    let record = Json::Obj(vec![
-        ("kind".into(), Json::str(kind.to_string())),
-        ("site".into(), Json::str(site.to_string())),
-        ("content".into(), Json::str(content.to_string())),
-        ("value".into(), value.clone()),
-    ]);
     let mut out = String::new();
-    record.write(&mut out);
-    out.push('\n');
+    write_record(&mut out, kind, site, content, value);
     out
 }
 
@@ -452,6 +460,28 @@ mod tests {
             "corruption before the final line must fail the open"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_is_the_canonical_json_object_of_its_fields() {
+        let value = Json::Obj(vec![
+            ("verdict".into(), Json::str("sat")),
+            ("model".into(), Json::Arr(vec![Json::u64(7), Json::Null])),
+            (
+                "sql".into(),
+                Json::str("WHERE N = \"x\\y\"\n\u{1}caf\u{e9}"),
+            ),
+        ]);
+        let (kind, site, content) = ("pair3", "app|0:\"Ship\"#1", "fp\\1|fp2|\tcfg");
+        let object = Json::Obj(vec![
+            ("kind".into(), Json::str(kind)),
+            ("site".into(), Json::str(site)),
+            ("content".into(), Json::str(content)),
+            ("value".into(), value.clone()),
+        ]);
+        let line = record_line(kind, site, content, &value);
+        assert_eq!(line, object.to_line() + "\n");
+        assert_eq!(Json::parse(line.trim_end()), Ok(object));
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! must be byte-identical to the cold run that filled it — across thread
 //! counts — while doing **zero** full DPLL(T) solves and exploring
 //! **zero** replay schedules; dirtying one trace must invalidate exactly
-//! the stored outcomes that involve it; and a store file written by an
-//! earlier version of the tool must keep opening.
+//! the stored outcomes that involve it; a store file written by an
+//! earlier version of the tool must keep opening; and the baseline
+//! coarse-cycle count an analysis reports without re-scanning must be the
+//! one a re-scan finds, cold and warm.
 
 use std::path::PathBuf;
 use std::time::Duration;
-use weseer::apps::{Broadleaf, Shopizer};
+use weseer::analyzer::coarse_cycle_count;
+use weseer::apps::{Broadleaf, ECommerceApp, Fix, Fixes, Shopizer};
 use weseer::core::{AppAnalysis, Weseer};
 use weseer::obs::MetricsSnapshot;
 
@@ -258,4 +261,50 @@ fn stores_written_by_the_previous_format_still_open() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// `AppAnalysis::coarse_cycles` is read off the diagnosis instead of
+/// re-running phases 1–2 — whenever the diagnosis scanned the baseline's
+/// job list. It must equal the recomputed count for every fix
+/// configuration, from a cold and from a warm store (where the per-pair
+/// counts come out of `pair2` records), and fall back to the re-scan when
+/// the diagnosis counted something else.
+#[test]
+fn reported_coarse_cycles_equal_the_recomputed_baseline() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let apps: [(&dyn ECommerceApp, &[Fix]); 2] =
+        [(&Broadleaf, &Fix::BROADLEAF), (&Shopizer, &Fix::SHOPIZER)];
+    for (app, own_fixes) in apps {
+        // A fix of the other app leaves this app's traces as they are.
+        let single = own_fixes.iter().map(|&fix| {
+            let mut fixes = Fixes::none();
+            fixes.enable(fix);
+            fixes
+        });
+        for fixes in std::iter::once(Fixes::none()).chain(single) {
+            let path = store_path(&format!("coarse-{}", app.name()));
+            let (traces, _db) = Weseer::new().collect_traces(app, &fixes);
+            let recomputed = coarse_cycle_count(&traces);
+            for temperature in ["cold", "warm"] {
+                let weseer = Weseer::new().with_store(&path).expect("open store");
+                let analysis = weseer.analyze_with_fixes(app, &fixes);
+                assert_eq!(
+                    analysis.coarse_cycles,
+                    recomputed,
+                    "{} under {fixes:?}, {temperature} store",
+                    app.name()
+                );
+                assert_eq!(analysis.diagnosis.stats.prefix_kills, 0);
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    // Brute force scans every pair, so its own count is not the baseline.
+    let mut brute_force = Weseer::new();
+    brute_force.config.skip_filter_phases = true;
+    let analysis = brute_force.analyze(&Shopizer);
+    let (traces, _db) = brute_force.collect_traces(&Shopizer, &Fixes::none());
+    assert_eq!(analysis.coarse_cycles, coarse_cycle_count(&traces));
+    assert!(analysis.diagnosis.stats.coarse_cycles > analysis.coarse_cycles);
 }

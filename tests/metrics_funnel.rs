@@ -3,11 +3,18 @@
 //! wall times, SMT solver statistics, and lock-manager counters, and the
 //! snapshot must export as well-formed JSON lines.
 
-use weseer::apps::Broadleaf;
+use std::sync::Mutex;
+use weseer::apps::{Broadleaf, Shopizer};
 use weseer::core::Weseer;
+
+/// `analysis.metrics` is a delta of the process-global obs registry and
+/// the harness runs tests on parallel threads: the two tests that analyze
+/// must not overlap.
+static OBS: Mutex<()> = Mutex::new(());
 
 #[test]
 fn broadleaf_metrics_funnel_is_consistent() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     weseer::obs::set_enabled(true);
     let analysis = Weseer::new().analyze(&Broadleaf);
     let m = &analysis.metrics;
@@ -123,6 +130,30 @@ fn broadleaf_metrics_funnel_is_consistent() {
     }
     assert!(json.contains("\"name\":\"analyzer.txn_pairs\""));
     assert!(json.contains("\"name\":\"smt.solve_us\""));
+}
+
+/// `smt.solve_us` times the query, not just the tier that answered it:
+/// a query that falls through to the full solver still spent its tier-1
+/// time, so the per-query histogram can never sum to less than tier 1's.
+#[test]
+fn solve_time_covers_the_fast_path_tiers() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    weseer::obs::set_enabled(true);
+    let analysis = Weseer::new().analyze(&Shopizer);
+    let sum = |name: &str| {
+        analysis
+            .metrics
+            .histogram(name)
+            .unwrap_or_else(|| panic!("{name} histogram missing"))
+            .sum
+    };
+    assert!(
+        sum("smt.solve_us") >= sum("smt.fastpath.t1_us"),
+        "smt.solve_us ({} us) must include tier 1 ({} us)",
+        sum("smt.solve_us"),
+        sum("smt.fastpath.t1_us")
+    );
+    assert!(sum("smt.solve_us") >= sum("smt.full_solve_us"));
 }
 
 /// The funnel definition covers the serving plane: the daemon's ingest

@@ -169,4 +169,18 @@ fn fastpath_discharges_cover_real_workload() {
         analysis.diagnosis.stats.fine_candidates as u64,
         "fastpath discharges plus fall-throughs must cover exactly the fine candidates"
     );
+    // The decision split itself, which the benchmark goldens pin only
+    // as an opaque digest — and the truncation behind it: every
+    // fall-through is a tier-1 arm search that stopped at `MAX_COMBOS`
+    // with combinations left untried, not a formula tier 1 exhausted.
+    assert_eq!(
+        (
+            c("smt.fastpath.t1_sat"),
+            c("smt.fastpath.t1_unsat"),
+            c("smt.fastpath.fallthrough"),
+            c("smt.fastpath.t1_capped"),
+        ),
+        (21, 0, 12, 12),
+        "(t1_sat, t1_unsat, fallthrough, t1_capped) on Shopizer"
+    );
 }
