@@ -36,7 +36,7 @@
 use crate::encode::{gen_conflict_cond, Importer, Side};
 use crate::indexes::IndexOracle;
 use crate::locks::{gen_exclusive_locks, gen_shared_locks, potential_conflict};
-use crate::pairs::{generate_pairs, prune_unsat_prefixes, PairJob};
+use crate::pairs::{generate_pairs, PairJob};
 use crate::prefix::PrefixTable;
 use crate::report::{CycleId, DeadlockReport, ReportedStatement};
 use crate::schedule::{resolve_threads, run_ordered};
@@ -137,9 +137,6 @@ pub struct DiagnosisStats {
     pub pairs_after_phase1: usize,
     /// Coarse-grained deadlock cycles found (phase 2).
     pub coarse_cycles: usize,
-    /// Pairs killed by the tier-2 prefix pre-solve (a side's standalone
-    /// path-condition prefix was already UNSAT).
-    pub prefix_kills: usize,
     /// Cycles whose C-edges had potentially conflicting locks (entering
     /// SMT).
     pub fine_candidates: usize,
@@ -168,7 +165,6 @@ impl DiagnosisStats {
             "analyzer.pairs_after_phase1",
             self.pairs_after_phase1 as u64,
         );
-        weseer_obs::add("smt.fastpath.prefix_kill", self.prefix_kills as u64);
         weseer_obs::add("analyzer.coarse_cycles", self.coarse_cycles as u64);
         weseer_obs::add("analyzer.fine_candidates", self.fine_candidates as u64);
         weseer_obs::add("analyzer.smt_sat", self.smt_sat as u64);
@@ -208,8 +204,8 @@ pub fn diagnose(
 ///   considers the index the database would actually use (the paper's
 ///   Sec. V-D future work for cutting false positives);
 /// * `store` — a persistent [`Store`] to consult and feed, so a warm run
-///   over unchanged traces reuses every prefix pre-solve, phase-2 scan
-///   and phase-3 verdict of the run that filled it. Pair generation and
+///   over unchanged traces reuses every phase-2 scan and phase-3
+///   verdict of the run that filled it. Pair generation and
 ///   the cross-pair dedup sweep always run live (they are cheap and keep
 ///   the funnel counters exact), and reports are rebuilt from the live
 ///   traces plus the stored model, so a warm diagnosis is byte-identical
@@ -265,9 +261,9 @@ pub(crate) struct PairCtx<'a> {
     traces: &'a [CollectedTrace],
     config: &'a AnalyzerConfig,
     oracle: Option<&'a dyn IndexOracle>,
-    /// Tier-2 prefix table (present iff `config.solver.tiers.prefix` and
-    /// the fine phase runs): per-trace pre-simplified path conditions.
-    prefix: Option<PrefixTable>,
+    /// Per-trace pre-simplified path conditions (empty when the fine
+    /// phase does not run).
+    prefix: PrefixTable,
     /// SQL text per trace statement, rendered once (indexed by trace, then
     /// `StmtRecord::index - 1`) — cycle signatures are built in the hot
     /// loop and must not re-render templates per pair.
@@ -285,7 +281,7 @@ impl<'a> PairCtx<'a> {
         traces: &'a [CollectedTrace],
         config: &'a AnalyzerConfig,
         oracle: Option<&'a dyn IndexOracle>,
-        prefix: Option<PrefixTable>,
+        prefix: PrefixTable,
         store: Option<&'a StoreCtx<'a>>,
     ) -> Self {
         let stmt_sql = traces
@@ -527,10 +523,9 @@ struct PairSession<'a> {
     dst: Ctx,
     imp_a: Importer<'a>,
     imp_b: Importer<'a>,
-    /// Importers for the prefix table's pre-simplified conjuncts
-    /// (present iff [`PairCtx::prefix`] is).
-    pre_a: Option<Importer<'a>>,
-    pre_b: Option<Importer<'a>>,
+    /// Importers for the prefix table's pre-simplified conjuncts.
+    pre_a: Importer<'a>,
+    pre_b: Importer<'a>,
     solver: IncrementalSolver,
 }
 
@@ -538,19 +533,12 @@ impl<'a> PairSession<'a> {
     fn new(pair: &PairJob, ctx: &'a PairCtx<'_>) -> PairSession<'a> {
         let a = &ctx.traces[pair.a];
         let b = &ctx.traces[pair.b];
-        let (pre_a, pre_b) = match &ctx.prefix {
-            Some(table) => (
-                Some(Importer::new(&table.trace(pair.a).ctx, "A1.")),
-                Some(Importer::new(&table.trace(pair.b).ctx, "A2.")),
-            ),
-            None => (None, None),
-        };
         PairSession {
             dst: Ctx::new(),
             imp_a: Importer::new(&a.ctx, "A1."),
             imp_b: Importer::new(&b.ctx, "A2."),
-            pre_a,
-            pre_b,
+            pre_a: Importer::new(&ctx.prefix.trace(pair.a).ctx, "A1."),
+            pre_b: Importer::new(&ctx.prefix.trace(pair.b).ctx, "A2."),
             solver: IncrementalSolver::new(ctx.config.solver.clone()),
         }
     }
@@ -621,37 +609,22 @@ fn check_cycle(job: &FineJob, ctx: &PairCtx<'_>, sess: &mut PairSession<'_>) -> 
             }
         }
     }
-    match &ctx.prefix {
-        // Tier 2: import the pre-simplified path conditions from the
-        // prefix table's context — variables unify with the edge
-        // conditions by prefixed name, so the per-pair tier-0 pass only
-        // ever sees already-reduced conjuncts. The session importers'
-        // memo tables mean every conjunct is imported (and, inside the
-        // persistent solver, lowered) once per *pair*, not once per
-        // cycle — later cycles only add their delta.
-        Some(table) => {
-            let tp_a = table.trace(pair.a);
-            let tp_b = table.trace(pair.b);
-            let pre_a = sess.pre_a.as_mut().expect("prefix importers track table");
-            let pre_b = sess.pre_b.as_mut().expect("prefix importers track table");
-            for (pc, &s) in a.trace.path_conds.iter().zip(&tp_a.simplified) {
-                if pc.seq < a_wait.seq {
-                    parts.push(pre_a.import(dst, s));
-                }
-            }
-            for (pc, &s) in b.trace.path_conds.iter().zip(&tp_b.simplified) {
-                if pc.seq < b_wait.seq {
-                    parts.push(pre_b.import(dst, s));
-                }
-            }
+    // Import the pre-simplified path conditions from the prefix table's
+    // context — variables unify with the edge conditions by prefixed
+    // name, so the per-pair tier-0 pass only ever sees already-reduced
+    // conjuncts. The session importers' memo tables mean every conjunct
+    // is imported (and, inside the persistent solver, lowered) once per
+    // *pair*, not once per cycle — later cycles only add their delta.
+    let tp_a = ctx.prefix.trace(pair.a);
+    let tp_b = ctx.prefix.trace(pair.b);
+    for (pc, &s) in a.trace.path_conds.iter().zip(&tp_a.simplified) {
+        if pc.seq < a_wait.seq {
+            parts.push(sess.pre_a.import(dst, s));
         }
-        None => {
-            for pc in a.trace.path_conds_before(a_wait.seq) {
-                parts.push(sess.imp_a.import(dst, pc.term));
-            }
-            for pc in b.trace.path_conds_before(b_wait.seq) {
-                parts.push(sess.imp_b.import(dst, pc.term));
-            }
+    }
+    for (pc, &s) in b.trace.path_conds.iter().zip(&tp_b.simplified) {
+        if pc.seq < b_wait.seq {
+            parts.push(sess.pre_b.import(dst, s));
         }
     }
     let formula = dst.and(parts);
@@ -835,21 +808,19 @@ fn run_pipeline(
     // ---- Phase 1: transaction-level conflict filter --------------------
     timeline_phase("analyzer.phase1", "txn-level conflict filter");
     let phase1_start = Instant::now();
-    let mut pair_set = generate_pairs(traces, config.skip_filter_phases);
+    let pair_set = generate_pairs(traces, config.skip_filter_phases);
     stats.phase1_time = phase1_start.elapsed();
     stats.txn_pairs = pair_set.total;
     stats.pairs_after_phase1 = pair_set.jobs.len();
 
-    // ---- Tier 2: shared path-condition prefixes ------------------------
-    // Built once per run (sequentially — deterministic pipeline setup).
-    // A pair whose side has an UNSAT standalone prefix would get an UNSAT
-    // verdict for every cycle, so killing it here changes only funnel
-    // counters, never the report set.
-    let prefix = (config.fine_grained && config.solver.tiers.prefix)
-        .then(|| PrefixTable::build_with_store(traces, &config.solver, store));
-    if let Some(table) = &prefix {
-        stats.prefix_kills = prune_unsat_prefixes(&mut pair_set.jobs, table);
-    }
+    // Path conditions are simplified once per trace, not once per cycle
+    // (sequentially — deterministic pipeline setup). Only the fine phase
+    // reads them.
+    let prefix = if config.fine_grained {
+        PrefixTable::build(traces, &config.solver)
+    } else {
+        PrefixTable::default()
+    };
 
     let threads = resolve_threads(config.threads);
     let pctx = PairCtx::new(catalog, traces, config, oracle, prefix, store);

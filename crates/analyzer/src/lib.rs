@@ -14,10 +14,8 @@
 //! * [`pairs`] — the phase-1 pair generator: the transaction-level
 //!   conflict graph built once, yielding conflicting pairs in canonical
 //!   order;
-//! * [`prefix`] — tier 2 of the tiered solving pipeline: per-transaction
-//!   path-condition prefixes simplified and pre-solved once per run,
-//!   killing pairs whose prefix is already UNSAT and feeding
-//!   pre-simplified conjuncts to the fine phase;
+//! * [`prefix`] — every trace's path conditions simplified once per run,
+//!   feeding pre-simplified conjuncts to the fine phase;
 //! * [`schedule`] — the std-only chunk-claiming thread pool with an
 //!   order-preserving streaming merge (`threads = 1` runs inline);
 //! * [`diagnose`] — the one diagnosis driver: the three phases staged as

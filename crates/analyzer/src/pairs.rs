@@ -13,7 +13,6 @@
 //! field declaration order.
 
 use crate::diagnose::CollectedTrace;
-use crate::prefix::PrefixTable;
 use std::collections::{BTreeMap, BTreeSet};
 use weseer_concolic::Trace;
 
@@ -56,16 +55,6 @@ impl PairSet {
     pub fn pruned(&self) -> usize {
         self.total - self.jobs.len()
     }
-}
-
-/// Tier-2 prune: drop every pair with a side whose standalone
-/// path-condition prefix is definitely UNSAT — the fine phase's formula
-/// for such a pair conjoins that prefix, so its verdict is already known
-/// to be UNSAT. Returns the number of pairs killed.
-pub(crate) fn prune_unsat_prefixes(jobs: &mut Vec<PairJob>, table: &PrefixTable) -> usize {
-    let before = jobs.len();
-    jobs.retain(|j| !table.prefix_unsat(j.a, j.a_txn) && !table.prefix_unsat(j.b, j.b_txn));
-    before - jobs.len()
 }
 
 /// Tables accessed and written by one transaction of a trace.

@@ -147,7 +147,6 @@ mod tests {
             txn_pairs: 10,
             pairs_after_phase1: 4,
             coarse_cycles: 7,
-            prefix_kills: 0,
             fine_candidates: 3,
             smt_sat: 1,
             smt_unsat: 2,

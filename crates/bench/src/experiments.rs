@@ -293,22 +293,20 @@ pub fn metrics_report(weseer: &Weseer) -> (String, String) {
             &format!("{} diagnosis metrics", analysis.app),
             FUNNEL_STAGES,
         ));
-        // Discharge points of the tiered fast path (Sec. "Tiered
-        // solving" in the README): where each solver query was decided.
+        // The tiered fast path (Sec. "Tiered solving" in the README):
+        // which queries tier 1 answered with a model, and which went on
+        // to a full solve.
         let c = |name: &str| analysis.metrics.counter(name);
         let _ = writeln!(
             human,
-            "SMT fast path: {} tier-0 discharged, {} tier-1 discharged \
-             ({} sat / {} unsat), {} prefix kills, {} fell through \
-             ({} full solves; tier-1 arm search capped on {})",
-            c("smt.fastpath.t0_simplified"),
-            c("smt.fastpath.t1_sat") + c("smt.fastpath.t1_unsat"),
+            "SMT fast path: {} tier-1 models, {} fell through \
+             ({} full solves; tier-1 arm search capped on {}), \
+             {} models rejected by the SAT gate",
             c("smt.fastpath.t1_sat"),
-            c("smt.fastpath.t1_unsat"),
-            c("smt.fastpath.prefix_kill"),
             c("smt.fastpath.fallthrough"),
             c("smt.full_solve"),
             c("smt.fastpath.t1_capped"),
+            c("smt.model_rejected"),
         );
         // CDCL internals of the full solves that did run: how hard the
         // persistent SAT core worked and how much it carried across

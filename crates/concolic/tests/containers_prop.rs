@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use weseer_concolic::containers::SymMap;
 use weseer_concolic::{Engine, ExecMode};
-use weseer_smt::{check_all, SolveResult, SolverConfig, Sort};
+use weseer_smt::{check, SolveResult, SolverConfig, Sort};
 use weseer_sqlir::Value;
 
 #[derive(Debug, Clone)]
@@ -62,7 +62,8 @@ proptest! {
         let terms: Vec<_> = engine.path_conds().iter().map(|p| p.term).collect();
         if !terms.is_empty() {
             let mut ctx = std::mem::take(&mut engine.ctx);
-            let r = check_all(&mut ctx, &terms, &SolverConfig::default());
+            let conj = ctx.and(terms);
+            let r = check(&mut ctx, conj, &SolverConfig::default());
             prop_assert!(
                 matches!(r, SolveResult::Sat(_)),
                 "path conditions of a real execution must be SAT, got {r:?}"

@@ -309,8 +309,7 @@ impl Weseer {
 
     /// Open (or create) the incremental store at `path` and consult it on
     /// every analysis: a warm run over unchanged traces reuses each
-    /// prefix pre-solve, phase-2 scan, phase-3 verdict, and replay
-    /// outcome recorded by the run that filled the store, and is
+    /// phase-2 scan, phase-3 verdict, and replay outcome recorded by the run that filled the store, and is
     /// byte-identical to it.
     pub fn with_store(mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         self.store = Some(Arc::new(Store::open(path)?));
@@ -476,14 +475,12 @@ impl Weseer {
             *groups.entry(classify(app.name(), r)).or_insert(0) += 1;
         }
         // The baseline count is the diagnosis's own phase-2 count unless
-        // the diagnosis scanned a different job list: every pair (brute
-        // force) or fewer pairs (prefix kills). Store hits restore the
-        // per-pair counts, so a warm run qualifies too.
-        let is_baseline = !self.config.skip_filter_phases && diagnosis.stats.prefix_kills == 0;
-        let coarse_cycles = if is_baseline {
-            diagnosis.stats.coarse_cycles
-        } else {
+        // the diagnosis scanned every pair (brute force). Store hits
+        // restore the per-pair counts, so a warm run qualifies too.
+        let coarse_cycles = if self.config.skip_filter_phases {
             coarse_cycle_count(&traces)
+        } else {
+            diagnosis.stats.coarse_cycles
         };
         let replay = self
             .replay

@@ -35,7 +35,7 @@
 
 use crate::lower::Lowering;
 use crate::sat::{self, SatResult};
-use crate::solver::{self, Fastpath, SolveResult, SolverConfig, SolverStats, TheoryOutcome};
+use crate::solver::{self, SolveResult, SolverConfig, SolverStats, TheoryOutcome};
 use crate::term::{Ctx, TermId, TermKind};
 use std::collections::{BTreeMap, HashSet};
 
@@ -61,8 +61,6 @@ pub struct IncrementalSolver {
     /// every axiom of an array would grow each query's theory problem
     /// quadratically in the pair's read history).
     axioms: Vec<(TermId, TermId, TermId)>,
-    /// Queries answered (assumption variables spent).
-    queries: u64,
 }
 
 impl IncrementalSolver {
@@ -75,51 +73,19 @@ impl IncrementalSolver {
         }
     }
 
-    /// Number of queries answered so far.
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
     /// Decide `assertion` behind the tier-0/tier-1 fast path, with the
     /// same verdicts and observability as [`crate::check_tiered`] but
     /// reusing this solver's accumulated state for the full solves.
     pub fn check_tiered(&mut self, ctx: &mut Ctx, assertion: TermId) -> (SolveResult, SolverStats) {
-        let start = std::time::Instant::now();
-        let mut stats = SolverStats::default();
         let config = self.config.clone();
-        match solver::fastpath(ctx, assertion, &config, &mut stats) {
-            Fastpath::Decided(result) => {
-                solver::record_fastpath_decided(start, &result, &mut stats);
-                self.queries += 1;
-                (result, stats)
-            }
-            Fastpath::Continue(term) => {
-                let full_start = std::time::Instant::now();
-                let result = self.check_assuming_inner(ctx, term, &mut stats);
-                solver::record_full_solve(start, full_start, &result, &mut stats);
-                self.queries += 1;
-                (result, stats)
-            }
-        }
+        solver::tiered(ctx, assertion, &config, |ctx, term, stats| {
+            self.check_assuming(ctx, term, stats)
+        })
     }
 
     /// Decide `assertion` with the full solver (no fast path), keeping
-    /// every clause this solver has accumulated. Records the same
-    /// per-call observability as [`crate::check_with_stats`].
-    pub fn check_assuming(
-        &mut self,
-        ctx: &mut Ctx,
-        assertion: TermId,
-    ) -> (SolveResult, SolverStats) {
-        let start = std::time::Instant::now();
-        let mut stats = SolverStats::default();
-        let result = self.check_assuming_inner(ctx, assertion, &mut stats);
-        solver::record_full_solve(start, start, &result, &mut stats);
-        self.queries += 1;
-        (result, stats)
-    }
-
-    fn check_assuming_inner(
+    /// every clause this solver has accumulated.
+    fn check_assuming(
         &mut self,
         ctx: &mut Ctx,
         assertion: TermId,
@@ -354,6 +320,13 @@ mod tests {
         SolverConfig::default()
     }
 
+    /// One full solve (no fast path) with its statistics.
+    fn assume(inc: &mut IncrementalSolver, ctx: &mut Ctx, t: TermId) -> (SolveResult, SolverStats) {
+        let mut stats = SolverStats::default();
+        let result = inc.check_assuming(ctx, t, &mut stats);
+        (result, stats)
+    }
+
     /// A pair-like query sequence: shared prefix, per-cycle deltas.
     fn prefix_and_deltas(ctx: &mut Ctx) -> (TermId, Vec<TermId>) {
         let x = ctx.var("x", Sort::Int);
@@ -391,7 +364,6 @@ mod tests {
                 assert!(m.satisfies(&ctx, q), "incremental model must satisfy query");
             }
         }
-        assert_eq!(inc.queries(), 3);
     }
 
     #[test]
@@ -408,15 +380,15 @@ mod tests {
         let ge = ctx.ge(x, one);
         let both = ctx.and([le, ge]);
         let mut inc = IncrementalSolver::new(cfg());
-        let (r1, _) = inc.check_assuming(&mut ctx, le);
+        let (r1, _) = assume(&mut inc, &mut ctx, le);
         assert!(matches!(r1, SolveResult::Sat(_)));
         if let SolveResult::Sat(m) = &r1 {
             assert!(m.satisfies(&ctx, le));
         }
-        let (r2, _) = inc.check_assuming(&mut ctx, both);
+        let (r2, _) = assume(&mut inc, &mut ctx, both);
         assert!(matches!(r2, SolveResult::Unsat));
         // The earlier query must still be answerable.
-        let (r3, _) = inc.check_assuming(&mut ctx, ge);
+        let (r3, _) = assume(&mut inc, &mut ctx, ge);
         assert!(matches!(r3, SolveResult::Sat(_)));
     }
 
@@ -432,12 +404,12 @@ mod tests {
         let ri = ctx.select(m, i);
         let rj = ctx.select(m, j);
         let mut inc = IncrementalSolver::new(cfg());
-        let (r1, _) = inc.check_assuming(&mut ctx, ri);
+        let (r1, _) = assume(&mut inc, &mut ctx, ri);
         assert!(matches!(r1, SolveResult::Sat(_)));
         let eq = ctx.eq(i, j);
         let nrj = ctx.not(rj);
         let q2 = ctx.and([eq, ri, nrj]);
-        let (r2, _) = inc.check_assuming(&mut ctx, q2);
+        let (r2, _) = assume(&mut inc, &mut ctx, q2);
         assert!(matches!(r2, SolveResult::Unsat), "congruence must fire");
     }
 
@@ -453,9 +425,9 @@ mod tests {
         let c2 = ctx.lt(x, one);
         let f = ctx.and([c1, c2]); // int gap: UNSAT via arith conflicts
         let mut inc = IncrementalSolver::new(cfg());
-        let (r1, s1) = inc.check_assuming(&mut ctx, f);
+        let (r1, s1) = assume(&mut inc, &mut ctx, f);
         assert!(matches!(r1, SolveResult::Unsat));
-        let (r2, s2) = inc.check_assuming(&mut ctx, f);
+        let (r2, s2) = assume(&mut inc, &mut ctx, f);
         assert!(matches!(r2, SolveResult::Unsat));
         assert!(
             s2.arith_conflicts <= s1.arith_conflicts,
@@ -463,6 +435,24 @@ mod tests {
             s2.arith_conflicts,
             s1.arith_conflicts
         );
+    }
+
+    #[test]
+    fn a_formula_that_folds_to_false_is_refuted_by_this_solver() {
+        // Tier 0 folds `x < x` to `false`; it is lowered and refuted
+        // under its assumption like any other query, and the solver
+        // stays usable afterwards.
+        let mut ctx = Ctx::new();
+        let x = ctx.var("x", Sort::Int);
+        let lt = ctx.lt(x, x);
+        let one = ctx.int(1);
+        let ge = ctx.ge(x, one);
+        let mut inc = IncrementalSolver::new(cfg());
+        let (r1, s1) = inc.check_tiered(&mut ctx, lt);
+        assert!(matches!(r1, SolveResult::Unsat));
+        assert_eq!((s1.t1_sat, s1.fallthrough), (0, 1));
+        let (r2, _) = inc.check_tiered(&mut ctx, ge);
+        assert!(r2.is_sat());
     }
 
     #[test]

@@ -51,11 +51,8 @@ pub mod term;
 pub use canon::Canonical;
 pub use incremental::IncrementalSolver;
 pub use model::{Model, ModelKey, ModelValue};
-pub use presolve::{presolve, PresolveResult};
+pub use presolve::presolve;
 pub use rational::Rat;
 pub use simplify::{simplify, Simplifier};
-pub use solver::{
-    check, check_all, check_tiered, check_with_stats, SolveResult, SolverConfig, SolverStats,
-    TierConfig,
-};
+pub use solver::{check, check_tiered, SolveResult, SolverConfig, SolverStats, TierConfig};
 pub use term::{Ctx, Sort, TermId, TermKind};

@@ -132,8 +132,8 @@ impl Model {
     /// Evaluate a term under this model.
     ///
     /// Unassigned variables default to `0`, `""`, or `false`; array reads
-    /// not recorded default to `false`. Used by tests to verify that
-    /// returned models really satisfy the asserted formula.
+    /// not recorded default to `false`. This is what the solver's SAT
+    /// gate (and every model-checking test) evaluates a formula with.
     pub fn eval(&self, ctx: &Ctx, t: TermId) -> ModelValue {
         match ctx.kind(t).clone() {
             TermKind::Var(name) => match ctx.sort(t) {

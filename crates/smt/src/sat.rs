@@ -658,7 +658,7 @@ pub fn solve_budgeted(cnf: &Cnf, max_decisions: u64) -> Option<SatResult> {
 
 /// Like [`solve_budgeted`] but also reporting how much search the call
 /// performed, budget-exhausted or not. The lazy-SMT loop aggregates these
-/// per [`crate::solver::check_with_stats`] call.
+/// per query in [`crate::solver::SolverStats`].
 pub fn solve_instrumented(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, SatStats) {
     let mut solver = Solver::from_cnf(cnf);
     solver.solve_under_assumptions(&[], max_decisions)

@@ -8,7 +8,7 @@
 use crate::arith::{self, ArithResult, Constraint, Limits};
 use crate::lower::{Atom, Lowering};
 use crate::model::{Model, ModelKey, ModelValue};
-use crate::presolve::{self, PresolveResult};
+use crate::presolve;
 use crate::rational::Rat;
 use crate::sat::{self, Cnf, Lit, SatResult, SatStats};
 use crate::simplify;
@@ -17,21 +17,17 @@ use crate::term::{Ctx, TermId, TermKind};
 use std::collections::{BTreeMap, HashMap};
 
 /// Which tiers of the fast path run in front of the full solver (see
-/// [`check_tiered`]). All tiers are sound — disabling them changes cost,
-/// never verdicts — which the root `tier_grid` test verifies end to end.
+/// [`check_tiered`]). The fast path only ever answers with a model the
+/// SAT gate accepted, so disabling a tier changes cost, never verdicts —
+/// which the root `tier_grid` test verifies end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Tier 0: bottom-up simplification ([`crate::simplify`]) before
-    /// canonicalization/solving; formulas that fold to a constant are
-    /// discharged outright.
+    /// Tier 0: bottom-up simplification ([`crate::simplify`]); the later
+    /// stages see the simplified formula.
     pub simplify: bool,
-    /// Tier 1: abstract pre-solve ([`crate::presolve`]) for definite
-    /// UNSAT / definite SAT-with-model verdicts.
+    /// Tier 1: abstract pre-solve ([`crate::presolve`]), which either
+    /// finds a model or falls through.
     pub presolve: bool,
-    /// Tier 2: shared path-condition prefix solving in the analyzer
-    /// (`weseer-analyzer`); carried here so one knob travels with the
-    /// solver config.
-    pub prefix: bool,
 }
 
 impl TierConfig {
@@ -40,12 +36,11 @@ impl TierConfig {
     pub const OFF: TierConfig = TierConfig {
         simplify: false,
         presolve: false,
-        prefix: false,
     };
 
     /// The named knob ablation grid: every row is the default config with
     /// exactly one knob withheld (plus the all-on and all-off endpoints).
-    /// `tests/tier_grid.rs` diagnoses Shopizer under every row and
+    /// `tests/tier_grid.rs` diagnoses both apps under every row and
     /// `tests/cdcl_agreement.rs` solves random terms under every row, so
     /// a new `TierConfig` knob is gated by adding its row here.
     pub fn ablation_configs() -> Vec<(&'static str, TierConfig)> {
@@ -66,13 +61,6 @@ impl TierConfig {
                     ..all
                 },
             ),
-            (
-                "no_prefix",
-                TierConfig {
-                    prefix: false,
-                    ..all
-                },
-            ),
             ("no_tiers", TierConfig::OFF),
         ]
     }
@@ -83,7 +71,6 @@ impl Default for TierConfig {
         TierConfig {
             simplify: true,
             presolve: true,
-            prefix: true,
         }
     }
 }
@@ -147,8 +134,8 @@ impl SolveResult {
     }
 }
 
-/// Search-effort statistics for one [`check_with_stats`] call, summed
-/// over every SAT call and theory iteration of the lazy loop.
+/// Search-effort statistics for one solver call, summed over every SAT
+/// call and theory iteration of the lazy loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// SAT core invocations (one per theory iteration).
@@ -177,14 +164,13 @@ pub struct SolverStats {
     pub arith_budget_exhausted: u64,
     /// Unknowns caused by running out of theory iterations.
     pub theory_iters_exhausted: u64,
-    /// Queries discharged by tier 0 (simplified to a boolean constant).
-    pub t0_discharged: u64,
-    /// Queries discharged UNSAT by the tier-1 abstract pre-solver.
-    pub t1_unsat: u64,
-    /// Queries discharged SAT (with a checked model) by tier 1.
+    /// Queries tier 1 found a model for (the full solver never ran).
     pub t1_sat: u64,
-    /// Queries that fell through every fast-path tier.
+    /// Queries that fell through the fast path to the full solver.
     pub fallthrough: u64,
+    /// SAT answers turned into Unknown because the model did not
+    /// evaluate the original assertion to true.
+    pub model_rejected: u64,
     /// Wall-clock microseconds spent answering the query (summed over
     /// calls when absorbed). Nondeterministic — attribution only; must
     /// never feed byte-compared reports or verdicts.
@@ -205,10 +191,9 @@ impl SolverStats {
         self.sat_budget_exhausted += other.sat_budget_exhausted;
         self.arith_budget_exhausted += other.arith_budget_exhausted;
         self.theory_iters_exhausted += other.theory_iters_exhausted;
-        self.t0_discharged += other.t0_discharged;
-        self.t1_unsat += other.t1_unsat;
         self.t1_sat += other.t1_sat;
         self.fallthrough += other.fallthrough;
+        self.model_rejected += other.model_rejected;
         self.wall_us += other.wall_us;
     }
 
@@ -226,25 +211,17 @@ impl SolverStats {
     }
 }
 
-/// Decide the satisfiability of `assertion` (Bool-sorted).
+/// Decide the satisfiability of `assertion` (Bool-sorted) with the full
+/// solver alone: the untiered, ungated reference the tiered entry points
+/// are tested against. Per-call latency and the aggregated counters are
+/// recorded in the global [`weseer_obs`] registry (histogram
+/// `smt.solve_us`, counters `smt.*`) when observability is enabled.
 pub fn check(ctx: &mut Ctx, assertion: TermId, config: &SolverConfig) -> SolveResult {
-    check_with_stats(ctx, assertion, config).0
-}
-
-/// Like [`check`] but also reporting search-effort statistics. Per-call
-/// latency and the aggregated counters are additionally recorded in the
-/// global [`weseer_obs`] registry (histogram `smt.solve_us`, counters
-/// `smt.*`) when observability is enabled.
-pub fn check_with_stats(
-    ctx: &mut Ctx,
-    assertion: TermId,
-    config: &SolverConfig,
-) -> (SolveResult, SolverStats) {
     let start = std::time::Instant::now();
     let mut stats = SolverStats::default();
     let result = check_inner(ctx, assertion, config, &mut stats);
     record_full_solve(start, start, &result, &mut stats);
-    (result, stats)
+    result
 }
 
 /// Record the per-call observability for one query the full solver
@@ -254,9 +231,7 @@ pub fn check_with_stats(
 /// `query_start` is when the query arrived — `smt.solve_us`, the slice
 /// and `wall_us` cover the fast-path tiers it fell through — and
 /// `full_start` when the full solver took over (`smt.full_solve_us`).
-/// Shared by [`check_with_stats`], [`check_tiered`] and the incremental
-/// solver so the funnel counters mean the same thing in every mode.
-pub(crate) fn record_full_solve(
+fn record_full_solve(
     query_start: std::time::Instant,
     full_start: std::time::Instant,
     result: &SolveResult,
@@ -298,136 +273,100 @@ pub(crate) fn record_full_solve(
     weseer_obs::add("smt.cdcl.db_reductions", stats.sat.db_reductions);
 }
 
-/// Outcome of the tier-0/tier-1 fast path: either a final verdict or the
-/// (possibly simplified) formula the full solver should see.
-pub(crate) enum Fastpath {
-    Decided(SolveResult),
-    Continue(TermId),
+/// The SAT gate: a model leaves the solver stack only if it evaluates
+/// the *original* assertion — not the simplified term the tiers worked
+/// on — to true ([`Model::satisfies`]). A model that does not is a bug in
+/// whatever produced it, so the answer becomes `Unknown` (counted in
+/// `model_rejected` / `smt.model_rejected`), never a report. UNSAT and
+/// Unknown pass through.
+fn gate_model(
+    ctx: &Ctx,
+    assertion: TermId,
+    result: SolveResult,
+    stats: &mut SolverStats,
+) -> SolveResult {
+    match result {
+        SolveResult::Sat(model) if !model.satisfies(ctx, assertion) => {
+            stats.model_rejected += 1;
+            weseer_obs::add("smt.model_rejected", 1);
+            SolveResult::Unknown
+        }
+        other => other,
+    }
 }
 
-/// Run the tier-0 simplifier and tier-1 abstract pre-solver in front of
-/// the full solver, recording discharge counters in `stats` and the
-/// global `weseer_obs` registry.
-///
-/// Soundness: tier 0 discharges only formulas that fold to a boolean
-/// constant; tier 1 discharges UNSAT only from over-approximating
-/// reasoning (cross-checked against the full solver under
-/// `debug_assertions`) and SAT only with a candidate model that
-/// [`Model::satisfies`] has verified against the original formula.
-pub(crate) fn fastpath(
+/// One query through the tiered pipeline, shared by [`check_tiered`] and
+/// the incremental solver (which differ only in `full`, the full solver
+/// the query falls through to): tier-0 simplification, then the tier-1
+/// model finder, then `full` over the simplified formula — each subject
+/// to `config.tiers`. The fast path only finds models; every UNSAT comes
+/// from `full`, and every SAT from either passes [`gate_model`].
+pub(crate) fn tiered(
     ctx: &mut Ctx,
     assertion: TermId,
     config: &SolverConfig,
-    stats: &mut SolverStats,
-) -> Fastpath {
+    full: impl FnOnce(&mut Ctx, TermId, &mut SolverStats) -> SolveResult,
+) -> (SolveResult, SolverStats) {
+    let start = std::time::Instant::now();
+    let mut stats = SolverStats::default();
     let mut term = assertion;
     if config.tiers.simplify {
-        let start = std::time::Instant::now();
+        let t0 = std::time::Instant::now();
         term = simplify::simplify(ctx, term);
-        weseer_obs::observe_duration("smt.fastpath.t0_us", start.elapsed());
-        if let TermKind::BoolConst(b) = *ctx.kind(term) {
-            stats.t0_discharged += 1;
-            weseer_obs::add("smt.fastpath.t0_simplified", 1);
-            return Fastpath::Decided(if b {
-                // `true` is satisfied by any assignment; the empty model
-                // leaves every variable at its sort's default value.
-                SolveResult::Sat(Model::default())
-            } else {
-                SolveResult::Unsat
-            });
-        }
+        weseer_obs::observe_duration("smt.fastpath.t0_us", t0.elapsed());
     }
     if config.tiers.presolve {
-        let start = std::time::Instant::now();
-        let (pre, capped) = presolve::presolve_with_cap(ctx, term);
-        weseer_obs::observe_duration("smt.fastpath.t1_us", start.elapsed());
+        let t1 = std::time::Instant::now();
+        let (found, capped) = presolve::presolve_with_cap(ctx, term);
+        weseer_obs::observe_duration("smt.fastpath.t1_us", t1.elapsed());
         if capped {
             weseer_obs::add("smt.fastpath.t1_capped", 1);
         }
-        match pre {
-            PresolveResult::Unsat => {
-                #[cfg(debug_assertions)]
-                {
-                    let mut scratch = SolverStats::default();
-                    let full = check_inner(ctx, term, config, &mut scratch);
-                    debug_assert!(
-                        !matches!(full, SolveResult::Sat(_)),
-                        "presolve claimed UNSAT for a satisfiable formula"
-                    );
-                }
-                stats.t1_unsat += 1;
-                weseer_obs::add("smt.fastpath.t1_unsat", 1);
-                return Fastpath::Decided(SolveResult::Unsat);
-            }
-            PresolveResult::Sat(model) => {
-                debug_assert!(
-                    model.satisfies(ctx, assertion),
-                    "presolve returned a model that does not satisfy the original formula"
+        if let Some(model) = found {
+            stats.t1_sat += 1;
+            weseer_obs::add("smt.fastpath.t1_sat", 1);
+            let result = gate_model(ctx, assertion, SolveResult::Sat(model), &mut stats);
+            // Keeps the funnel invariant `smt.solve_calls` = queries
+            // answered, whether or not the full solver ran.
+            let elapsed = start.elapsed();
+            stats.wall_us = elapsed.as_micros() as u64;
+            if weseer_obs::timeline::enabled() {
+                weseer_obs::timeline::complete_since(
+                    "smt.solve",
+                    "smt",
+                    start,
+                    &[
+                        ("tier", "t1".to_string()),
+                        ("verdict", result.verdict_str().to_string()),
+                    ],
                 );
-                stats.t1_sat += 1;
-                weseer_obs::add("smt.fastpath.t1_sat", 1);
-                return Fastpath::Decided(SolveResult::Sat(model));
             }
-            PresolveResult::Unknown => {}
+            weseer_obs::observe_duration("smt.solve_us", elapsed);
+            weseer_obs::add("smt.solve_calls", 1);
+            return (result, stats);
         }
     }
     stats.fallthrough += 1;
     weseer_obs::add("smt.fastpath.fallthrough", 1);
-    Fastpath::Continue(term)
+    let full_start = std::time::Instant::now();
+    let result = full(ctx, term, &mut stats);
+    let result = gate_model(ctx, assertion, result, &mut stats);
+    record_full_solve(start, full_start, &result, &mut stats);
+    (result, stats)
 }
 
-/// [`check_with_stats`] behind the tiered fast path: tier-0
-/// simplification and the tier-1 abstract pre-solver run first (subject
-/// to `config.tiers`), and only formulas neither tier can discharge reach
-/// the full DPLL(T) solver. Verdicts are identical to [`check`]'s on
-/// every decided formula; only the cost differs.
+/// [`check`] behind the tiered fast path (`tiered`) with a fresh full
+/// solver per call — the reference the incremental solver is tested
+/// against. Verdicts are identical to [`check`]'s on every decided
+/// formula; only the cost differs.
 pub fn check_tiered(
     ctx: &mut Ctx,
     assertion: TermId,
     config: &SolverConfig,
 ) -> (SolveResult, SolverStats) {
-    let start = std::time::Instant::now();
-    let mut stats = SolverStats::default();
-    match fastpath(ctx, assertion, config, &mut stats) {
-        Fastpath::Decided(result) => {
-            record_fastpath_decided(start, &result, &mut stats);
-            (result, stats)
-        }
-        Fastpath::Continue(term) => {
-            let full_start = std::time::Instant::now();
-            let result = check_inner(ctx, term, config, &mut stats);
-            record_full_solve(start, full_start, &result, &mut stats);
-            (result, stats)
-        }
-    }
-}
-
-/// Record the per-call observability for a query the tier-0/tier-1 fast
-/// path discharged without running the full solver. Keeps the funnel
-/// invariant `smt.solve_calls` = queries answered, whether or not the
-/// full solver ran. Shared by [`check_tiered`] and the incremental
-/// solver.
-pub(crate) fn record_fastpath_decided(
-    start: std::time::Instant,
-    result: &SolveResult,
-    stats: &mut SolverStats,
-) {
-    let elapsed = start.elapsed();
-    stats.wall_us = elapsed.as_micros() as u64;
-    if weseer_obs::timeline::enabled() {
-        let tier = if stats.t0_discharged > 0 { "t0" } else { "t1" };
-        weseer_obs::timeline::complete_since(
-            "smt.solve",
-            "smt",
-            start,
-            &[
-                ("tier", tier.to_string()),
-                ("verdict", result.verdict_str().to_string()),
-            ],
-        );
-    }
-    weseer_obs::observe_duration("smt.solve_us", elapsed);
-    weseer_obs::add("smt.solve_calls", 1);
+    tiered(ctx, assertion, config, |ctx, term, stats| {
+        check_inner(ctx, term, config, stats)
+    })
 }
 
 fn check_inner(
@@ -592,12 +531,6 @@ pub(crate) fn theory_round(
         &arith_model,
         &str_model,
     )))
-}
-
-/// Convenience: check a conjunction of assertions.
-pub fn check_all(ctx: &mut Ctx, assertions: &[TermId], config: &SolverConfig) -> SolveResult {
-    let conj = ctx.and(assertions.iter().copied());
-    check(ctx, conj, config)
 }
 
 /// Greedily mark the variables needed to satisfy every clause under
@@ -1017,7 +950,8 @@ mod tests {
         let c1 = ctx.lt(zero, x);
         let c2 = ctx.lt(x, one);
         let f = ctx.and([c1, c2]);
-        let (res, stats) = check_with_stats(&mut ctx, f, &cfg());
+        let mut stats = SolverStats::default();
+        let res = check_inner(&mut ctx, f, &cfg(), &mut stats);
         assert!(matches!(res, SolveResult::Unsat));
         assert!(stats.sat_calls >= 1);
         assert!(stats.theory_iters >= 1);
@@ -1086,22 +1020,54 @@ mod tests {
         assert!(stats.arith_solves <= 12, "{} solves", stats.arith_solves);
         assert_eq!(stats.arith_budget_exhausted, 0);
 
-        let (res, full) = check_with_stats(&mut ctx, f, &cfg());
+        let mut full = SolverStats::default();
+        let res = check_inner(&mut ctx, f, &cfg(), &mut full);
         assert!(matches!(res, SolveResult::Unsat));
         assert_eq!(full.arith_solves, stats.arith_solves);
         assert_eq!((full.arith_conflicts, full.core_lits), (1, 3));
     }
 
     #[test]
-    fn check_all_conjunction() {
+    fn a_model_that_falsifies_the_assertion_becomes_unknown() {
         let mut ctx = Ctx::new();
         let x = ctx.var("x", Sort::Int);
         let two = ctx.int(2);
-        let a1 = ctx.ge(x, two);
-        let a2 = ctx.le(x, two);
-        match check_all(&mut ctx, &[a1, a2], &cfg()) {
-            SolveResult::Sat(m) => assert_eq!(m.get_int("x"), Some(2)),
-            other => panic!("{other:?}"),
-        }
+        let f = ctx.ge(x, two);
+        let model = |v| {
+            let values = BTreeMap::from([("x".to_string(), ModelValue::Int(v))]);
+            SolveResult::Sat(Model::new(values, HashMap::new()))
+        };
+        let mut stats = SolverStats::default();
+        let kept = gate_model(&ctx, f, model(2), &mut stats);
+        assert_eq!(kept.model().and_then(|m| m.get_int("x")), Some(2));
+        assert_eq!(stats.model_rejected, 0);
+        let rejected = gate_model(&ctx, f, model(1), &mut stats);
+        assert!(matches!(rejected, SolveResult::Unknown));
+        assert_eq!(stats.model_rejected, 1);
+        // UNSAT is not a model: it passes through untouched.
+        let unsat = gate_model(&ctx, f, SolveResult::Unsat, &mut stats);
+        assert!(matches!(unsat, SolveResult::Unsat));
+        assert_eq!(stats.model_rejected, 1);
+    }
+
+    #[test]
+    fn constant_formulas_take_the_ordinary_route() {
+        // Tier 0 folds both to a constant; neither is a special case.
+        // `true` is a tier-1 SAT with the empty model, `false` is lowered
+        // and refuted by the full solver.
+        let mut ctx = Ctx::new();
+        let x = ctx.var("x", Sort::Int);
+        let lt = ctx.lt(x, x);
+        let folded = simplify::simplify(&mut ctx, lt);
+        assert_eq!(*ctx.kind(folded), TermKind::BoolConst(false));
+        let (res, stats) = check_tiered(&mut ctx, lt, &cfg());
+        assert!(matches!(res, SolveResult::Unsat));
+        assert_eq!((stats.t1_sat, stats.fallthrough), (0, 1));
+        let le = ctx.le(x, x);
+        let folded = simplify::simplify(&mut ctx, le);
+        assert_eq!(*ctx.kind(folded), TermKind::BoolConst(true));
+        let (res, stats) = check_tiered(&mut ctx, le, &cfg());
+        assert!(res.model().expect("valid formula").is_empty());
+        assert_eq!((stats.t1_sat, stats.fallthrough), (1, 0));
     }
 }

@@ -46,13 +46,12 @@ fn render(analysis: &AppAnalysis) -> String {
 }
 
 /// The deterministic part of the diagnosis statistics (no wall times).
-fn funnel(analysis: &AppAnalysis) -> [usize; 8] {
+fn funnel(analysis: &AppAnalysis) -> [usize; 7] {
     let st = &analysis.diagnosis.stats;
     [
         st.txn_pairs,
         st.pairs_after_phase1,
         st.coarse_cycles,
-        st.prefix_kills,
         st.fine_candidates,
         st.smt_sat,
         st.smt_unsat,
@@ -118,7 +117,7 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
 
     // Every fingerprint-keyed entry is either still warm or stale; none
     // disappear (per kind: dirty hits + dirty stales == warm hits).
-    for kind in ["prefix", "pair2", "pair3", "wit"] {
+    for kind in ["pair2", "pair3", "wit"] {
         assert_eq!(
             dm.counter(&format!("store.hit.{kind}")) + dm.counter(&format!("store.stale.{kind}")),
             wm.counter(&format!("store.hit.{kind}")),
@@ -145,10 +144,10 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
 }
 
 /// The solver tag the previous store format carried in every content key
-/// (its `TierConfig` still had the `cdcl` / `incremental` fields).
+/// (its `TierConfig` still had the `prefix` field).
 const PARENT_SOLVER: &str = "solver=SolverConfig { max_theory_iters: 500, arith_limits: \
     Limits { max_constraints: 50000, max_branches: 64 }, sat_decision_budget: 2000000, tiers: \
-    TierConfig { simplify: true, presolve: true, prefix: true, cdcl: true, incremental: true } }";
+    TierConfig { simplify: true, presolve: true, prefix: true } }";
 
 #[test]
 fn stores_written_by_the_previous_format_still_open() {
@@ -176,9 +175,10 @@ fn stores_written_by_the_previous_format_still_open() {
     let (cold, _) = analyze(None);
     let cold_out = reports_and_funnel(&cold);
 
-    // Records exactly as the previous version wrote them: wall times
-    // (`us`) inside pair2/pair3 values, content keys carrying its solver
-    // tag, and an `smt` verdict-cache record — a kind nothing reads any
+    // Records as previous versions wrote them: wall times (`us`) inside
+    // pair2/pair3 values, content keys carrying the parent's solver tag
+    // (`TierConfig`'s `Debug` text is part of every content key), and
+    // records of the `smt` and `prefix` kinds, which nothing reads any
     // more. They must open, read stale (or not at all), and be replaced.
     let pair_tag = format!("lock-model-v1|fine=true|range=true|skip=false|{PARENT_SOLVER}");
     let fp = "50ac70d7191c28ee1b767deb57f2e571";
@@ -214,14 +214,20 @@ fn stores_written_by_the_previous_format_still_open() {
         0,
         "nothing of the old format applies"
     );
-    for kind in ["prefix", "pair2", "pair3"] {
+    for kind in ["pair2", "pair3"] {
         assert!(
             pm.counter(&format!("store.stale.{kind}")) >= 1,
             "the {kind} record must read stale"
         );
     }
-    for outcome in ["hit", "stale", "miss"] {
-        assert_eq!(pm.counter(&format!("store.{outcome}.smt")), 0);
+    for kind in ["smt", "prefix"] {
+        for outcome in ["hit", "stale", "miss"] {
+            assert_eq!(
+                pm.counter(&format!("store.{outcome}.{kind}")),
+                0,
+                "a {kind} record is never looked up"
+            );
+        }
     }
 
     // The store now also holds this version's records. Give each
@@ -294,7 +300,6 @@ fn reported_coarse_cycles_equal_the_recomputed_baseline() {
                     "{} under {fixes:?}, {temperature} store",
                     app.name()
                 );
-                assert_eq!(analysis.diagnosis.stats.prefix_kills, 0);
             }
             let _ = std::fs::remove_file(&path);
         }

@@ -1,22 +1,21 @@
 //! The solver tiers are pure optimisations on a real application: every
-//! row of `TierConfig::ablation_configs()` must report the same Shopizer
-//! cycles in the same order as the untiered solver, and may only *refine*
-//! its verdict counts. (`crates/smt/tests/cdcl_agreement.rs` checks the
-//! same grid on random QF_LIA terms.) Five diagnoses: ≈ 0.5 s in a
-//! release build, ≈ 6 s in a debug build, where every tier-1 UNSAT is
-//! also cross-checked against the full solver.
+//! row of `TierConfig::ablation_configs()` must report the same cycles in
+//! the same order as the untiered solver, and may only *refine* its
+//! verdict counts — on Shopizer and on Broadleaf. The fast path only
+//! finds models, so this grid is the tiers' one real-app differential.
+//! (`crates/smt/tests/cdcl_agreement.rs` checks the same grid on random
+//! QF_LIA terms.) Four diagnoses per app.
 
 use std::time::Instant;
 use weseer::analyzer::diagnose;
-use weseer::apps::{ECommerceApp, Fixes, Shopizer};
+use weseer::apps::{Broadleaf, ECommerceApp, Fixes, Shopizer};
 use weseer::core::Weseer;
 use weseer::smt::TierConfig;
 
-#[test]
-fn every_tier_row_reports_the_untiered_cycles() {
+fn every_row_reports_the_untiered_cycles(app: &dyn ECommerceApp) {
     let weseer = Weseer::new();
-    let (traces, _db) = weseer.collect_traces(&Shopizer, &Fixes::none());
-    let catalog = Shopizer.catalog();
+    let (traces, _db) = weseer.collect_traces(app, &Fixes::none());
+    let catalog = app.catalog();
 
     let rows: Vec<_> = TierConfig::ablation_configs()
         .into_iter()
@@ -36,19 +35,23 @@ fn every_tier_row_reports_the_untiered_cycles() {
                 .collect();
             let verdicts = (d.stats.smt_sat, d.stats.smt_unsat, d.stats.smt_unknown);
             // Visible under `--nocapture`: what each tier costs or saves.
-            println!("tier_grid {label:<12} {ms:>8.1} ms  (sat, unsat, unknown) = {verdicts:?}");
+            println!(
+                "tier_grid {:<9} {label:<12} {ms:>8.1} ms  (sat, unsat, unknown) = {verdicts:?}",
+                app.name()
+            );
             (label, cycles, verdicts)
         })
         .collect();
 
+    assert_eq!(rows.len(), 4);
     let (base_label, base_cycles, (bs, bu, bk)) = rows.last().expect("the no_tiers row");
     assert_eq!(*base_label, "no_tiers");
-    assert!(!base_cycles.is_empty(), "Shopizer must produce reports");
+    assert!(!base_cycles.is_empty(), "the app must produce reports");
     for (label, cycles, (s, u, k)) in &rows {
         assert_eq!(cycles, base_cycles, "'{label}' changed the reported cycles");
-        // A tier may decide a query whose full solve runs out of budget,
-        // turning a baseline Unknown into an Unsat — never the reverse,
-        // and never touching the sat count.
+        // Simplification may let a full solve finish that runs out of
+        // budget on the raw formula, turning a baseline Unknown into an
+        // Unsat — never the reverse, and never touching the sat count.
         assert!(
             s == bs && k <= bk && u + k == bu + bk,
             "'{label}' verdicts {:?} do not refine no_tiers {:?}",
@@ -56,4 +59,14 @@ fn every_tier_row_reports_the_untiered_cycles() {
             (bs, bu, bk)
         );
     }
+}
+
+#[test]
+fn every_tier_row_reports_the_untiered_cycles() {
+    every_row_reports_the_untiered_cycles(&Shopizer);
+}
+
+#[test]
+fn every_tier_row_reports_the_untiered_cycles_on_broadleaf() {
+    every_row_reports_the_untiered_cycles(&Broadleaf);
 }
