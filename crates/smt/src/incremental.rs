@@ -1,14 +1,17 @@
-//! Incremental assumption-based SMT solving across related queries.
+//! The lazy-SMT loop, incremental across related queries.
 //!
-//! The analyzer's fine-grained phase checks many conflict-condition
-//! formulas per transaction pair — one per lock-wait cycle — and those
-//! formulas share almost all of their structure: the transactions' path
-//! conditions, the unique-id disequalities, and the container
-//! read-congruence axioms differ only in the per-cycle edge conditions.
-//! A fresh [`crate::check_tiered`] call re-lowers, re-instantiates, and
-//! re-searches all of that shared structure for every cycle.
+//! [`IncrementalSolver`] is the crate's one full solver: CDCL on the
+//! boolean skeleton, a prime implicant of the boolean model, one
+//! arithmetic/string theory round ([`crate::solver`]), a blocking clause
+//! on conflict, repeat. [`crate::check`] is one query on a fresh solver.
+//! The analyzer keeps one solver per transaction pair instead, because
+//! its fine-grained phase checks many conflict-condition formulas per
+//! pair — one per lock-wait cycle — and those formulas share almost all
+//! of their structure: the transactions' path conditions, the unique-id
+//! disequalities, and the container read-congruence axioms differ only in
+//! the per-cycle edge conditions.
 //!
-//! [`IncrementalSolver`] keeps one [`Lowering`] and one persistent CDCL
+//! The solver keeps one [`Lowering`] and one persistent CDCL
 //! [`sat::Solver`] alive across queries. Each query's formula is lowered
 //! once (the Tseitin memo shares every already-seen subterm), its root
 //! literal is passed to the SAT core as a single *assumption*, and the
@@ -34,10 +37,13 @@
 //! across pairs; verdicts stay byte-identical at any thread count.
 
 use crate::lower::Lowering;
+use crate::presolve;
 use crate::sat::{self, SatResult};
+use crate::simplify;
 use crate::solver::{self, SolveResult, SolverConfig, SolverStats, TheoryOutcome};
 use crate::term::{Ctx, TermId, TermKind};
 use std::collections::{BTreeMap, HashSet};
+use std::time::Instant;
 
 /// A persistent solver for a sequence of related queries (see the module
 /// docs). Create one per query group (the analyzer: per transaction
@@ -73,18 +79,64 @@ impl IncrementalSolver {
         }
     }
 
-    /// Decide `assertion` behind the tier-0/tier-1 fast path, with the
-    /// same verdicts and observability as [`crate::check_tiered`] but
-    /// reusing this solver's accumulated state for the full solves.
+    /// Decide `assertion`: tier-0 simplification, then the tier-1 model
+    /// finder, then the lazy loop over the simplified formula with every
+    /// clause this solver has accumulated — each subject to
+    /// `config.tiers`. The fast path only finds models; every UNSAT comes
+    /// from the lazy loop, and every SAT from either passes the SAT gate
+    /// ([`crate::Model::satisfies`] on the original `assertion`).
     pub fn check_tiered(&mut self, ctx: &mut Ctx, assertion: TermId) -> (SolveResult, SolverStats) {
-        let config = self.config.clone();
-        solver::tiered(ctx, assertion, &config, |ctx, term, stats| {
-            self.check_assuming(ctx, term, stats)
-        })
+        let start = Instant::now();
+        let mut stats = SolverStats::default();
+        let mut term = assertion;
+        if self.config.tiers.simplify {
+            let t0 = Instant::now();
+            term = simplify::simplify(ctx, term);
+            weseer_obs::observe_duration("smt.fastpath.t0_us", t0.elapsed());
+        }
+        if self.config.tiers.presolve {
+            let t1 = Instant::now();
+            let (found, capped) = presolve::presolve_with_cap(ctx, term);
+            weseer_obs::observe_duration("smt.fastpath.t1_us", t1.elapsed());
+            if capped {
+                weseer_obs::add("smt.fastpath.t1_capped", 1);
+            }
+            if let Some(model) = found {
+                stats.t1_sat += 1;
+                weseer_obs::add("smt.fastpath.t1_sat", 1);
+                let result =
+                    solver::gate_model(ctx, assertion, SolveResult::Sat(model), &mut stats);
+                // Keeps the funnel invariant `smt.solve_calls` = queries
+                // answered, whether or not the lazy loop ran.
+                let elapsed = start.elapsed();
+                stats.wall_us = elapsed.as_micros() as u64;
+                if weseer_obs::timeline::enabled() {
+                    weseer_obs::timeline::complete_since(
+                        "smt.solve",
+                        "smt",
+                        start,
+                        &[
+                            ("tier", "t1".to_string()),
+                            ("verdict", result.verdict_str().to_string()),
+                        ],
+                    );
+                }
+                weseer_obs::observe_duration("smt.solve_us", elapsed);
+                weseer_obs::add("smt.solve_calls", 1);
+                return (result, stats);
+            }
+        }
+        stats.fallthrough += 1;
+        weseer_obs::add("smt.fastpath.fallthrough", 1);
+        let full_start = Instant::now();
+        let result = self.check_assuming(ctx, term, &mut stats);
+        let result = solver::gate_model(ctx, assertion, result, &mut stats);
+        solver::record_full_solve(start, full_start, &result, &mut stats);
+        (result, stats)
     }
 
-    /// Decide `assertion` with the full solver (no fast path), keeping
-    /// every clause this solver has accumulated.
+    /// Decide `assertion` with the lazy loop alone (no fast path),
+    /// keeping every clause this solver has accumulated.
     fn check_assuming(
         &mut self,
         ctx: &mut Ctx,
@@ -201,27 +253,7 @@ impl IncrementalSolver {
                     relevant[l1.var] = true;
                     relevant[l2.var] = true;
                 }
-                match ctx.kind(t).clone() {
-                    TermKind::Select(_, idx) => stack.push(idx),
-                    TermKind::Add(a, b)
-                    | TermKind::Sub(a, b)
-                    | TermKind::Cmp(_, a, b)
-                    | TermKind::Eq(a, b) => {
-                        stack.push(a);
-                        stack.push(b);
-                    }
-                    TermKind::Neg(a) | TermKind::MulConst(_, a) | TermKind::Not(a) => stack.push(a),
-                    TermKind::And(parts) | TermKind::Or(parts) => stack.extend(parts),
-                    TermKind::Store(a, i, v) => {
-                        stack.push(a);
-                        stack.push(i);
-                        stack.push(v);
-                    }
-                    TermKind::Var(_)
-                    | TermKind::BoolConst(_)
-                    | TermKind::NumConst(_)
-                    | TermKind::StrConst(_) => {}
-                }
+                stack.extend(ctx.children(t));
             }
             if walking_axioms {
                 break;
@@ -251,9 +283,9 @@ impl IncrementalSolver {
         self.synced_clauses = self.low.cnf.clauses.len();
     }
 
-    /// Incremental version of the solver's select-congruence
-    /// instantiation: walk only the parts of the DAG this solver has not
-    /// visited, and for each newly discovered `read(array, index)` assert
+    /// Read-congruence instantiation: walk only the parts of the DAG this
+    /// solver has not visited, and for each newly discovered
+    /// `read(array, index)` assert
     /// `index = index' → read(array, index) = read(array, index')` against
     /// every previously seen index of that array. Discovery order is the
     /// deterministic DFS order of the query sequence, so identical query
@@ -265,34 +297,14 @@ impl IncrementalSolver {
             if !self.visited.insert(t) {
                 continue;
             }
-            match ctx.kind(t).clone() {
-                TermKind::Select(arr, idx) => {
-                    debug_assert!(matches!(ctx.kind(arr), TermKind::Var(_)));
-                    let indexes = self.selects.entry(arr).or_default();
-                    if !indexes.contains(&idx) && !fresh.contains(&(arr, idx)) {
-                        fresh.push((arr, idx));
-                    }
-                    stack.push(idx);
+            if let TermKind::Select(arr, idx) = *ctx.kind(t) {
+                debug_assert!(matches!(ctx.kind(arr), TermKind::Var(_)));
+                let indexes = self.selects.entry(arr).or_default();
+                if !indexes.contains(&idx) && !fresh.contains(&(arr, idx)) {
+                    fresh.push((arr, idx));
                 }
-                TermKind::Add(a, b)
-                | TermKind::Sub(a, b)
-                | TermKind::Cmp(_, a, b)
-                | TermKind::Eq(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                TermKind::Neg(a) | TermKind::MulConst(_, a) | TermKind::Not(a) => stack.push(a),
-                TermKind::And(parts) | TermKind::Or(parts) => stack.extend(parts),
-                TermKind::Store(a, i, v) => {
-                    stack.push(a);
-                    stack.push(i);
-                    stack.push(v);
-                }
-                TermKind::Var(_)
-                | TermKind::BoolConst(_)
-                | TermKind::NumConst(_)
-                | TermKind::StrConst(_) => {}
             }
+            stack.extend(ctx.children(t));
         }
         for (arr, idx) in fresh {
             let prior = self.selects.get(&arr).cloned().unwrap_or_default();
@@ -313,7 +325,7 @@ impl IncrementalSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{check_tiered, TierConfig};
+    use crate::solver::{check, TierConfig};
     use crate::term::Sort;
 
     fn cfg() -> SolverConfig {
@@ -354,7 +366,7 @@ mod tests {
         for delta in deltas {
             let q = ctx.and([prefix, delta]);
             let (inc_res, _) = inc.check_tiered(&mut ctx, q);
-            let (fresh_res, _) = check_tiered(&mut ctx, q, &cfg());
+            let fresh_res = check(&mut ctx, q, &cfg());
             assert_eq!(
                 inc_res.verdict_str(),
                 fresh_res.verdict_str(),
@@ -467,7 +479,7 @@ mod tests {
         for delta in deltas {
             let q = ctx.and([prefix, delta]);
             let (inc_res, _) = inc.check_tiered(&mut ctx, q);
-            let (fresh_res, _) = check_tiered(&mut ctx, q, &off);
+            let fresh_res = check(&mut ctx, q, &off);
             assert_eq!(inc_res.verdict_str(), fresh_res.verdict_str());
         }
     }

@@ -12,6 +12,14 @@
 //! * model generation — SAT answers carry concrete assignments that the
 //!   deadlock reports surface to developers.
 //!
+//! Every query goes through [`IncrementalSolver::check_tiered`]: the
+//! fast-path tiers [`SolverConfig::tiers`] enables ([`simplify()`], then
+//! [`presolve()`], which only finds models), then the crate's one lazy-SMT
+//! loop, with every SAT answer gated by [`Model::satisfies`] on the
+//! original assertion. [`check`] is one query on a fresh
+//! [`IncrementalSolver`]; the analyzer keeps one solver per transaction
+//! pair so related queries share lowering, axioms and learned clauses.
+//!
 //! ## Example
 //!
 //! ```
@@ -54,5 +62,5 @@ pub use model::{Model, ModelKey, ModelValue};
 pub use presolve::presolve;
 pub use rational::Rat;
 pub use simplify::{simplify, Simplifier};
-pub use solver::{check, check_tiered, SolveResult, SolverConfig, SolverStats, TierConfig};
+pub use solver::{check, SolveResult, SolverConfig, SolverStats, TierConfig};
 pub use term::{Ctx, Sort, TermId, TermKind};

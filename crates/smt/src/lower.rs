@@ -247,6 +247,12 @@ mod tests {
     use super::*;
     use crate::sat;
 
+    fn solve(cnf: &Cnf) -> Option<sat::SatResult> {
+        sat::Solver::from_cnf(cnf)
+            .solve_under_assumptions(&[], u64::MAX)
+            .0
+    }
+
     #[test]
     fn atoms_deduplicate() {
         let mut ctx = Ctx::new();
@@ -286,8 +292,8 @@ mod tests {
         let f = ctx.and([a, nb]);
         let mut low = Lowering::new();
         low.assert(&ctx, f);
-        match sat::solve(&low.cnf) {
-            sat::SatResult::Sat(m) => {
+        match solve(&low.cnf) {
+            Some(sat::SatResult::Sat(m)) => {
                 // Find the atom vars for a and b.
                 let var_of = |name: &str, low: &Lowering| {
                     low.atoms
@@ -311,7 +317,7 @@ mod tests {
         let f = ctx.and([a, na]);
         let mut low = Lowering::new();
         low.assert(&ctx, f);
-        assert_eq!(sat::solve(&low.cnf), sat::SatResult::Unsat);
+        assert_eq!(solve(&low.cnf), Some(sat::SatResult::Unsat));
     }
 
     #[test]

@@ -776,28 +776,10 @@ impl VarSets {
             TermKind::StrConst(s) => {
                 self.str_consts.insert(s.clone());
             }
-            TermKind::BoolConst(_) | TermKind::NumConst(_) => {}
-            TermKind::Add(a, b) | TermKind::Sub(a, b) | TermKind::Select(a, b) => {
-                self.walk(ctx, *a, seen);
-                self.walk(ctx, *b, seen);
-            }
-            TermKind::Cmp(_, a, b) | TermKind::Eq(a, b) => {
-                self.walk(ctx, *a, seen);
-                self.walk(ctx, *b, seen);
-            }
-            TermKind::Neg(a) | TermKind::Not(a) | TermKind::MulConst(_, a) => {
-                self.walk(ctx, *a, seen)
-            }
-            TermKind::And(parts) | TermKind::Or(parts) => {
-                for p in parts.clone() {
-                    self.walk(ctx, p, seen);
-                }
-            }
-            TermKind::Store(a, i, v) => {
-                self.walk(ctx, *a, seen);
-                self.walk(ctx, *i, seen);
-                self.walk(ctx, *v, seen);
-            }
+            _ => {}
+        }
+        for c in ctx.children(t) {
+            self.walk(ctx, c, seen);
         }
     }
 }
@@ -865,20 +847,21 @@ fn build_model(ctx: &Ctx, vars: &VarSets, cand: &Candidate) -> Option<Model> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{check_tiered, SolveResult, SolverConfig};
+    use crate::solver::{SolveResult, SolverConfig};
+    use crate::IncrementalSolver;
     use proptest::prelude::*;
 
     /// Tier 1 refutes nothing: it finds no model, and the tiered solver's
     /// UNSAT comes from the full solver the query fell through to.
     fn assert_refuted_by_the_full_solver(ctx: &mut Ctx, f: TermId) {
         assert!(presolve(ctx, f).is_none());
-        let (res, stats) = check_tiered(ctx, f, &SolverConfig::default());
+        let (res, stats) = IncrementalSolver::new(SolverConfig::default()).check_tiered(ctx, f);
         assert!(matches!(res, SolveResult::Unsat), "{res:?}");
         assert_eq!((stats.t1_sat, stats.fallthrough), (0, 1));
     }
 
     fn assert_tiered_sat(ctx: &mut Ctx, f: TermId) {
-        let (res, _) = check_tiered(ctx, f, &SolverConfig::default());
+        let (res, _) = IncrementalSolver::new(SolverConfig::default()).check_tiered(ctx, f);
         assert!(res.is_sat(), "{res:?}");
     }
 

@@ -1,11 +1,12 @@
 //! A CDCL SAT core with incremental assumption-based solving.
 //!
-//! The lazy-SMT loop in [`crate::solver`] re-solves the boolean skeleton
-//! after each theory conflict adds a blocking clause. The [`Solver`] here
-//! is persistent: the clause database, two-watched-literal lists, learned
-//! clauses, and variable activities survive across
-//! [`Solver::solve_under_assumptions`] calls, so each re-solve (and, in
-//! the analyzer's incremental mode, each cycle of a transaction pair)
+//! The lazy-SMT loop ([`crate::IncrementalSolver`]) re-solves the boolean
+//! skeleton after each theory conflict adds a blocking clause. The
+//! [`Solver`] here is persistent: the clause database, two-watched-literal
+//! lists, learned clauses, and variable activities survive across
+//! [`Solver::solve_under_assumptions`] calls — the loop's one entry point
+//! into this module — so each re-solve (and each later query of the same
+//! incremental solver: in the analyzer, each cycle of a transaction pair)
 //! starts from everything the previous calls proved.
 //!
 //! The search is classic CDCL: first-UIP conflict analysis with learned
@@ -644,26 +645,6 @@ impl Solver {
     }
 }
 
-/// Solve a CNF formula with the CDCL core (fresh solver per call).
-pub fn solve(cnf: &Cnf) -> SatResult {
-    solve_budgeted(cnf, u64::MAX).expect("unbounded solve cannot exhaust its budget")
-}
-
-/// Like [`solve`] but giving up (`None`) after `max_decisions` branching
-/// decisions — the lazy-SMT loop maps exhaustion to a solver timeout
-/// (the paper reports no deadlock on timeout).
-pub fn solve_budgeted(cnf: &Cnf, max_decisions: u64) -> Option<SatResult> {
-    solve_instrumented(cnf, max_decisions).0
-}
-
-/// Like [`solve_budgeted`] but also reporting how much search the call
-/// performed, budget-exhausted or not. The lazy-SMT loop aggregates these
-/// per query in [`crate::solver::SolverStats`].
-pub fn solve_instrumented(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, SatStats) {
-    let mut solver = Solver::from_cnf(cnf);
-    solver.solve_under_assumptions(&[], max_decisions)
-}
-
 /// The pre-CDCL core: DPLL with two-watched-literal unit propagation and
 /// chronological backtracking (flip the last untried decision), no clause
 /// learning. Kept verbatim as the differential-testing oracle for the
@@ -880,6 +861,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One solve on a fresh CDCL core, no assumptions.
+    fn cdcl(cnf: &Cnf, max_decisions: u64) -> (Option<SatResult>, SatStats) {
+        Solver::from_cnf(cnf).solve_under_assumptions(&[], max_decisions)
+    }
+
+    fn solve(cnf: &Cnf) -> SatResult {
+        cdcl(cnf, u64::MAX).0.expect("unbudgeted")
+    }
+
     fn check_model(cnf: &Cnf, model: &[bool]) -> bool {
         cnf.clauses
             .iter()
@@ -964,7 +954,7 @@ mod tests {
         // The pigeonhole instance forces decisions, propagations, and
         // (under CDCL) conflicts with learned clauses.
         let cnf = pigeonhole_3_into_2();
-        let (res, stats) = solve_instrumented(&cnf, u64::MAX);
+        let (res, stats) = cdcl(&cnf, u64::MAX);
         assert_eq!(res, Some(SatResult::Unsat));
         assert!(stats.decisions > 0);
         assert!(stats.propagations > 0);
@@ -973,7 +963,7 @@ mod tests {
 
         // A budget of 0 decisions must exhaust (CDCL may refute this
         // instance with a single decision, so 1 is not tight enough).
-        let (res, stats) = solve_instrumented(&cnf, 0);
+        let (res, stats) = cdcl(&cnf, 0);
         assert_eq!(res, None);
         assert!(stats.decisions >= 1);
 
@@ -1106,9 +1096,9 @@ mod tests {
         /// each one's SAT model satisfies the clauses.
         #[test]
         fn cdcl_agrees_with_legacy_dpll(cnf in arbitrary_cnf()) {
-            let (cdcl, _) = solve_instrumented(&cnf, u64::MAX);
+            let (learned, _) = cdcl(&cnf, u64::MAX);
             let (dpll, _) = solve_dpll_instrumented(&cnf, u64::MAX);
-            match (cdcl.expect("unbudgeted"), dpll.expect("unbudgeted")) {
+            match (learned.expect("unbudgeted"), dpll.expect("unbudgeted")) {
                 (SatResult::Sat(mc), SatResult::Sat(md)) => {
                     prop_assert!(check_model(&cnf, &mc));
                     prop_assert!(check_model(&cnf, &md));
@@ -1122,8 +1112,8 @@ mod tests {
         /// identical search statistics on every run.
         #[test]
         fn cdcl_is_deterministic(cnf in arbitrary_cnf()) {
-            let (r1, s1) = solve_instrumented(&cnf, u64::MAX);
-            let (r2, s2) = solve_instrumented(&cnf, u64::MAX);
+            let (r1, s1) = cdcl(&cnf, u64::MAX);
+            let (r2, s2) = cdcl(&cnf, u64::MAX);
             prop_assert_eq!(r1, r2);
             prop_assert_eq!(s1, s2);
         }

@@ -140,6 +140,29 @@ impl Ctx {
         &self.terms[t.0 as usize].sort
     }
 
+    /// The direct subterms of `t`, left to right (`Select` yields its
+    /// array, then its index). Every term-DAG walk enumerates children
+    /// through this one match, so all of them agree on the order.
+    pub fn children(&self, t: TermId) -> impl Iterator<Item = TermId> + '_ {
+        let (fixed, parts): ([Option<TermId>; 3], &[TermId]) = match self.kind(t) {
+            TermKind::Var(_)
+            | TermKind::BoolConst(_)
+            | TermKind::NumConst(_)
+            | TermKind::StrConst(_) => ([None; 3], &[]),
+            TermKind::Neg(a) | TermKind::MulConst(_, a) | TermKind::Not(a) => {
+                ([Some(*a), None, None], &[])
+            }
+            TermKind::Add(a, b)
+            | TermKind::Sub(a, b)
+            | TermKind::Cmp(_, a, b)
+            | TermKind::Eq(a, b)
+            | TermKind::Select(a, b) => ([Some(*a), Some(*b), None], &[]),
+            TermKind::Store(a, i, v) => ([Some(*a), Some(*i), Some(*v)], &[]),
+            TermKind::And(parts) | TermKind::Or(parts) => ([None; 3], parts),
+        };
+        fixed.into_iter().flatten().chain(parts.iter().copied())
+    }
+
     /// Number of interned terms (diagnostics).
     pub fn len(&self) -> usize {
         self.terms.len()

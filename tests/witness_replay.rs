@@ -1,11 +1,26 @@
-//! Acceptance test for the witness replay engine (the ISSUE's bar): on
-//! Shopizer at least one SAT cycle must be replay-confirmed with a
-//! non-empty witness whose final wait-for cycle matches the analyzer's
-//! reported cycle, byte-identical across repeated invocations and across
-//! analyzer thread counts.
+//! Acceptance test for the witness replay engine: on Shopizer at least
+//! one SAT cycle must be replay-confirmed with a non-empty witness whose
+//! final wait-for cycle matches the analyzer's reported cycle,
+//! byte-identical across repeated invocations and across analyzer thread
+//! counts. It also pins how the replay verdicts fall across Table II's
+//! grouping of the reports.
 
-use weseer::apps::Shopizer;
+use std::collections::BTreeMap;
+use weseer::apps::{classify, KnownDeadlock, Shopizer};
 use weseer::core::Weseer;
+
+/// Shopizer's reports per Table II class: (class, confirmed, not
+/// reproduced). Not-reproduced is not the false-positive class: two
+/// `(fp)` cycles replay, and three reports classified as real deadlocks
+/// do not.
+const REPLAY_BY_CLASS: [(KnownDeadlock, usize, usize); 6] = [
+    (KnownDeadlock::D14, 3, 1),
+    (KnownDeadlock::D15, 4, 0),
+    (KnownDeadlock::D16, 1, 0),
+    (KnownDeadlock::D17, 2, 1),
+    (KnownDeadlock::D18, 7, 1),
+    (KnownDeadlock::FpAppLocked, 2, 4),
+];
 
 fn run(threads: usize) -> (Vec<&'static str>, Vec<String>) {
     let analysis = Weseer::new()
@@ -28,8 +43,27 @@ fn run(threads: usize) -> (Vec<&'static str>, Vec<String>) {
     assert_eq!(summary.budget_hits(), 0);
     let mut tags = Vec::new();
     let mut jsons = Vec::new();
+    let mut by_class: BTreeMap<KnownDeadlock, (usize, usize)> = BTreeMap::new();
     for (report, verdict) in analysis.diagnosis.deadlocks.iter().zip(&summary.verdicts) {
         tags.push(verdict.tag());
+        let class = classify("shopizer", report);
+        let counts = by_class.entry(class).or_default();
+        match verdict.tag() {
+            "confirmed" => counts.0 += 1,
+            "not_reproduced" => {
+                counts.1 += 1;
+                // Every real-classified report that does not replay is a
+                // Ship/Ship cycle on `Product`.
+                if class != KnownDeadlock::FpAppLocked {
+                    assert_eq!(
+                        (report.cycle.a_api.as_str(), report.cycle.b_api.as_str()),
+                        ("Ship", "Ship")
+                    );
+                    assert_eq!(report.tables(), ["Product"]);
+                }
+            }
+            tag => panic!("unexpected replay verdict {tag}"),
+        }
         if let Some(w) = verdict.witness() {
             assert!(!w.steps.is_empty(), "witness must have steps");
             assert_eq!(w.steps.last().unwrap().outcome, "deadlock");
@@ -49,6 +83,11 @@ fn run(threads: usize) -> (Vec<&'static str>, Vec<String>) {
             jsons.push(w.to_json());
         }
     }
+    let expected: BTreeMap<_, _> = REPLAY_BY_CLASS
+        .iter()
+        .map(|&(class, confirmed, not_reproduced)| (class, (confirmed, not_reproduced)))
+        .collect();
+    assert_eq!(by_class, expected, "replay verdicts per Table II class");
     (tags, jsons)
 }
 
