@@ -482,14 +482,24 @@ impl Weseer {
         } else {
             diagnosis.stats.coarse_cycles
         };
-        let replay = self
-            .replay
-            .as_ref()
-            .map(|cfg| Self::replay_reports(app, &diagnosis, &traces, cfg, store_ctx.as_ref()));
+        // Replay and the anomaly screen share one set of base states (each
+        // prepared at most once) and the analyzer's worker pool.
+        let bases = crate::replay::BaseStates::new(app);
+        let threads = resolve_threads(self.config.threads);
+        let replay = self.replay.as_ref().map(|cfg| {
+            Self::replay_reports(
+                &bases,
+                &diagnosis,
+                &traces,
+                cfg,
+                store_ctx.as_ref(),
+                threads,
+            )
+        });
         let anomalies = self
             .isolation
             .filter(|iso| iso.uses_snapshots())
-            .map(|iso| Self::anomaly_reports(app, &traces, iso));
+            .map(|iso| Self::anomaly_reports(&bases, &traces, iso, threads));
         if let Some(s) = store {
             s.flush().unwrap_or_else(|e| panic!("store flush: {e}"));
         }
@@ -512,10 +522,13 @@ impl Weseer {
     /// interleavings at `iso` against a database prepared to the state
     /// the traces ran from. Candidates whose level list excludes `iso`
     /// are reported [`AnomalyVerdict::NotApplicable`] without exploring.
+    /// Candidates are independent, so they are explored on `threads`
+    /// workers; the ordered merge keeps the verdicts in candidate order.
     fn anomaly_reports(
-        app: &dyn ECommerceApp,
+        bases: &crate::replay::BaseStates<'_>,
         traces: &[CollectedTrace],
         iso: IsolationLevel,
+        threads: usize,
     ) -> AnomalyAnalysis {
         let _span = weseer_obs::span("pipeline.anomalies");
         let mut candidates = find_anomaly_candidates(traces);
@@ -523,13 +536,13 @@ impl Weseer {
             .len()
             .saturating_sub(AnomalyAnalysis::MAX_CANDIDATES);
         candidates.truncate(AnomalyAnalysis::MAX_CANDIDATES);
-        let mut bases = crate::replay::BaseStates::new(app);
         // Replays use the traced inputs (the oracle has no SAT model to pin
         // anything sharper).
         let traced = weseer_smt::Model::default();
-        let verdicts = candidates
-            .iter()
-            .map(|c| {
+        let verdicts = run_ordered(
+            &candidates,
+            threads,
+            |_, c| {
                 if !c.levels.iter().any(|l| l == iso.name()) {
                     return AnomalyVerdict::NotApplicable;
                 }
@@ -556,8 +569,9 @@ impl Weseer {
                         budget_hit,
                     },
                 }
-            })
-            .collect();
+            },
+            |_, _| {},
+        );
         AnomalyAnalysis {
             isolation: iso.name().to_string(),
             candidates,
@@ -567,29 +581,36 @@ impl Weseer {
     }
 
     /// Replay each report against a database prepared to the state its
-    /// traces were collected from. Databases are prepared once per
-    /// distinct starting API and reused (the explorer only forks them).
+    /// traces were collected from, on `threads` workers of
+    /// [`run_ordered`]. Reports are independent — each search only forks
+    /// its shared base from `bases` — so the verdicts, in report order,
+    /// are the same for every thread count.
     ///
     /// With a store, a cycle whose two trace fingerprints are unchanged
     /// restores its recorded verdict — witness included, byte-identical
     /// through [`Witness::to_json`] — without preparing a database or
     /// exploring a single schedule (`replay.schedules_explored` stays 0
-    /// on a fully warm run).
+    /// on a fully warm run). Lookups run on the workers; fresh verdicts
+    /// are written through from the ordered merge, so the store receives
+    /// its puts in report order and its file is byte-identical for every
+    /// thread count.
     fn replay_reports(
-        app: &dyn ECommerceApp,
+        bases: &crate::replay::BaseStates<'_>,
         diagnosis: &Diagnosis,
         traces: &[CollectedTrace],
         config: &weseer_replay::ReplayConfig,
         store: Option<&StoreCtx<'_>>,
+        threads: usize,
     ) -> ReplaySummary {
         let _span = weseer_obs::span("pipeline.replay");
         let replayer = weseer_replay::Replayer::with_config(traces, config.clone());
-        let mut bases = crate::replay::BaseStates::new(app);
         let cfg_tag = format!("{config:?}");
-        let verdicts = diagnosis
-            .deadlocks
-            .iter()
-            .map(|r| {
+        // Each report yields its verdict plus, when it was replayed live
+        // behind a store, the `(site, content)` key to record it under.
+        let outputs = run_ordered(
+            &diagnosis.deadlocks,
+            threads,
+            |_, r| {
                 let persist = store.and_then(|sc| {
                     let fp = |api: &str| {
                         traces
@@ -617,19 +638,20 @@ impl Weseer {
                     if let Lookup::Hit(v) = sc.store.get("wit", site, content) {
                         if let Some(verdict) = verdict_from_json(&v) {
                             weseer_obs::incr(&format!("replay.{}", verdict.tag()));
-                            return verdict;
+                            return (verdict, None);
                         }
                     }
                 }
                 let base = bases.for_pair(&r.cycle.a_api, &r.cycle.b_api);
-                let verdict = replayer.replay_report(r, base);
-                if let Some((sc, site, content)) = &persist {
-                    sc.store
-                        .put("wit", site, content, verdict_to_json(&verdict));
+                (replayer.replay_report(r, base), persist)
+            },
+            |_, (verdict, fresh)| {
+                if let Some((sc, site, content)) = fresh {
+                    sc.store.put("wit", site, content, verdict_to_json(verdict));
                 }
-                verdict
-            })
-            .collect();
+            },
+        );
+        let verdicts = outputs.into_iter().map(|(v, _)| v).collect();
         ReplaySummary { verdicts }
     }
 }

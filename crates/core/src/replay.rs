@@ -9,8 +9,7 @@
 //! from a barrier, repeatedly, until the database detects a deadlock and
 //! aborts a victim — or an attempt budget runs out.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, OnceLock};
 use weseer_analyzer::DeadlockReport;
 use weseer_apps::app::collect_trace;
 use weseer_apps::{AppLocks, ECommerceApp, Fixes};
@@ -55,36 +54,42 @@ pub fn prepare_db(app: &dyn ECommerceApp, upto: &str) -> Database {
     db
 }
 
-/// The unit test whose starting state a pair's statements ran against.
-/// Trace collection chains DB state across unit tests, so that is the state
-/// left by every test before the *earlier* of the two APIs in test order.
-fn earlier_api(app: &dyn ECommerceApp, a_api: &str, b_api: &str) -> &'static str {
+/// Index (in unit-test order) of the test whose starting state a pair's
+/// statements ran against. Trace collection chains DB state across unit
+/// tests, so that is the state left by every test before the *earlier* of
+/// the two APIs in test order.
+fn earlier_test(app: &dyn ECommerceApp, a_api: &str, b_api: &str) -> usize {
     let order = app.unit_tests();
-    let first = order.iter().find(|t| **t == a_api || **t == b_api);
-    first.copied().unwrap_or(order[0])
+    order
+        .iter()
+        .position(|t| *t == a_api || *t == b_api)
+        .unwrap_or(0)
 }
 
-/// Base databases for schedule replay: one [`prepare_db`] per distinct
-/// starting API, reused across pairs (the search only forks them).
+/// Base databases for schedule replay: at most one [`prepare_db`] per
+/// distinct starting test, shared by every pair (and every worker thread)
+/// that starts there. The search only forks a base, never mutates it, so
+/// one `&BaseStates` serves a whole parallel replay; each slot is a
+/// [`OnceLock`], so a state two workers ask for at the same moment is
+/// still prepared exactly once (the second waits for the first).
 pub(crate) struct BaseStates<'a> {
     app: &'a dyn ECommerceApp,
-    prepared: BTreeMap<&'static str, Database>,
+    /// One slot per unit test, in test order.
+    prepared: Vec<OnceLock<Database>>,
 }
 
 impl<'a> BaseStates<'a> {
     pub(crate) fn new(app: &'a dyn ECommerceApp) -> Self {
         BaseStates {
             app,
-            prepared: BTreeMap::new(),
+            prepared: app.unit_tests().iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
     /// The database in the state the pair's traces were collected from.
-    pub(crate) fn for_pair(&mut self, a_api: &str, b_api: &str) -> &Database {
-        let first = earlier_api(self.app, a_api, b_api);
-        self.prepared
-            .entry(first)
-            .or_insert_with(|| prepare_db(self.app, first))
+    pub(crate) fn for_pair(&self, a_api: &str, b_api: &str) -> &Database {
+        let i = earlier_test(self.app, a_api, b_api);
+        self.prepared[i].get_or_init(|| prepare_db(self.app, self.app.unit_tests()[i]))
     }
 }
 
@@ -100,7 +105,7 @@ pub fn replay<A: ECommerceApp + Copy + Send + Sync + 'static>(
 ) -> ReplayOutcome {
     let a_api = report.cycle.a_api.clone();
     let b_api = report.cycle.b_api.clone();
-    let first = earlier_api(&app, &a_api, &b_api);
+    let first = app.unit_tests()[earlier_test(&app, &a_api, &b_api)];
 
     for attempt in 1..=max_attempts {
         let db = prepare_db(&app, first);
@@ -141,5 +146,29 @@ pub fn replay<A: ECommerceApp + Copy + Send + Sync + 'static>(
         reproduced: false,
         attempts: max_attempts,
         deadlock_aborts: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use weseer_apps::Broadleaf;
+
+    #[test]
+    fn base_states_are_built_once_and_shared() {
+        let bases = BaseStates::new(&Broadleaf);
+        // Both pairs start at Add1 (the earlier of each pair's APIs), so
+        // two threads racing for them must get the one prepared state.
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| bases.for_pair("Add1", "Ship"));
+            let b = s.spawn(|| bases.for_pair("Checkout", "Add1"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(std::ptr::eq(a, b), "a shared start must be prepared once");
+        let other = bases.for_pair("Ship", "Checkout");
+        assert!(
+            !std::ptr::eq(a, other),
+            "a different start has its own state"
+        );
     }
 }

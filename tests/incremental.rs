@@ -1,7 +1,8 @@
 //! End-to-end incremental warm starts: a warm run against a filled store
 //! must be byte-identical to the cold run that filled it — across thread
 //! counts — while doing **zero** full DPLL(T) solves and exploring
-//! **zero** replay schedules; dirtying one trace must invalidate exactly
+//! **zero** replay schedules; a cold run must write the same store bytes
+//! on any number of threads; dirtying one trace must invalidate exactly
 //! the stored outcomes that involve it; a store file written by an
 //! earlier version of the tool must keep opening; and the baseline
 //! coarse-cycle count an analysis reports without re-scanning must be the
@@ -141,6 +142,25 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn cold_store_bytes_do_not_depend_on_the_thread_count() {
+    // Replay verdicts are written through from the ordered merge, in
+    // report order, whichever worker finished first.
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let files = [1, 4].map(|threads| {
+        let path = store_path(&format!("cold-threads{threads}"));
+        run(&path, threads, None);
+        let bytes = std::fs::read(&path).expect("store written");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    });
+    assert!(!files[0].is_empty());
+    assert!(
+        files[0] == files[1],
+        "cold store files differ between threads=1 and threads=4"
+    );
 }
 
 /// The solver tag the previous store format carried in every content key

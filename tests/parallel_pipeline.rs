@@ -1,14 +1,16 @@
 //! End-to-end determinism of the parallel diagnosis: the full Shopizer
 //! pipeline must produce byte-identical reports and funnel counters for
 //! every thread count, the report sink must see exactly the reports the
-//! diagnosis collects, a `max_reports` cap must be visible, and the
-//! tiered fast path must discharge a real share of the workload.
+//! diagnosis collects, a `max_reports` cap must be visible, the tiered
+//! fast path must discharge a real share of the workload, and witness
+//! replay must give the same verdicts, witnesses and counters on any
+//! number of workers.
 
 use std::sync::Mutex;
 use weseer::analyzer::{
     diagnose, diagnose_with, render_stats, AnalyzerConfig, DeadlockReport, DiagnosisStats,
 };
-use weseer::apps::{ECommerceApp, Fixes, Shopizer};
+use weseer::apps::{Broadleaf, ECommerceApp, Fixes, Shopizer};
 use weseer::core::Weseer;
 use weseer::store::codec::model_to_json;
 
@@ -181,4 +183,53 @@ fn fastpath_discharges_cover_real_workload() {
         0,
         "every model passes the SAT gate"
     );
+}
+
+#[test]
+fn replay_is_identical_across_thread_counts() {
+    // Replay maps the reports through the analyzer's worker pool: every
+    // witness line, verdict tag and replay counter must match the
+    // single-threaded run, in report order, on both applications.
+    const COUNTERS: [&str; 5] = [
+        "replay.confirmed",
+        "replay.not_reproduced",
+        "replay.skipped",
+        "replay.schedules_explored",
+        "replay.schedules_pruned",
+    ];
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    weseer::obs::set_enabled(true);
+    let apps: [&dyn ECommerceApp; 2] = [&Broadleaf, &Shopizer];
+    for app in apps {
+        let run = |threads: usize| {
+            let before = weseer::obs::snapshot();
+            let analysis = Weseer::new()
+                .with_threads(threads)
+                .with_replay()
+                .analyze(app);
+            let m = weseer::obs::snapshot().delta_since(&before);
+            let verdicts = &analysis.replay.expect("replay enabled").verdicts;
+            let witnesses: Vec<String> = verdicts
+                .iter()
+                .filter_map(|v| v.witness().map(|w| w.to_json()))
+                .collect();
+            let tags: Vec<&str> = verdicts.iter().map(|v| v.tag()).collect();
+            let counters = COUNTERS.map(|name| m.counter(name));
+            (witnesses, tags, counters)
+        };
+        let sequential = run(1);
+        assert!(
+            !sequential.0.is_empty(),
+            "{} must confirm witnesses",
+            app.name()
+        );
+        for threads in [2, 4] {
+            assert_eq!(
+                run(threads),
+                sequential,
+                "{} replay differs at threads={threads}",
+                app.name()
+            );
+        }
+    }
 }
