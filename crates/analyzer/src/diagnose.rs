@@ -50,7 +50,7 @@ use weseer_store::{codec, json::Json, Lookup, Store};
 /// Version tag of the fine-grained lock model (Alg. 2/3 as implemented).
 /// Mixed into every persisted pair verdict's content key; bump it whenever
 /// lock generation or conflict-condition encoding changes semantics, and
-/// every stored phase-2/3 outcome goes stale at once.
+/// every stored phase-2/3 outcome misses at once.
 pub const LOCK_MODEL_VERSION: &str = "lock-model-v1";
 
 /// Persistence context for incremental analysis: an open [`Store`] plus
@@ -64,11 +64,12 @@ pub struct StoreCtx<'a> {
     /// Content fingerprint per trace, parallel to the trace slice.
     pub fingerprints: &'a [String],
     /// Namespace prefixed onto every per-trace and per-pair site
-    /// (typically the application name). Different applications reuse
-    /// trace indices and API names — Broadleaf and Shopizer both have a
-    /// trace 0 called `Register` — so un-namespaced sites would collide
-    /// in a shared store and ping-pong between the two apps'
-    /// fingerprints on every run.
+    /// (typically the application name). Records are keyed by content, so
+    /// two apps that reuse a site (both have a trace 0 called `Register`)
+    /// keep one record each instead of overwriting each other. The
+    /// namespace only separates apps whose catalogs differ: no fingerprint
+    /// covers the schema, so equal traces over different catalogs would
+    /// otherwise share verdicts.
     pub namespace: &'a str,
 }
 
@@ -373,8 +374,8 @@ pub(crate) struct PairOutcome {
 }
 
 /// Phase 2, pure: enumerate the pair's coarse SC-graph deadlock cycles.
-/// Behind a store, a hit restores the recorded scan; a miss or stale
-/// scans live and records the outcome.
+/// Behind a store, a hit restores the recorded scan; a miss scans live
+/// and records the outcome.
 pub(crate) fn scan_pair(job: &PairJob, ctx: &PairCtx<'_>) -> PairOutcome {
     let start = Instant::now();
     let stored = ctx
@@ -713,15 +714,15 @@ pub(crate) fn fine_check_pair(jobs: &[FineJob], ctx: &PairCtx<'_>) -> Vec<FineOu
         .map(|sc| (sc, ctx.pair_content(sc, &jobs[0].pair)));
     if let Some((sc, content)) = &stored {
         // Look up every cycle eagerly (no short-circuit: each lookup must
-        // register its hit/stale/miss), then replay only if the *whole*
-        // group hit.
+        // register its hit or miss), then replay only if the *whole* group
+        // hit.
         let replayed: Vec<Option<FineOutcome>> = jobs
             .iter()
             .map(|job| {
                 let start = Instant::now();
                 let verdict = match sc.store.get("pair3", &fine_site(ctx, job), content) {
                     Lookup::Hit(v) => fine_from_json(job, ctx, &v),
-                    _ => None,
+                    Lookup::Miss => None,
                 }?;
                 Some(FineOutcome {
                     verdict,

@@ -323,9 +323,9 @@ pub fn metrics_report(weseer: &Weseer) -> (String, String) {
         );
         // Warm-vs-cold funnel of the incremental store (present only when
         // an analysis ran against one, i.e. with `--store`).
-        let (sh, ss, sm) = (c("store.hit"), c("store.stale"), c("store.miss"));
-        if sh + ss + sm > 0 {
-            let temperature = if ss == 0 && sm == 0 {
+        let (sh, sm) = (c("store.hit"), c("store.miss"));
+        if sh + sm > 0 {
+            let temperature = if sm == 0 {
                 "warm: every phase reused"
             } else if sh == 0 {
                 "cold: store filled from scratch"
@@ -334,7 +334,7 @@ pub fn metrics_report(weseer: &Weseer) -> (String, String) {
             };
             let _ = writeln!(
                 human,
-                "incremental store: {sh} hits / {ss} stale / {sm} misses ({temperature})",
+                "incremental store: {sh} hits / {sm} misses ({temperature})",
             );
         }
         // Per-stage wall-clock attribution: where the run's time actually

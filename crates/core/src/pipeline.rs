@@ -316,9 +316,11 @@ impl Weseer {
         Ok(self)
     }
 
-    /// Treat `api`'s trace as changed: its fingerprint is salted so every
-    /// stored outcome involving it reads as stale and is recomputed.
-    /// (Simulates an edited endpoint for incremental benchmarks.)
+    /// Treat `api`'s trace as changed: its fingerprint is salted, so every
+    /// stored outcome involving it misses and is recomputed. The dirtied
+    /// records are stored next to the clean ones, which stay resident: a
+    /// later run without the flag is a pure hit. (Simulates an edited
+    /// endpoint for incremental benchmarks.)
     pub fn with_dirty(mut self, api: &str) -> Self {
         self.dirty_apis.insert(api.to_string());
         self

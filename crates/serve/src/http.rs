@@ -65,7 +65,6 @@ pub fn shards_json(daemon: &Daemon) -> String {
         .collect();
     let store = Json::Obj(vec![
         ("hit".into(), Json::u64(snap.counter("store.hit"))),
-        ("stale".into(), Json::u64(snap.counter("store.stale"))),
         ("miss".into(), Json::u64(snap.counter("store.miss"))),
         (
             "entries".into(),

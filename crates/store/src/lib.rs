@@ -6,29 +6,30 @@
 //!
 //! ## Data model
 //!
-//! Every record is **content-addressed** along two axes:
+//! Every record is **content-addressed**: its key is the triple of
 //!
+//! * a **kind** — which result it is (`pair2`, `pair3`, `wit`);
 //! * a **site** — *where* the result belongs (an app-namespaced
 //!   `trace:api#txn` prefix id, a pair of those, a cycle within a pair…);
 //! * a **content key** — *what* the inputs were when the result was
-//!   computed (solver/tier configuration, lock-model version, the
-//!   fingerprints themselves).
+//!   computed (the trace fingerprints, solver/tier configuration,
+//!   lock-model version).
 //!
-//! [`Store::get`] classifies a lookup as [`Lookup::Hit`] (site known,
-//! content matches — reuse the value), [`Lookup::Stale`] (site known but
-//! the inputs changed — recompute and [`Store::put`] the replacement), or
-//! [`Lookup::Miss`] (never seen). Each outcome bumps `store.{hit,stale,
-//! miss}` plus a per-kind variant (`store.hit.pair3`, …) so tests can
-//! assert *exactly which* entries a dirtied trace invalidates.
+//! [`Store::get`] is a [`Lookup::Hit`] when that exact key was recorded
+//! and a [`Lookup::Miss`] otherwise. Changed inputs are a new content key,
+//! so their result is recorded *next to* the old one: two app versions
+//! sharing a store both stay resident, and switching between them is a
+//! pure hit. Each outcome bumps `store.{hit,miss}` plus a per-kind variant
+//! (`store.hit.pair3`, …) so tests can assert *exactly which* entries a
+//! dirtied trace invalidates.
 //!
 //! ## File format
 //!
 //! Line 1 is the header `{"weseer_store":1}`; every other line is one
 //! record `{"kind":…,"site":…,"content":…,"value":…}`. The file is only
-//! ever appended to — a re-recorded site supersedes its earlier lines on
-//! load (counted in `store.evicted`) — and [`Store::flush`] appends the
-//! session's new or changed records in sorted order, so an unchanged warm
-//! run leaves the file untouched.
+//! ever appended to, and [`Store::flush`] appends the session's new
+//! records in sorted key order, so an unchanged warm run leaves the file
+//! untouched.
 //!
 //! ## Concurrency
 //!
@@ -59,26 +60,20 @@ const HEADER: &str = "{\"weseer_store\":1}";
 /// The outcome of a [`Store::get`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
-    /// Site known and the content key matches: the stored value applies.
+    /// The key was recorded: the stored value applies.
     Hit(Json),
-    /// Site known but recorded under a different content key: the inputs
-    /// changed, recompute.
-    Stale,
-    /// Site never recorded.
+    /// The key was never recorded: compute and [`Store::put`] the value.
     Miss,
 }
 
-#[derive(Debug)]
-struct Entry {
-    content: String,
-    value: Json,
-}
+/// A record's identity: `(kind, site, content)`.
+type Key = (String, String, String);
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<(String, String), Entry>,
-    /// Keys added or changed since open, flushed in sorted order.
-    dirty: BTreeSet<(String, String)>,
+    map: HashMap<Key, Json>,
+    /// Keys added since open, flushed in sorted order.
+    dirty: BTreeSet<Key>,
 }
 
 /// A single-file persistent store (thread-safe; share behind an `Arc`).
@@ -96,83 +91,77 @@ pub struct Store {
 impl Store {
     /// Open (or create on first [`Store::flush`]) the store at `path`.
     ///
-    /// Superseded lines — an old value for a site that a later line
-    /// re-records — are counted in `store.evicted`. A malformed **final**
-    /// line (a record cut short when the writing process died) is skipped
-    /// and counted in `store.recovered_truncation`; corruption anywhere
-    /// earlier in the file is still an error.
+    /// A malformed **final** line (a record cut short when the writing
+    /// process died) is skipped and counted in
+    /// `store.recovered_truncation`; corruption anywhere earlier in the
+    /// file is an error naming the file and line.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Store> {
         let path = path.as_ref().to_path_buf();
-        let mut inner = Inner::default();
-        let mut recovered = 0u64;
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                let mut lines: Vec<&str> = text.lines().collect();
-                match lines.first() {
-                    None => {}
-                    Some(&HEADER) => {
-                        lines.remove(0);
-                    }
-                    Some(other) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("{}: not a weseer store (header {other:?})", path.display()),
-                        ));
-                    }
-                }
-                let last = lines.len().saturating_sub(1);
-                let mut evicted = 0u64;
-                for (n, line) in lines.iter().enumerate() {
-                    let bad = |why: &str| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("{}:{}: {why}", path.display(), n + 2),
-                        )
-                    };
-                    let parse = || -> io::Result<((String, String), Entry)> {
-                        let record = Json::parse(line).map_err(|e| bad(&e))?;
-                        let field = |k: &str| {
-                            record
-                                .get(k)
-                                .and_then(Json::as_str)
-                                .map(str::to_string)
-                                .ok_or_else(|| bad(&format!("missing field {k:?}")))
-                        };
-                        let key = (field("kind")?, field("site")?);
-                        let entry = Entry {
-                            content: field("content")?,
-                            value: record
-                                .get("value")
-                                .cloned()
-                                .ok_or_else(|| bad("missing field \"value\""))?,
-                        };
-                        Ok((key, entry))
-                    };
-                    match parse() {
-                        Ok((key, entry)) => {
-                            if inner.map.insert(key, entry).is_some() {
-                                evicted += 1;
-                            }
-                        }
-                        // Only the trailing record can be a benign
-                        // truncation — a daemon killed mid-append.
-                        Err(_) if n == last => recovered += 1,
-                        Err(e) => return Err(e),
-                    }
-                }
-                if evicted > 0 {
-                    weseer_obs::add("store.evicted", evicted);
-                }
-                if recovered > 0 {
-                    weseer_obs::add("store.recovered_truncation", recovered);
-                }
+        let bytes = match std::fs::read(&path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        let invalid = |line: usize, why: &str| {
+            let msg = format!("{}:{line}: {why}", path.display());
+            io::Error::new(io::ErrorKind::InvalidData, msg)
+        };
+        // Lines as bytes: a kill can cut a multi-byte character in half,
+        // and that is a truncated final record like any other.
+        let body = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
+        let mut lines: Vec<&[u8]> = if bytes.is_empty() {
+            Vec::new()
+        } else {
+            body.split(|&b| b == b'\n').collect()
+        };
+        match lines.first() {
+            None => {}
+            Some(&first) if first == HEADER.as_bytes() => {
+                lines.remove(0);
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            Some(&other) => {
+                let other = String::from_utf8_lossy(other);
+                let msg = format!("not a weseer store (header {other:?})");
+                return Err(invalid(1, &msg));
+            }
+        }
+        let last = lines.len().saturating_sub(1);
+        let mut map = HashMap::new();
+        let mut recovered = 0u64;
+        for (n, line) in lines.iter().enumerate() {
+            let bad = |why: &str| invalid(n + 2, why);
+            let parse = || -> io::Result<(Key, Json)> {
+                let line = std::str::from_utf8(line).map_err(|e| bad(&e.to_string()))?;
+                let record = Json::parse(line).map_err(|e| bad(&e))?;
+                let field = |k: &str| {
+                    record
+                        .get(k)
+                        .and_then(Json::as_str)
+                        .map(str::to_string)
+                        .ok_or_else(|| bad(&format!("missing field {k:?}")))
+                };
+                let key = (field("kind")?, field("site")?, field("content")?);
+                let value = record.get("value").cloned();
+                Ok((key, value.ok_or_else(|| bad("missing field \"value\""))?))
+            };
+            match parse() {
+                Ok((key, value)) => {
+                    map.insert(key, value);
+                }
+                // Only the trailing record can be a benign truncation — a
+                // daemon killed mid-append.
+                Err(_) if n == last => recovered += 1,
+                Err(e) => return Err(e),
+            }
+        }
+        if recovered > 0 {
+            weseer_obs::add("store.recovered_truncation", recovered);
         }
         Ok(Store {
             path,
-            inner: RwLock::new(inner),
+            inner: RwLock::new(Inner {
+                map,
+                dirty: BTreeSet::new(),
+            }),
             live: Mutex::new(None),
             recovered,
         })
@@ -185,28 +174,27 @@ impl Store {
     /// the next [`Store::open`] recovers from.
     pub fn open_live(path: impl AsRef<Path>) -> io::Result<Store> {
         let store = Self::open(&path)?;
-        let fresh = !store.path.exists();
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&store.path)?;
-        if fresh {
-            file.write_all(HEADER.as_bytes())?;
+        // Before appending, make the physical tail clean: give an absent or
+        // empty file its header, drop a recovered partial record (otherwise
+        // the next append would splice onto it, turning a benign truncation
+        // into mid-file corruption) and newline-terminate a complete final
+        // record that lost its newline.
+        let bytes = std::fs::read(&store.path)?;
+        if bytes.is_empty() {
+            file.write_all(format!("{HEADER}\n").as_bytes())?;
+        } else if store.recovered > 0 {
+            let trimmed = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
+            let keep = trimmed
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            file.set_len(keep as u64)?;
+        } else if !bytes.ends_with(b"\n") {
             file.write_all(b"\n")?;
-        } else {
-            // Before appending, make the physical tail clean: drop a
-            // recovered partial record (otherwise the next append would
-            // splice onto it, turning a benign truncation into mid-file
-            // corruption) and newline-terminate a complete final record
-            // that lost its newline.
-            let text = std::fs::read_to_string(&store.path)?;
-            if store.recovered > 0 {
-                let trimmed = text.strip_suffix('\n').unwrap_or(&text);
-                let keep = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
-                file.set_len(keep as u64)?;
-            } else if !text.is_empty() && !text.ends_with('\n') {
-                file.write_all(b"\n")?;
-            }
         }
         *store.live.lock().unwrap() = Some(file);
         Ok(store)
@@ -222,15 +210,11 @@ impl Store {
         &self.path
     }
 
-    /// Look up `(kind, site)` against the expected `content` key.
+    /// Look up the record keyed `(kind, site, content)`.
     pub fn get(&self, kind: &str, site: &str, content: &str) -> Lookup {
-        let inner = self.inner.read().unwrap();
-        let (outcome, result) = match inner.map.get(&(kind.to_string(), site.to_string())) {
-            Some(e) if e.content == content => ("hit", Lookup::Hit(e.value.clone())),
-            Some(_) => ("stale", Lookup::Stale),
-            None => ("miss", Lookup::Miss),
-        };
-        drop(inner);
+        let key = (kind.to_string(), site.to_string(), content.to_string());
+        let value = self.inner.read().unwrap().map.get(&key).cloned();
+        let outcome = if value.is_some() { "hit" } else { "miss" };
         weseer_obs::add(&format!("store.{outcome}"), 1);
         weseer_obs::add(&format!("store.{outcome}.{kind}"), 1);
         if weseer_obs::timeline::enabled() {
@@ -240,28 +224,19 @@ impl Store {
                 &[("kind", kind.to_string())],
             );
         }
-        result
+        value.map_or(Lookup::Miss, Lookup::Hit)
     }
 
-    /// Record (or replace) the value at `(kind, site)` under `content`.
-    /// A put identical to the stored entry is a no-op, so repeat runs do
-    /// not grow the file. In live-append mode the record is written
-    /// through to the backing file immediately (a single appended line).
+    /// Record `value` under `(kind, site, content)`. Re-putting a record
+    /// the store already holds is a no-op, so repeat runs do not grow the
+    /// file. In live-append mode the record is written through to the
+    /// backing file immediately (a single appended line).
     pub fn put(&self, kind: &str, site: &str, content: &str, value: Json) {
-        let key = (kind.to_string(), site.to_string());
+        let key = (kind.to_string(), site.to_string(), content.to_string());
         let mut inner = self.inner.write().unwrap();
-        if let Some(e) = inner.map.get(&key) {
-            if e.content == content && e.value == value {
-                return;
-            }
+        if inner.map.get(&key) == Some(&value) {
+            return;
         }
-        inner.map.insert(
-            key.clone(),
-            Entry {
-                content: content.to_string(),
-                value: value.clone(),
-            },
-        );
         let mut live = self.live.lock().unwrap();
         if let Some(file) = live.as_mut() {
             // Write through: one line per record, appended atomically with
@@ -269,14 +244,14 @@ impl Store {
             // write lock is still held, so a concurrent open of the same
             // path can at worst see this line cut short — which it
             // recovers from.
-            let line = record_line(&key.0, &key.1, content, &value);
-            let _ = file.write_all(line.as_bytes());
+            let _ = file.write_all(record_line(kind, site, content, &value).as_bytes());
         } else {
-            inner.dirty.insert(key);
+            inner.dirty.insert(key.clone());
         }
+        inner.map.insert(key, value);
     }
 
-    /// Number of live entries.
+    /// Number of records held.
     pub fn len(&self) -> usize {
         self.inner.read().unwrap().map.len()
     }
@@ -286,11 +261,12 @@ impl Store {
         self.len() == 0
     }
 
-    /// Append the session's new/changed records to the backing file (in
-    /// sorted key order — the file is deterministic given the same work).
+    /// Append the session's new records to the backing file (in sorted key
+    /// order — the file is deterministic given the same work), after the
+    /// header if the file is absent or empty.
     pub fn flush(&self) -> io::Result<()> {
         let mut inner = self.inner.write().unwrap();
-        let fresh = !self.path.exists();
+        let fresh = std::fs::metadata(&self.path).map_or(true, |m| m.len() == 0);
         if inner.dirty.is_empty() && !fresh {
             return Ok(());
         }
@@ -300,8 +276,7 @@ impl Store {
             out.push('\n');
         }
         for key in &inner.dirty {
-            let e = &inner.map[key];
-            write_record(&mut out, &key.0, &key.1, &e.content, &e.value);
+            write_record(&mut out, &key.0, &key.1, &key.2, &inner.map[key]);
         }
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -359,7 +334,7 @@ mod tests {
             s.get("smt", "site1", "cfgA"),
             Lookup::Hit(Json::str("unsat"))
         );
-        assert_eq!(s.get("smt", "site1", "cfgB"), Lookup::Stale);
+        assert_eq!(s.get("smt", "site1", "cfgB"), Lookup::Miss);
         s.flush().unwrap();
 
         let s2 = Store::open(&path).unwrap();
@@ -388,8 +363,8 @@ mod tests {
     }
 
     #[test]
-    fn superseded_lines_evict_on_load() {
-        let path = tmp("evict");
+    fn every_content_of_a_site_stays_resident() {
+        let path = tmp("versions");
         let s = Store::open(&path).unwrap();
         s.put("wit", "a", "c1", Json::u64(1));
         s.flush().unwrap();
@@ -397,13 +372,43 @@ mod tests {
         s2.put("wit", "a", "c2", Json::u64(2));
         s2.flush().unwrap();
 
-        // The file now holds both lines; the later one wins.
+        // One line per content; neither supersedes the other.
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 3, "header + two appends");
         let s3 = Store::open(&path).unwrap();
-        assert_eq!(s3.len(), 1);
+        assert_eq!(s3.len(), 2);
+        assert_eq!(s3.get("wit", "a", "c1"), Lookup::Hit(Json::u64(1)));
         assert_eq!(s3.get("wit", "a", "c2"), Lookup::Hit(Json::u64(2)));
+        // Switching back to the first content is a pure hit: no put, no
+        // byte appended.
+        s3.put("wit", "a", "c1", Json::u64(1));
+        s3.flush().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_empty_file_gets_the_header_on_first_write() {
+        // `touch store.jsonl`, or a writer killed between creating the
+        // file and writing its header.
+        for live in [false, true] {
+            let path = tmp(&format!("empty-live{live}"));
+            std::fs::write(&path, "").unwrap();
+            let s = if live {
+                Store::open_live(&path)
+            } else {
+                Store::open(&path)
+            }
+            .unwrap();
+            assert!(s.is_empty());
+            s.put("wit", "a", "c", Json::u64(1));
+            s.flush().unwrap();
+            drop(s);
+            let reopened = Store::open(&path).unwrap();
+            assert_eq!(reopened.len(), 1, "live={live}");
+            assert_eq!(reopened.get("wit", "a", "c"), Lookup::Hit(Json::u64(1)));
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! counts — while doing **zero** full DPLL(T) solves and exploring
 //! **zero** replay schedules; a cold run must write the same store bytes
 //! on any number of threads; dirtying one trace must invalidate exactly
-//! the stored outcomes that involve it; a store file written by an
-//! earlier version of the tool must keep opening; and the baseline
-//! coarse-cycle count an analysis reports without re-scanning must be the
-//! one a re-scan finds, cold and warm.
+//! the stored outcomes that involve it; every app version analyzed
+//! against one store stays resident in it, so switching back is a pure
+//! hit; a store file written by an earlier version of the tool must keep
+//! opening; and the baseline coarse-cycle count an analysis reports
+//! without re-scanning must be the one a re-scan finds, cold and warm.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -14,6 +15,7 @@ use weseer::analyzer::coarse_cycle_count;
 use weseer::apps::{Broadleaf, ECommerceApp, Fix, Fixes, Shopizer};
 use weseer::core::{AppAnalysis, Weseer};
 use weseer::obs::MetricsSnapshot;
+use weseer::store::codec::model_to_json;
 
 /// Both tests read deltas of the process-global obs registry, and the
 /// harness runs them on parallel threads: each holds this throughout.
@@ -101,7 +103,6 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
         "warm run must not explore schedules"
     );
     assert_eq!(wm.counter("store.miss"), 0);
-    assert_eq!(wm.counter("store.stale"), 0);
     assert!(wm.counter("store.hit") > 0);
     assert_eq!(
         std::fs::read(&path).expect("store present"),
@@ -111,21 +112,21 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
 
     // Dirty the Ship trace: same output (the traces did not actually
     // change), but exactly the fingerprint-keyed entries involving Ship
-    // go stale and are recomputed.
+    // miss and are recomputed.
     let (dirty, dm) = run(&path, 4, Some("Ship"));
     assert_eq!(render(&dirty), cold_out, "dirtied output must match cold");
-    assert!(dm.counter("store.stale") > 0, "dirtying must invalidate");
+    assert!(dm.counter("store.miss") > 0, "dirtying must invalidate");
 
-    // Every fingerprint-keyed entry is either still warm or stale; none
-    // disappear (per kind: dirty hits + dirty stales == warm hits).
+    // The dirty run looks up what the warm run did: each lookup still
+    // hits or misses (per kind: dirty hits + dirty misses == warm hits).
     for kind in ["pair2", "pair3", "wit"] {
         assert_eq!(
-            dm.counter(&format!("store.hit.{kind}")) + dm.counter(&format!("store.stale.{kind}")),
+            dm.counter(&format!("store.hit.{kind}")) + dm.counter(&format!("store.miss.{kind}")),
             wm.counter(&format!("store.hit.{kind}")),
-            "kind {kind}: hits+stales must cover the warm hit set"
+            "kind {kind}: hits+misses must cover the warm hit set"
         );
     }
-    // The stale witness entries are exactly the reports involving Ship.
+    // The missed witness entries are exactly the reports involving Ship.
     let involving_ship = cold
         .diagnosis
         .deadlocks
@@ -133,12 +134,24 @@ fn warm_runs_are_byte_identical_and_solve_nothing() {
         .filter(|r| r.cycle.a_api == "Ship" || r.cycle.b_api == "Ship")
         .count() as u64;
     assert!(involving_ship > 0, "Broadleaf reports Ship deadlocks");
-    assert_eq!(dm.counter("store.stale.wit"), involving_ship);
+    assert_eq!(dm.counter("store.miss.wit"), involving_ship);
 
     // Pairs not touching Ship stayed warm.
     assert!(
         dm.counter("store.hit.pair2") > 0,
         "pairs not touching Ship must stay warm"
+    );
+
+    // The dirtied records sit next to the clean ones: the clean run after
+    // it is fully warm again and appends nothing.
+    let file_after_dirty = std::fs::read(&path).expect("store present");
+    let (clean, cm) = run(&path, 1, None);
+    assert_eq!(render(&clean), cold_out);
+    assert_eq!(cm.counter("store.miss"), 0, "clean records stay resident");
+    assert_eq!(cm.counter("smt.full_solve"), 0);
+    assert_eq!(
+        std::fs::read(&path).expect("store present"),
+        file_after_dirty
     );
 
     let _ = std::fs::remove_file(&path);
@@ -199,7 +212,8 @@ fn stores_written_by_the_previous_format_still_open() {
     // pair2/pair3 values, content keys carrying the parent's solver tag
     // (`TierConfig`'s `Debug` text is part of every content key), and
     // records of the `smt` and `prefix` kinds, which nothing reads any
-    // more. They must open, read stale (or not at all), and be replaced.
+    // more. They must open, never hit, and stay inert next to this
+    // version's records.
     let pair_tag = format!("lock-model-v1|fine=true|range=true|skip=false|{PARENT_SOLVER}");
     let fp = "50ac70d7191c28ee1b767deb57f2e571";
     let ship = "ffc52b3d43c6e537e57ed3cff89cc528";
@@ -227,21 +241,24 @@ fn stores_written_by_the_previous_format_still_open() {
     assert_eq!(
         reports_and_funnel(&over_parent),
         cold_out,
-        "stale records must not leak"
+        "old records must not leak"
     );
     assert_eq!(
         pm.counter("store.hit"),
         0,
         "nothing of the old format applies"
     );
-    for kind in ["pair2", "pair3"] {
-        assert!(
-            pm.counter(&format!("store.stale.{kind}")) >= 1,
-            "the {kind} record must read stale"
-        );
-    }
+    let store = weseer::store::Store::open(&path).expect("reopen store");
+    let old_pair2 = format!("{fp}|{fp}|{pair_tag}");
+    assert!(
+        store.get("pair2", "shopizer|0:Register#0|0:Register#0", &old_pair2)
+            != weseer::store::Lookup::Miss,
+        "the old records stay next to this version's"
+    );
+    assert!(store.len() > lines.len() - 1);
+    drop(store);
     for kind in ["smt", "prefix"] {
-        for outcome in ["hit", "stale", "miss"] {
+        for outcome in ["hit", "miss"] {
             assert_eq!(
                 pm.counter(&format!("store.{outcome}.{kind}")),
                 0,
@@ -278,7 +295,7 @@ fn stores_written_by_the_previous_format_still_open() {
         cold_out,
         "extra fields must be skipped"
     );
-    assert_eq!(wm.counter("store.miss") + wm.counter("store.stale"), 0);
+    assert_eq!(wm.counter("store.miss"), 0);
     assert_eq!(wm.counter("smt.full_solve"), 0);
     let st = &warm.diagnosis.stats;
     assert!(
@@ -287,6 +304,68 @@ fn stores_written_by_the_previous_format_still_open() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Real edits through one shared store: each Table II fix changes a few
+/// trace fingerprints. Analyzing the fixed version against a store the
+/// release filled must render exactly what a cold analysis of it renders
+/// (reports and SAT models). After release -> fixed, both versions are
+/// resident: running release and then the fix again solves nothing, misses
+/// nothing and leaves the file untouched.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn every_fixed_version_stays_resident_next_to_the_release() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    weseer::obs::set_enabled(true);
+    let rendered = |a: &AppAnalysis| -> String {
+        let model = |r: &weseer::analyzer::DeadlockReport| model_to_json(&r.sat_model).to_line();
+        a.diagnosis
+            .deadlocks
+            .iter()
+            .map(|r| format!("{r}\n{}\n", model(r)))
+            .collect()
+    };
+    let apps: [(&dyn ECommerceApp, &[Fix]); 2] =
+        [(&Broadleaf, &Fix::BROADLEAF), (&Shopizer, &Fix::SHOPIZER)];
+    for (app, own_fixes) in apps {
+        let analyze = |store: Option<&PathBuf>, fixes: &Fixes| {
+            let mut weseer = Weseer::new().with_threads(2);
+            if let Some(path) = store {
+                weseer = weseer.with_store(path).expect("open store");
+            }
+            let before = weseer::obs::snapshot();
+            let analysis = weseer.analyze_with_fixes(app, fixes);
+            (
+                rendered(&analysis),
+                weseer::obs::snapshot().delta_since(&before),
+            )
+        };
+        let release = Fixes::none();
+        let release_store = store_path(&format!("release-{}", app.name()));
+        let (release_out, _) = analyze(Some(&release_store), &release);
+        for &fix in own_fixes {
+            let mut fixed = Fixes::none();
+            fixed.enable(fix);
+            let path = store_path(&format!("{fix:?}"));
+            std::fs::copy(&release_store, &path).expect("copy the release store");
+            let (cold_out, _) = analyze(None, &fixed);
+            let (over_release, _) = analyze(Some(&path), &fixed);
+            assert_eq!(over_release, cold_out, "{fix:?} over the release store");
+            let filled = std::fs::read(&path).expect("store present");
+            for (version, expected) in [(&release, &release_out), (&fixed, &cold_out)] {
+                let (out, m) = analyze(Some(&path), version);
+                assert_eq!(&out, expected, "{fix:?}: {version:?} again");
+                assert_eq!(m.counter("store.miss"), 0, "{fix:?}: {version:?} again");
+                assert_eq!(m.counter("smt.full_solve"), 0, "{fix:?}: {version:?} again");
+                assert!(
+                    std::fs::read(&path).expect("store present") == filled,
+                    "{fix:?}: {version:?} again wrote to the store"
+                );
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+        let _ = std::fs::remove_file(&release_store);
+    }
 }
 
 /// `AppAnalysis::coarse_cycles` is read off the diagnosis instead of

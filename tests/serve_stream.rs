@@ -1,11 +1,13 @@
 //! Serving-plane integration: an in-process `weseer-serve` daemon must
 //! stream verdicts byte-identical to the batch pipeline, a second daemon
 //! session against the same store file must warm-start from the first
-//! (hits > 0 — the store is fleet-shared, not per-process), and the HTTP
-//! surface must serve `/analyze/<app>` and `/shards` end to end.
+//! (hits > 0 — the store is fleet-shared, not per-process), versions that
+//! take turns on one daemon must each stay resident in its store, and the
+//! HTTP surface must serve `/analyze/<app>` and `/shards` end to end.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use weseer::apps::{Fix, Fixes};
 use weseer::core::Weseer;
 use weseer::serve::{app_by_name, verdict_line, Daemon, DaemonConfig, ServeEvent};
 use weseer::store::json::Json;
@@ -22,11 +24,11 @@ fn batch_lines(name: &str) -> String {
         .collect()
 }
 
-/// Stream one app's trace set through `daemon` as an ingest client would
-/// and concatenate the verdict events.
-fn stream(daemon: &Daemon, name: &str) -> String {
+/// Stream the trace set of one app version through `daemon` as an ingest
+/// client would and concatenate the verdict events.
+fn stream(daemon: &Daemon, name: &str, fixes: &Fixes) -> String {
     let app = app_by_name(name).expect("known app");
-    let (traces, _db) = Weseer::new().collect_traces(app, &weseer::apps::Fixes::none());
+    let (traces, _db) = Weseer::new().collect_traces(app, fixes);
     let client = daemon.client(name);
     for t in traces {
         client.send(t);
@@ -61,20 +63,60 @@ fn streamed_verdicts_match_batch_and_warm_across_sessions() {
         ..DaemonConfig::default()
     };
     let daemon = Daemon::start(config.clone()).expect("start daemon");
-    assert_eq!(stream(&daemon, "broadleaf"), batch, "cold stream diverged");
+    assert_eq!(
+        stream(&daemon, "broadleaf", &Fixes::none()),
+        batch,
+        "cold stream diverged"
+    );
     daemon.shutdown();
 
     // Session 2 is a fresh process image as far as the store is
     // concerned: it must reload the first session's verdicts and hit them.
     let before = weseer::obs::snapshot();
     let daemon = Daemon::start(config).expect("restart daemon");
-    assert_eq!(stream(&daemon, "broadleaf"), batch, "warm stream diverged");
+    assert_eq!(
+        stream(&daemon, "broadleaf", &Fixes::none()),
+        batch,
+        "warm stream diverged"
+    );
     daemon.shutdown();
     let delta = weseer::obs::snapshot().delta_since(&before);
     assert!(
         delta.counter("store.hit") > 0,
         "second session hit nothing from the first: {:?}",
         delta.counters
+    );
+    let _ = std::fs::remove_file(&store);
+}
+
+#[test]
+fn versions_taking_turns_on_one_daemon_each_stay_resident() {
+    let store =
+        std::env::temp_dir().join(format!("weseer-serve-churn-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&store);
+    let batch = batch_lines("broadleaf");
+    let daemon = Daemon::start(DaemonConfig {
+        store_path: Some(store.clone()),
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let release = Fixes::none();
+    let mut f1 = Fixes::none();
+    f1.enable(Fix::BROADLEAF[0]);
+    let mut sizes = Vec::new();
+    for (n, version) in [&release, &f1, &release, &f1].into_iter().enumerate() {
+        let lines = stream(&daemon, "broadleaf", version);
+        if version == &release {
+            assert_eq!(lines, batch, "release session {n} diverged from batch");
+        }
+        sizes.push(std::fs::metadata(&store).expect("live store").len());
+    }
+    daemon.shutdown();
+    // First sight of each version appends its verdicts; returning to a
+    // version the store already holds appends nothing.
+    assert!(
+        0 < sizes[0] && sizes[0] < sizes[1] && sizes[1] == sizes[2] && sizes[2] == sizes[3],
+        "store bytes after each session: {sizes:?}"
     );
     let _ = std::fs::remove_file(&store);
 }
