@@ -327,30 +327,13 @@ impl Session {
     /// transaction is rolled back before returning (MySQL victim
     /// recovery).
     pub fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<ExecData, DbError> {
-        let txn = self.txn.ok_or(DbError::NoTransaction)?;
-        self.db
-            .inner
-            .counters
-            .statements
-            .fetch_add(1, Ordering::Relaxed);
-        let delay = self.db.inner.statement_delay_ns.load(Ordering::Relaxed);
-        if delay > 0 {
-            std::thread::sleep(Duration::from_nanos(delay));
-        }
-        match exec::execute(
-            &self.db.inner.storage,
-            &self.db.inner.locks,
-            txn,
-            stmt,
-            params,
-            self.mvcc_ctx(),
-        ) {
-            Ok(data) => Ok(data),
-            Err(e) => {
-                self.abort_on(&e);
-                Err(e)
+        self.run(|inner, txn, mvcc| {
+            let delay = inner.statement_delay_ns.load(Ordering::Relaxed);
+            if delay > 0 {
+                std::thread::sleep(Duration::from_nanos(delay));
             }
-        }
+            exec::execute(&inner.storage, &inner.locks, txn, stmt, params, mvcc)
+        })
     }
 
     /// Execute one statement without ever sleeping (the replay engine's
@@ -363,57 +346,34 @@ impl Session {
         stmt: &Statement,
         params: &[Value],
     ) -> Result<exec::StepResult, DbError> {
-        let txn = self.txn.ok_or(DbError::NoTransaction)?;
-        self.db
-            .inner
-            .counters
-            .statements
-            .fetch_add(1, Ordering::Relaxed);
-        match exec::execute_nowait(
-            &self.db.inner.storage,
-            &self.db.inner.locks,
-            txn,
-            stmt,
-            params,
-            self.mvcc_ctx(),
-        ) {
-            Ok(step) => Ok(step),
-            Err(e) => {
-                self.abort_on(&e);
-                Err(e)
-            }
-        }
+        self.run(|inner, txn, mvcc| {
+            exec::execute_nowait(&inner.storage, &inner.locks, txn, stmt, params, mvcc)
+        })
     }
 
-    /// Count and roll back an engine-initiated abort.
-    fn abort_on(&mut self, e: &DbError) {
-        if e.aborts_txn() {
-            match e {
-                DbError::Deadlock { .. } => {
-                    self.db
-                        .inner
-                        .counters
-                        .deadlock_aborts
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                DbError::LockWaitTimeout => {
-                    self.db
-                        .inner
-                        .counters
-                        .timeout_aborts
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                DbError::WriteConflict { .. } => {
-                    self.db
-                        .inner
-                        .counters
-                        .write_conflict_aborts
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
+    /// The body both `execute` flavours share: count the statement, run
+    /// `exec` in the open transaction, and count and roll back an
+    /// engine-initiated abort before returning it.
+    fn run<T>(
+        &mut self,
+        exec: impl FnOnce(&Inner, TxnId, MvccCtx<'_>) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        let txn = self.txn.ok_or(DbError::NoTransaction)?;
+        let inner = &self.db.inner;
+        inner.counters.statements.fetch_add(1, Ordering::Relaxed);
+        let result = exec(inner, txn, self.mvcc_ctx());
+        // The errors that abort the transaction (`DbError::aborts_txn`).
+        let aborts = match &result {
+            Err(DbError::Deadlock { .. }) => Some(&inner.counters.deadlock_aborts),
+            Err(DbError::LockWaitTimeout) => Some(&inner.counters.timeout_aborts),
+            Err(DbError::WriteConflict { .. }) => Some(&inner.counters.write_conflict_aborts),
+            _ => None,
+        };
+        if let Some(counter) = aborts {
+            counter.fetch_add(1, Ordering::Relaxed);
             self.rollback();
         }
+        result
     }
 
     /// Commit the open transaction. Under an MVCC isolation level the

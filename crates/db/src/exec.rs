@@ -7,11 +7,16 @@
 //! insert-intention + row locks for inserts — then evaluates residual
 //! conditions.
 //!
-//! Execution uses a plan/try-lock/apply loop: under the storage mutex the
-//! statement is planned and its lock targets computed; if every lock is
-//! grantable without waiting the plan is applied atomically, otherwise the
-//! storage mutex is dropped and the executor blocks on the first contended
-//! lock (where deadlock detection and victim abort happen), then replans.
+//! Execution is one step, [`execute_nowait`]: under the storage mutex the
+//! statement is planned and each of its lock targets is requested through
+//! [`LockManager::acquire_nowait`]. If every lock is granted, the plan is
+//! applied atomically. Otherwise the step returns [`StepResult::Blocked`]
+//! with the waits-for edge recorded, or [`DbError::Deadlock`] when the
+//! wait would close a cycle. The replay engine drives this step directly.
+//! The blocking [`execute`] runs the same step; on `Blocked` it drops the
+//! storage mutex, sleeps in [`LockManager::acquire`] on the contended
+//! lock, and replans. A threaded run therefore decides every lock request
+//! in the same code as a replayed schedule.
 
 use crate::anomaly::AnomalyTracker;
 use crate::lock::{AcquireOutcome, LockManager, LockMode, LockTarget};
@@ -108,7 +113,7 @@ struct Plan {
 
 impl Plan {
     fn lock(&mut self, t: LockTarget, m: LockMode) {
-        // Dedup exact repeats to keep the try-lock pass short.
+        // Dedup exact repeats to keep the lock pass short.
         if !self.locks.iter().any(|(lt, lm)| lt == &t && lm == &m) {
             self.locks.push((t, m));
         }
@@ -281,41 +286,13 @@ pub fn execute(
     params: &[Value],
     mvcc: MvccCtx<'_>,
 ) -> Result<ExecData, DbError> {
-    if is_snapshot_read(mvcc.iso, stmt) {
-        let st = storage.lock();
-        return snapshot_select(&st, txn, stmt, params, mvcc);
-    }
     for _ in 0..MAX_REPLANS {
-        let blocked = {
-            let mut st = storage.lock();
-            let plan = plan_statement(&st, txn, stmt, params)?;
-            let mut blocked = None;
-            for (t, m) in &plan.locks {
-                match locks.try_acquire(txn, t.clone(), *m) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        blocked = Some((t.clone(), *m));
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match blocked {
-                None => {
-                    if let Some(e) = plan.error {
-                        return Err(e);
-                    }
-                    write_scan(&st, txn, &plan.ops, mvcc)?;
-                    apply(&mut st, txn, plan.ops);
-                    let mut data = plan.data;
-                    data.locks = plan.locks;
-                    return Ok(data);
-                }
-                Some(b) => b,
-            }
-        };
-        // Block outside the storage mutex; deadlock detection happens here.
-        locks.acquire(txn, blocked.0, blocked.1)?;
+        match execute_nowait(storage, locks, txn, stmt, params, mvcc)? {
+            StepResult::Done(data) => return Ok(data),
+            // Sleep on the contended lock with the storage mutex released,
+            // then replan: the rows may have changed while we waited.
+            StepResult::Blocked { target, mode, .. } => locks.acquire(txn, target, mode)?,
+        }
     }
     Err(DbError::Unsupported(
         "statement did not converge under contention".into(),
@@ -330,6 +307,7 @@ pub fn execute(
 /// This is the replay engine's step function: single-threaded schedule
 /// exploration drives interleavings statement by statement and needs
 /// blocking and deadlock detection to be synchronous and deterministic.
+/// The blocking [`execute`] is this step plus a wait.
 pub fn execute_nowait(
     storage: &parking_lot::Mutex<Storage>,
     locks: &LockManager,

@@ -9,8 +9,10 @@
 //!   **insert-intention**, and **table** locks acquired during index
 //!   traversal (Sec. V-C's lock model, executed for real);
 //! * **detect-and-recover** deadlock handling: waits-for cycle detection on
-//!   every blocking lock request, victim abort with full transaction
-//!   rollback (Sec. II-A) plus a lock-wait timeout backstop;
+//!   every lock request that must wait, victim abort with full transaction
+//!   rollback (Sec. II-A) plus a lock-wait timeout backstop; threaded
+//!   sessions and the replay engine's non-blocking step decide each
+//!   request in the same code ([`lock`]);
 //! * B-tree primary and secondary indexes with PK-suffixed secondary keys;
 //! * abort/commit/lock-wait statistics for the Fig. 10/11 throughput and
 //!   aborts-per-second experiments.

@@ -13,11 +13,18 @@
 //! A transaction that would close a hold-and-wait cycle is rolled back
 //! immediately with [`DbError::Deadlock`] carrying the concrete waits-for
 //! cycle (the requester is the victim, as in InnoDB when it is the
-//! cheapest to roll back). Besides the blocking [`LockManager::acquire`],
-//! the replay engine uses the non-blocking [`LockManager::acquire_nowait`],
-//! which records the waits-for edge and returns instead of sleeping, so
-//! deadlocks surface instantly and deterministically; the current edge set
-//! is observable through [`LockManager::wait_for_edges`].
+//! cheapest to roll back).
+//!
+//! Every request is decided by one step under the manager's mutex: grant
+//! it, or record the waits-for edge and report whom it waits on, or detect
+//! the cycle. That step also records all of the request's bookkeeping
+//! ([`LockStats`], the `db.lock.*` counters, `/waitfor`, the timeline).
+//! [`LockManager::acquire_nowait`] is the step alone: it never sleeps, so
+//! the replay engine sees deadlocks instantly and deterministically.
+//! The blocking [`LockManager::acquire`] re-runs the same step after each
+//! condition-variable wakeup and adds only the timeout, so a threaded run
+//! and a replayed schedule cannot decide a request differently. The
+//! current edge set is observable through [`LockManager::wait_for_edges`].
 
 use crate::types::{DbError, KeyBound, KeyTuple, TxnId};
 use parking_lot::{Condvar, Mutex};
@@ -112,6 +119,8 @@ struct LockState {
     held_by: HashMap<TxnId, Vec<LockTarget>>,
     /// Current waits-for edges of blocked transactions.
     waiting_for: HashMap<TxnId, HashSet<TxnId>>,
+    /// Counters, updated with the decisions they count.
+    stats: LockStats,
 }
 
 impl LockState {
@@ -230,11 +239,16 @@ fn publish_waitfor(st: &LockState) {
 }
 
 /// Timeline instant for a lock-manager event (acquire / wait / deadlock /
-/// release). Cheap no-op while the timeline is disabled.
-fn timeline_lock_event(name: &'static str, txn: TxnId, detail: &[(&str, String)]) {
+/// release). `detail` runs only while the timeline is enabled, so a
+/// disabled timeline formats nothing.
+fn timeline_lock_event<const N: usize>(
+    name: &'static str,
+    txn: TxnId,
+    detail: impl FnOnce() -> [(&'static str, String); N],
+) {
     if weseer_obs::timeline::enabled() {
         let mut args = vec![("txn", txn.0.to_string())];
-        args.extend(detail.iter().map(|(k, v)| (*k, v.clone())));
+        args.extend(detail());
         weseer_obs::timeline::instant(name, "db", &args);
     }
 }
@@ -242,7 +256,8 @@ fn timeline_lock_event(name: &'static str, txn: TxnId, detail: &[(&str, String)]
 /// Counters published by the lock manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStats {
-    /// Lock requests that had to wait.
+    /// Lock requests that had to wait (counted once per recorded edge,
+    /// however often the request is re-decided while it waits).
     pub waits: u64,
     /// Deadlocks detected (victim aborts).
     pub deadlocks: u64,
@@ -266,7 +281,6 @@ pub enum AcquireOutcome {
 pub struct LockManager {
     state: Mutex<LockState>,
     cond: Condvar,
-    stats: Mutex<LockStats>,
     /// Maximum blocking time before a timeout abort.
     pub wait_timeout: Duration,
 }
@@ -283,159 +297,50 @@ impl LockManager {
         LockManager {
             state: Mutex::new(LockState::default()),
             cond: Condvar::new(),
-            stats: Mutex::new(LockStats::default()),
             wait_timeout,
         }
     }
 
     /// Counters so far.
     pub fn stats(&self) -> LockStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
-    /// Acquire `mode` on `target` for `txn`, blocking until granted.
-    ///
-    /// Returns [`DbError::Deadlock`] (with the concrete waits-for cycle)
-    /// when granting would require waiting inside a hold-and-wait cycle,
-    /// and [`DbError::LockWaitTimeout`] after `wait_timeout`. In both
-    /// cases the caller must roll the transaction back.
-    pub fn acquire(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> Result<(), DbError> {
-        weseer_obs::incr("db.lock.acquisitions");
-        let wait_start = Instant::now();
-        let mut st = self.state.lock();
-        let mut waited = false;
-        let deadline = wait_start + self.wait_timeout;
-        loop {
-            let blockers = st.blockers(txn, &target, mode);
-            if blockers.is_empty() {
-                st.waiting_for.remove(&txn);
-                timeline_lock_event(
-                    "db.lock.acquire",
-                    txn,
-                    &[
-                        ("target", format!("{target:?}")),
-                        ("mode", format!("{mode:?}")),
-                    ],
-                );
-                st.grant(txn, target, mode);
-                if waited {
-                    weseer_obs::observe_duration("db.lock.wait_us", wait_start.elapsed());
-                    publish_waitfor(&st);
-                    // Position may have changed while waiting; wake others
-                    // whose blockers might have gone away.
-                    self.cond.notify_all();
-                }
-                return Ok(());
-            }
-            // Would waiting close a cycle? blockers ⇒ … ⇒ txn.
-            if st.reaches(&blockers, txn) {
-                let cycle = st.cycle_path(txn, &blockers);
-                if weseer_obs::enabled() {
-                    // Edge set *at detection time*, before the victim's
-                    // edges are rolled back, plus the closing edges the
-                    // victim was about to add.
-                    let mut edges: Vec<(u64, u64)> = st
-                        .edges_snapshot()
-                        .into_iter()
-                        .map(|(w, h)| (w.0, h.0))
-                        .collect();
-                    edges.extend(blockers.iter().map(|b| (txn.0, b.0)));
-                    edges.sort_unstable();
-                    edges.dedup();
-                    weseer_obs::waitfor::record_deadlock(
-                        cycle.iter().map(|t| t.0).collect(),
-                        edges,
-                    );
-                }
-                st.waiting_for.remove(&txn);
-                self.stats.lock().deadlocks += 1;
-                weseer_obs::incr("db.lock.deadlock_aborts");
-                timeline_lock_event("db.lock.deadlock", txn, &[("cycle", format!("{cycle:?}"))]);
-                weseer_obs::emit(
-                    weseer_obs::Level::Warn,
-                    "db.lock",
-                    format!(
-                        "deadlock: {txn} requesting {mode:?} on {target:?}; \
-                         cycle={cycle:?}; wait_for={:?}; held={:?}",
-                        st.edges_snapshot(),
-                        st.held_by.get(&txn)
-                    ),
-                );
-                publish_waitfor(&st);
-                self.cond.notify_all();
-                return Err(DbError::Deadlock { cycle });
-            }
-            if !waited {
-                self.stats.lock().waits += 1;
-                weseer_obs::incr("db.lock.waits");
-                timeline_lock_event(
-                    "db.lock.wait",
-                    txn,
-                    &[
-                        ("target", format!("{target:?}")),
-                        ("mode", format!("{mode:?}")),
-                    ],
-                );
-                waited = true;
-            }
-            weseer_obs::add("db.lock.wait_for_edges", blockers.len() as u64);
-            st.waiting_for.insert(txn, blockers);
-            publish_waitfor(&st);
-            let timed_out = self.cond.wait_until(&mut st, deadline).timed_out();
-            if timed_out {
-                st.waiting_for.remove(&txn);
-                publish_waitfor(&st);
-                self.stats.lock().timeouts += 1;
-                weseer_obs::incr("db.lock.timeouts");
-                weseer_obs::emit(
-                    weseer_obs::Level::Warn,
-                    "db.lock",
-                    format!("lock wait timeout: {txn} requesting {mode:?} on {target:?}"),
-                );
-                return Err(DbError::LockWaitTimeout);
-            }
-        }
-    }
-
-    /// Acquire without ever sleeping: grant, or *record the waits-for
-    /// edge* and return [`AcquireOutcome::WouldBlock`], or detect that
-    /// waiting would close a cycle and return [`DbError::Deadlock`].
-    ///
-    /// Unlike [`LockManager::try_acquire`], a blocked request leaves the
-    /// transaction's waits-for edge in place, so a later `acquire_nowait`
-    /// by another transaction sees it and deadlocks *instantly and
-    /// deterministically* — no timeouts, no condition-variable races. The
-    /// replay engine's schedule explorer is built on this. The edge is
-    /// cleared when the lock is eventually granted (any acquisition path)
-    /// or the transaction releases via [`LockManager::release_all`].
-    pub fn acquire_nowait(
+    /// The one lock-request decision, made under the state mutex: grant
+    /// the request, or record the waits-for edge and report whom it waits
+    /// on, or — when waiting would close a cycle — refuse it with the
+    /// cycle, requester (the victim) first. Every counter, `/waitfor`
+    /// update and timeline instant a request produces is recorded here.
+    fn decide(
         &self,
+        st: &mut LockState,
         txn: TxnId,
         target: LockTarget,
         mode: LockMode,
     ) -> Result<AcquireOutcome, DbError> {
-        let mut st = self.state.lock();
         let blockers = st.blockers(txn, &target, mode);
         if blockers.is_empty() {
-            let had_edge = st.waiting_for.remove(&txn).is_some();
-            timeline_lock_event(
-                "db.lock.acquire",
-                txn,
-                &[
+            timeline_lock_event("db.lock.acquire", txn, || {
+                [
                     ("target", format!("{target:?}")),
                     ("mode", format!("{mode:?}")),
-                ],
-            );
+                ]
+            });
             st.grant(txn, target, mode);
             weseer_obs::incr("db.lock.acquisitions");
-            if had_edge {
-                publish_waitfor(&st);
+            if st.waiting_for.remove(&txn).is_some() {
+                publish_waitfor(st);
+                self.cond.notify_all();
             }
             return Ok(AcquireOutcome::Granted);
         }
+        // Would waiting close a cycle? blockers ⇒ … ⇒ txn.
         if st.reaches(&blockers, txn) {
             let cycle = st.cycle_path(txn, &blockers);
             if weseer_obs::enabled() {
+                // Edge set *at detection time*, before the victim's edges
+                // are rolled back, plus the closing edges the victim was
+                // about to add.
                 let mut edges: Vec<(u64, u64)> = st
                     .edges_snapshot()
                     .into_iter()
@@ -447,62 +352,87 @@ impl LockManager {
                 weseer_obs::waitfor::record_deadlock(cycle.iter().map(|t| t.0).collect(), edges);
             }
             st.waiting_for.remove(&txn);
-            self.stats.lock().deadlocks += 1;
+            st.stats.deadlocks += 1;
             weseer_obs::incr("db.lock.deadlock_aborts");
-            timeline_lock_event("db.lock.deadlock", txn, &[("cycle", format!("{cycle:?}"))]);
-            weseer_obs::emit(
-                weseer_obs::Level::Warn,
-                "db.lock",
-                format!(
-                    "deadlock (nowait): {txn} requesting {mode:?} on {target:?}; \
-                     cycle={cycle:?}; wait_for={:?}",
-                    st.edges_snapshot()
-                ),
-            );
-            publish_waitfor(&st);
+            timeline_lock_event("db.lock.deadlock", txn, || {
+                [("cycle", format!("{cycle:?}"))]
+            });
+            publish_waitfor(st);
             self.cond.notify_all();
             return Err(DbError::Deadlock { cycle });
         }
-        let mut sorted: Vec<TxnId> = blockers.iter().copied().collect();
-        sorted.sort_unstable();
+        let mut on: Vec<TxnId> = blockers.iter().copied().collect();
+        on.sort_unstable();
         if st.waiting_for.insert(txn, blockers).is_none() {
-            self.stats.lock().waits += 1;
+            st.stats.waits += 1;
             weseer_obs::incr("db.lock.waits");
-            timeline_lock_event(
-                "db.lock.wait",
-                txn,
-                &[
+            timeline_lock_event("db.lock.wait", txn, || {
+                [
                     ("target", format!("{target:?}")),
                     ("mode", format!("{mode:?}")),
-                ],
-            );
+                ]
+            });
         }
-        publish_waitfor(&st);
-        Ok(AcquireOutcome::WouldBlock(sorted))
+        publish_waitfor(st);
+        Ok(AcquireOutcome::WouldBlock(on))
     }
 
-    /// Sorted snapshot of the current waits-for edges
-    /// `(waiter, holder it waits on)` — consumed by the replay engine's
-    /// witnesses and mirrored into the lock manager's obs events.
-    pub fn wait_for_edges(&self) -> Vec<(TxnId, TxnId)> {
-        self.state.lock().edges_snapshot()
+    /// Acquire `mode` on `target` for `txn`, blocking until granted: the
+    /// [`LockManager::acquire_nowait`] decision, re-run after every wakeup
+    /// of the condition-variable wait. This method owns only the timeout.
+    ///
+    /// Returns [`DbError::Deadlock`] (with the concrete waits-for cycle)
+    /// when granting would require waiting inside a hold-and-wait cycle,
+    /// and [`DbError::LockWaitTimeout`] after `wait_timeout`, with the
+    /// waits-for edge cleared. In both cases the caller must roll the
+    /// transaction back.
+    pub fn acquire(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> Result<(), DbError> {
+        let start = Instant::now();
+        let deadline = start + self.wait_timeout;
+        let mut st = self.state.lock();
+        let mut waited = false;
+        while let AcquireOutcome::WouldBlock(_) = self.decide(&mut st, txn, target.clone(), mode)? {
+            waited = true;
+            if self.cond.wait_until(&mut st, deadline).timed_out() {
+                st.waiting_for.remove(&txn);
+                st.stats.timeouts += 1;
+                weseer_obs::incr("db.lock.timeouts");
+                publish_waitfor(&st);
+                return Err(DbError::LockWaitTimeout);
+            }
+        }
+        if waited {
+            weseer_obs::observe_duration("db.lock.wait_us", start.elapsed());
+        }
+        Ok(())
     }
 
-    /// Try to acquire without blocking; `Ok(false)` when it would wait.
-    pub fn try_acquire(
+    /// Acquire without ever sleeping: grant, or *record the waits-for
+    /// edge* and return [`AcquireOutcome::WouldBlock`], or detect that
+    /// waiting would close a cycle and return [`DbError::Deadlock`].
+    ///
+    /// A blocked request leaves the transaction's waits-for edge in
+    /// place, so a later request by another transaction sees it and
+    /// deadlocks *instantly and deterministically* — no timeouts, no
+    /// condition-variable races. The replay engine's schedule explorer is
+    /// built on this, and the blocking [`LockManager::acquire`] is this
+    /// decision in a wait loop. The edge is cleared when the lock is
+    /// eventually granted, on a timeout, or when the transaction releases
+    /// via [`LockManager::release_all`].
+    pub fn acquire_nowait(
         &self,
         txn: TxnId,
         target: LockTarget,
         mode: LockMode,
-    ) -> Result<bool, DbError> {
-        let mut st = self.state.lock();
-        if st.blockers(txn, &target, mode).is_empty() {
-            st.grant(txn, target, mode);
-            weseer_obs::incr("db.lock.acquisitions");
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+    ) -> Result<AcquireOutcome, DbError> {
+        self.decide(&mut self.state.lock(), txn, target, mode)
+    }
+
+    /// Sorted snapshot of the current waits-for edges
+    /// `(waiter, holder it waits on)` — consumed by the replay engine's
+    /// witnesses; `/waitfor` gets the same set on every change.
+    pub fn wait_for_edges(&self) -> Vec<(TxnId, TxnId)> {
+        self.state.lock().edges_snapshot()
     }
 
     /// Release every lock of `txn` (commit or rollback) and wake waiters.
@@ -519,7 +449,7 @@ impl LockManager {
             }
         }
         st.waiting_for.remove(&txn);
-        timeline_lock_event("db.lock.release", txn, &[]);
+        timeline_lock_event("db.lock.release", txn, || []);
         publish_waitfor(&st);
         self.cond.notify_all();
     }
@@ -581,12 +511,19 @@ mod tests {
     fn exclusive_blocks_then_releases() {
         let lm = Arc::new(LockManager::default());
         lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        assert!(!lm.try_acquire(TxnId(2), row(1), LockMode::Shared).unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(2), row(1), LockMode::Shared),
+            Ok(AcquireOutcome::WouldBlock(vec![TxnId(1)]))
+        );
         let lm2 = lm.clone();
         let h = thread::spawn(move || lm2.acquire(TxnId(2), row(1), LockMode::Shared));
         thread::sleep(Duration::from_millis(30));
         lm.release_all(TxnId(1));
         h.join().unwrap().unwrap();
+        // The blocking acquire re-decided the request behind the edge the
+        // probe recorded: one wait, and the edge is gone with the grant.
+        assert_eq!(lm.stats().waits, 1);
+        assert!(lm.wait_for_edges().is_empty());
     }
 
     #[test]
@@ -598,7 +535,10 @@ mod tests {
         let held = lm.held(TxnId(1));
         assert!(held.iter().any(|(_, m)| *m == LockMode::Exclusive));
         // The upgraded row is still blocked for others.
-        assert!(!lm.try_acquire(TxnId(2), row(1), LockMode::Shared).unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(2), row(1), LockMode::Shared),
+            Ok(AcquireOutcome::WouldBlock(vec![TxnId(1)]))
+        );
     }
 
     #[test]
@@ -607,19 +547,22 @@ mod tests {
         lm.acquire(TxnId(1), gap(10), LockMode::Shared).unwrap();
         lm.acquire(TxnId(2), gap(10), LockMode::Exclusive).unwrap();
         // But insert intention by a third party must wait.
-        assert!(!lm
-            .try_acquire(TxnId(3), gap(10), LockMode::InsertIntention)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(3), gap(10), LockMode::InsertIntention),
+            Ok(AcquireOutcome::WouldBlock(vec![TxnId(1), TxnId(2)]))
+        );
         // Even a gap holder is blocked by the *other* holder's gap lock —
         // this mutual blocking is exactly how the Table-II deadlocks form.
-        assert!(!lm
-            .try_acquire(TxnId(1), gap(10), LockMode::InsertIntention)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(1), gap(10), LockMode::InsertIntention),
+            Ok(AcquireOutcome::WouldBlock(vec![TxnId(2)]))
+        );
         // A txn holding the only gap lock may insert through it.
         lm.release_all(TxnId(2));
-        assert!(lm
-            .try_acquire(TxnId(1), gap(10), LockMode::InsertIntention)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(1), gap(10), LockMode::InsertIntention),
+            Ok(AcquireOutcome::Granted)
+        );
     }
 
     #[test]
@@ -627,11 +570,15 @@ mod tests {
         let lm = LockManager::default();
         lm.acquire(TxnId(1), gap(10), LockMode::InsertIntention)
             .unwrap();
-        assert!(lm
-            .try_acquire(TxnId(2), gap(10), LockMode::InsertIntention)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(2), gap(10), LockMode::InsertIntention),
+            Ok(AcquireOutcome::Granted)
+        );
         // Gap locks never wait, even with an II present (InnoDB).
-        assert!(lm.try_acquire(TxnId(3), gap(10), LockMode::Shared).unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(3), gap(10), LockMode::Shared),
+            Ok(AcquireOutcome::Granted)
+        );
     }
 
     #[test]
@@ -720,9 +667,10 @@ mod tests {
         assert_eq!(lm.held(TxnId(1)).len(), 2);
         lm.release_all(TxnId(1));
         assert!(lm.held(TxnId(1)).is_empty());
-        assert!(lm
-            .try_acquire(TxnId(2), row(1), LockMode::Exclusive)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(2), row(1), LockMode::Exclusive),
+            Ok(AcquireOutcome::Granted)
+        );
     }
 
     #[test]
@@ -793,12 +741,14 @@ mod tests {
         // Once both roll back, the rows are free again.
         lm.release_all(TxnId(1));
         lm.release_all(TxnId(2));
-        assert!(lm
-            .try_acquire(TxnId(3), row(1), LockMode::Exclusive)
-            .unwrap());
-        assert!(lm
-            .try_acquire(TxnId(3), row(2), LockMode::Exclusive)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(3), row(1), LockMode::Exclusive),
+            Ok(AcquireOutcome::Granted)
+        );
+        assert_eq!(
+            lm.acquire_nowait(TxnId(3), row(2), LockMode::Exclusive),
+            Ok(AcquireOutcome::Granted)
+        );
     }
 
     #[test]
@@ -864,19 +814,24 @@ mod tests {
         // After every participant rolls back, the gap is insertable.
         lm.release_all(TxnId(1));
         lm.release_all(TxnId(3));
-        assert!(lm
-            .try_acquire(TxnId(4), gap(100), LockMode::InsertIntention)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(4), gap(100), LockMode::InsertIntention),
+            Ok(AcquireOutcome::Granted)
+        );
     }
 
     #[test]
     fn different_targets_do_not_conflict() {
         let lm = LockManager::default();
         lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        assert!(lm
-            .try_acquire(TxnId(2), row(2), LockMode::Exclusive)
-            .unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(2), row(2), LockMode::Exclusive),
+            Ok(AcquireOutcome::Granted)
+        );
         let t = LockTarget::Table { table: "U".into() };
-        assert!(lm.try_acquire(TxnId(2), t, LockMode::Exclusive).unwrap());
+        assert_eq!(
+            lm.acquire_nowait(TxnId(2), t, LockMode::Exclusive),
+            Ok(AcquireOutcome::Granted)
+        );
     }
 }

@@ -5,8 +5,8 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
-use weseer_db::{Database, DbError};
-use weseer_sqlir::{parser::parse, Catalog, ColType, TableBuilder, Value};
+use weseer_db::{Database, DbError, DbStats, StepResult, TxnId};
+use weseer_sqlir::{parser::parse, Catalog, ColType, Statement, TableBuilder, Value};
 
 fn fig1_catalog() -> Catalog {
     Catalog::new(vec![
@@ -270,6 +270,43 @@ fn reader_writer_row_conflict_blocks() {
     assert_eq!(h.join().unwrap().unwrap(), 1);
 }
 
+/// Fig. 1's Q4: the join that S-locks the order's Product row.
+fn finish_order_q4() -> Statement {
+    parse(
+        "SELECT * FROM OrderItem oi \
+         JOIN Order o ON o.ID = oi.O_ID \
+         JOIN Product p ON p.ID = oi.P_ID \
+         WHERE oi.O_ID = ?",
+    )
+    .unwrap()
+}
+
+/// Fig. 1's Q6: the UPDATE that needs the X lock on that row.
+fn finish_order_q6() -> Statement {
+    parse("UPDATE Product SET QTY = ? WHERE ID = ?").unwrap()
+}
+
+/// Check one run of the finishOrder script: `results` holds each
+/// transaction's id and how its UPDATE + commit ended. Returns the
+/// counters both drivings must agree on.
+fn check_finish_order_run(db: &Database, results: &[(TxnId, Result<(), DbError>)]) -> DbStats {
+    let ids: Vec<TxnId> = results.iter().map(|(t, _)| *t).collect();
+    let survivors = results.iter().filter(|(_, r)| r.is_ok()).count();
+    assert_eq!(survivors, 1, "exactly one transaction commits: {results:?}");
+    let cycles: Vec<&[TxnId]> = results
+        .iter()
+        .filter_map(|(_, r)| r.as_ref().err().and_then(DbError::deadlock_cycle))
+        .collect();
+    assert_eq!(cycles.len(), 1, "exactly one deadlock victim: {results:?}");
+    let (victim, _) = results.iter().find(|(_, r)| r.is_err()).unwrap();
+    assert_eq!(cycles[0][0], *victim, "the cycle starts at the victim");
+    let mut named = cycles[0].to_vec();
+    named.sort_unstable();
+    assert_eq!(named, ids, "the cycle names both transactions");
+    assert_eq!(db.dump("Product")[0][1], Value::Int(97));
+    db.stats()
+}
+
 #[test]
 fn finish_order_style_deadlock_detected_and_recovered() {
     // Two transactions each SELECT (S lock) the same Product row, then both
@@ -284,37 +321,51 @@ fn finish_order_style_deadlock_detected_and_recovered() {
         handles.push(thread::spawn(move || {
             let mut s = db.session();
             s.begin();
-            let q4 = parse(
-                "SELECT * FROM OrderItem oi \
-                 JOIN Order o ON o.ID = oi.O_ID \
-                 JOIN Product p ON p.ID = oi.P_ID \
-                 WHERE oi.O_ID = ?",
-            )
-            .unwrap();
-            s.execute(&q4, &[Value::Int(1)]).unwrap();
+            let txn = s.txn_id().unwrap();
+            s.execute(&finish_order_q4(), &[Value::Int(1)]).unwrap();
             barrier.wait(); // both hold S locks on Product row 10 now
-            let q6 = parse("UPDATE Product SET QTY = ? WHERE ID = ?").unwrap();
-            match s.execute(&q6, &[Value::Int(97), Value::Int(10)]) {
-                Ok(_) => {
-                    s.commit().unwrap();
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            }
+            let result = s
+                .execute(&finish_order_q6(), &[Value::Int(97), Value::Int(10)])
+                .map(|_| s.commit().unwrap());
+            (txn, result)
         }));
     }
-    let results: Vec<Result<(), DbError>> =
+    let mut results: Vec<(TxnId, Result<(), DbError>)> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let oks = results.iter().filter(|r| r.is_ok()).count();
-    let victims = results
-        .iter()
-        .filter(|r| matches!(r, Err(DbError::Deadlock { .. })))
-        .count();
-    assert_eq!(oks, 1, "exactly one transaction should commit: {results:?}");
-    assert_eq!(victims, 1, "exactly one deadlock victim: {results:?}");
-    let stats = db.stats();
-    assert_eq!(stats.deadlock_aborts, 1);
-    assert_eq!(db.dump("Product")[0][1], Value::Int(97));
+    results.sort_by_key(|(t, _)| *t);
+    let threaded = check_finish_order_run(&db, &results);
+    assert_eq!(threaded.deadlock_aborts, 1);
+
+    // The same script once more, single-threaded through the replay
+    // engine's step, in the order the barrier forces: both Q4s, then both
+    // Q6s. The second Q6 closes the cycle; the first then re-runs.
+    let db = seeded();
+    let (mut a, mut b) = (db.session(), db.session());
+    a.begin();
+    b.begin();
+    let (ta, tb) = (a.txn_id().unwrap(), b.txn_id().unwrap());
+    let q6_params = [Value::Int(97), Value::Int(10)];
+    for s in [&mut a, &mut b] {
+        let step = s.execute_nowait(&finish_order_q4(), &[Value::Int(1)]);
+        assert!(matches!(step, Ok(StepResult::Done(_))), "{step:?}");
+    }
+    let step = a.execute_nowait(&finish_order_q6(), &q6_params);
+    assert!(
+        matches!(&step, Ok(StepResult::Blocked { on, .. }) if on == &[tb]),
+        "{step:?}"
+    );
+    let victim = b.execute_nowait(&finish_order_q6(), &q6_params).map(|_| ());
+    let step = a.execute_nowait(&finish_order_q6(), &q6_params);
+    assert!(matches!(step, Ok(StepResult::Done(_))), "{step:?}");
+    a.commit().unwrap();
+    let replayed = check_finish_order_run(&db, &[(ta, Ok(())), (tb, victim)]);
+
+    let counts = |s: DbStats| (s.deadlock_aborts, s.commits, s.rollbacks);
+    assert_eq!(
+        counts(threaded),
+        counts(replayed),
+        "(deadlock_aborts, commits, rollbacks)"
+    );
 }
 
 #[test]

@@ -18,18 +18,27 @@
 //! The HTTP layer is deliberately minimal — hand-rolled request-line
 //! parsing, `Connection: close`, one connection at a time — in the same
 //! spirit as the store's hand-rolled JSON: no new dependencies for a
-//! protocol subset a few dozen lines cover. `reproduce --serve <addr>`
-//! starts it for the duration of a run.
+//! protocol subset a few dozen lines cover. A request head longer than
+//! 16 KiB is refused with `431` instead of being buffered.
+//! `reproduce --serve <addr>` starts it for the duration of a run.
 
 use crate::snapshot::write_json_string;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The embedded dashboard page served at `/`.
 const DASHBOARD_HTML: &str = include_str!("dashboard.html");
+
+/// The longest request head (request line plus headers) the server reads.
+const MAX_HEAD_BYTES: u64 = 16 * 1024;
+
+/// How much of a refused request's remaining input the server discards
+/// before closing (closing on unread input resets the connection, which
+/// can destroy the refusal before the client reads it).
+const DRAIN_BYTES: u64 = 1 << 20;
 
 /// An application-supplied route extension for [`ObsServer::start_with`]:
 /// given the request path (query string already stripped), return
@@ -154,21 +163,31 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES));
+    let mut request_line = Vec::new();
+    reader.read_until(b'\n', &mut request_line)?;
     // Drain the headers; nothing in them matters to these routes.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
-        }
-        if line.len() > 8192 {
-            break;
-        }
+    let mut line = request_line.clone();
+    while line.ends_with(b"\n") && line != b"\r\n" && line != b"\n" {
+        line.clear();
+        reader.read_until(b'\n', &mut line)?;
     }
-    let stream = reader.into_inner();
+    let head = reader.into_inner();
+    let out_of_room = !line.ends_with(b"\n") && head.limit() == 0;
+    let stream = head.into_inner();
+    if out_of_room {
+        respond(
+            &stream,
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            &format!("request head exceeds {MAX_HEAD_BYTES} bytes\n"),
+        )?;
+        stream.shutdown(Shutdown::Write)?;
+        std::io::copy(&mut (&stream).take(DRAIN_BYTES), &mut std::io::sink())?;
+        return Ok(());
+    }
 
+    let request_line = String::from_utf8_lossy(&request_line);
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -210,7 +229,7 @@ fn handle_connection(
             ),
             _ => match extra.and_then(|h| h(route)) {
                 Some((content_type, body)) => {
-                    return respond(stream, "200 OK", &content_type, &body)
+                    return respond(&stream, "200 OK", &content_type, &body)
                 }
                 None => (
                     "404 Not Found",
@@ -220,11 +239,11 @@ fn handle_connection(
             },
         }
     };
-    respond(stream, status, content_type, &body)
+    respond(&stream, status, content_type, &body)
 }
 
 fn respond(
-    mut stream: TcpStream,
+    mut stream: &TcpStream,
     status: &str,
     content_type: &str,
     body: &str,
@@ -242,7 +261,6 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read as _;
 
     const TEST_FUNNEL: &[(&str, &str)] = &[
         ("stage one", "http_test.stage1"),
@@ -304,6 +322,27 @@ mod tests {
 
         server.stop();
         crate::waitfor::reset();
+    }
+
+    #[test]
+    fn oversized_request_head_is_refused_and_the_server_keeps_serving() {
+        let server = ObsServer::start("127.0.0.1:0", TEST_FUNNEL).expect("bind");
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // A 64 KiB request line with no newline.
+        s.write_all(&[b'a'; 64 * 1024]).unwrap();
+        let mut response = String::new();
+        s.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 431"),
+            "{:?}",
+            &response[..response.len().min(80)]
+        );
+        drop(s);
+
+        let (head, _) = get(server.local_addr(), "/metrics");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        server.stop();
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //! This crate is a deliberately zero-dependency metrics core shared by
 //! every other crate in the workspace. It provides:
 //!
-//! - **Counters and gauges** — lock-free atomics registered by name in a
-//!   global [`Registry`].
+//! - **Counters** — lock-free atomics registered by name in a global
+//!   [`Registry`].
 //! - **Log-scale histograms** ([`hist::Histogram`]) — 64 power-of-two
 //!   buckets with `count`/`sum`/`min`/`max`, good enough for p50/p90/p99
 //!   latency estimates without allocation on the record path.
 //! - **Hierarchical spans** ([`span::SpanGuard`]) — RAII timers that nest
 //!   via a thread-local stack; a span opened inside another records under
 //!   the dotted path `outer.inner`.
-//! - **Events** ([`event::Event`]) — a bounded ring of structured log
-//!   records (quiet by default; see [`event::emit`]).
 //! - **Snapshots** ([`snapshot::MetricsSnapshot`]) — a point-in-time copy
 //!   of every metric, with [`snapshot::MetricsSnapshot::delta_since`] for
 //!   per-phase or per-app deltas, JSON-lines export, and a human-readable
@@ -51,7 +49,6 @@
 //! ```
 
 pub mod chrome;
-pub mod event;
 pub mod hist;
 pub mod http;
 pub mod prom;
@@ -62,7 +59,6 @@ pub mod span;
 pub mod timeline;
 pub mod waitfor;
 
-pub use event::{Event, Level};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use http::ObsServer;
 pub use registry::Registry;
@@ -92,11 +88,6 @@ pub fn incr(name: &str) {
     registry::global().add(name, 1);
 }
 
-/// Set the named gauge to `v` (no-op while disabled).
-pub fn gauge_set(name: &str, v: i64) {
-    registry::global().gauge_set(name, v);
-}
-
 /// Record `value` into the named histogram (no-op while disabled).
 pub fn observe(name: &str, value: u64) {
     registry::global().observe(name, value);
@@ -113,18 +104,13 @@ pub fn span(name: &str) -> SpanGuard {
     SpanGuard::enter(name)
 }
 
-/// Record a structured event in the global ring buffer.
-pub fn emit(level: Level, target: &str, message: String) {
-    event::emit(level, target, message);
-}
-
 /// Snapshot every metric in the global registry.
 pub fn snapshot() -> MetricsSnapshot {
     registry::global().snapshot()
 }
 
-/// Clear all metrics and events in the global registry (tests and
-/// per-run isolation; the enabled flag is left unchanged).
+/// Clear all metrics in the global registry (tests and per-run
+/// isolation; the enabled flag is left unchanged).
 pub fn reset() {
     registry::global().reset();
 }

@@ -2,9 +2,9 @@
 //!
 //! [`render_prometheus`] turns a [`MetricsSnapshot`] into the plain-text
 //! exposition format (version 0.0.4) served by the `/metrics` endpoint:
-//! counters (with the conventional `_total` suffix), gauges, and each
-//! histogram as a summary — `quantile`-labeled series estimated from the
-//! log-scale buckets plus `_sum`, `_count`, `_min`, and `_max`.
+//! counters (with the conventional `_total` suffix) and each histogram as
+//! a summary — `quantile`-labeled series estimated from the log-scale
+//! buckets plus `_sum`, `_count`, `_min`, and `_max`.
 //!
 //! Dotted metric names are sanitized to the Prometheus grammar
 //! (`[a-zA-Z_:][a-zA-Z0-9_:]*`) under a `weseer_` prefix; the original
@@ -72,13 +72,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "{prom} {value}");
     }
 
-    for (name, value) in &snap.gauges {
-        let prom = sanitize_metric_name(name);
-        let _ = writeln!(out, "# HELP {prom} gauge \"{}\"", escape_help(name));
-        let _ = writeln!(out, "# TYPE {prom} gauge");
-        let _ = writeln!(out, "{prom} {value}");
-    }
-
     for (name, h) in &snap.histograms {
         let prom = sanitize_metric_name(name);
         let _ = writeln!(
@@ -95,12 +88,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "{prom}_min {}", h.min);
         let _ = writeln!(out, "{prom}_max {}", h.max);
     }
-
-    let _ = writeln!(
-        out,
-        "# TYPE weseer_obs_events_dropped_total counter\nweseer_obs_events_dropped_total {}",
-        snap.events_dropped
-    );
     out
 }
 
@@ -126,25 +113,21 @@ mod tests {
     }
 
     #[test]
-    fn renders_counters_gauges_and_summaries() {
+    fn renders_counters_and_summaries() {
         let r = Registry::new();
         r.set_enabled(true);
         r.add("smt.solve_calls", 7);
-        r.gauge_set("analyzer.threads", 4);
         r.observe("smt.solve_us", 100);
         r.observe("smt.solve_us", 200);
         let text = render_prometheus(&r.snapshot());
         assert!(text.contains("# TYPE weseer_smt_solve_calls_total counter"));
         assert!(text.contains("weseer_smt_solve_calls_total 7"));
-        assert!(text.contains("# TYPE weseer_analyzer_threads gauge"));
-        assert!(text.contains("weseer_analyzer_threads 4"));
         assert!(text.contains("# TYPE weseer_smt_solve_us summary"));
         assert!(text.contains("weseer_smt_solve_us{quantile=\"0.5\"}"));
         assert!(text.contains("weseer_smt_solve_us_sum 300"));
         assert!(text.contains("weseer_smt_solve_us_count 2"));
         // The original dotted name survives in HELP.
         assert!(text.contains("# HELP weseer_smt_solve_us log-scale histogram \"smt.solve_us\""));
-        assert!(text.contains("weseer_obs_events_dropped_total 0"));
     }
 
     #[test]

@@ -1,29 +1,24 @@
 //! The metric registry.
 //!
-//! A [`Registry`] owns every named counter, gauge, histogram, and the
-//! event ring. The process-wide instance lives behind [`global`]; tests
-//! can build private registries to avoid cross-test interference.
+//! A [`Registry`] owns every named counter and histogram. The
+//! process-wide instance lives behind [`global`]; tests can build private
+//! registries to avoid cross-test interference.
 //!
 //! The record paths (`add`, `observe`, …) first check the `enabled` flag
 //! with a single relaxed atomic load and return immediately when
 //! recording is off, so instrumentation left in hot code is effectively
 //! free until someone opts in.
 
-use crate::event::{Event, Level};
 use crate::hist::Histogram;
 use crate::snapshot::MetricsSnapshot;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
-
-/// How many events the ring buffer retains before dropping the oldest.
-pub const EVENT_CAPACITY: usize = 1024;
 
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicI64>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
@@ -31,12 +26,6 @@ struct Inner {
 pub struct Registry {
     enabled: AtomicBool,
     inner: Mutex<Inner>,
-    events: Mutex<Vec<Event>>,
-    /// Monotonic sequence number for events (survives ring eviction, so
-    /// snapshots can diff event streams by sequence).
-    event_seq: AtomicU64,
-    /// Count of events dropped due to ring capacity.
-    events_dropped: AtomicU64,
 }
 
 impl Default for Registry {
@@ -51,9 +40,6 @@ impl Registry {
         Registry {
             enabled: AtomicBool::new(false),
             inner: Mutex::new(Inner::default()),
-            events: Mutex::new(Vec::new()),
-            event_seq: AtomicU64::new(0),
-            events_dropped: AtomicU64::new(0),
         }
     }
 
@@ -93,18 +79,6 @@ impl Registry {
         self.counter(name).fetch_add(n, Relaxed);
     }
 
-    /// Set the named gauge (no-op while disabled).
-    pub fn gauge_set(&self, name: &str, v: i64) {
-        if !self.enabled() {
-            return;
-        }
-        let gauge = {
-            let mut inner = self.inner.lock().unwrap();
-            inner.gauges.entry(name.to_string()).or_default().clone()
-        };
-        gauge.store(v, Relaxed);
-    }
-
     /// Record a histogram value (no-op while disabled).
     pub fn observe(&self, name: &str, value: u64) {
         if !self.enabled() {
@@ -118,26 +92,6 @@ impl Registry {
         self.observe(name, d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Append an event to the ring (no-op while disabled). Oldest events
-    /// are dropped past [`EVENT_CAPACITY`]; the drop count is retained.
-    pub fn record_event(&self, level: Level, target: &str, message: String) {
-        if !self.enabled() {
-            return;
-        }
-        let seq = self.event_seq.fetch_add(1, Relaxed);
-        let mut events = self.events.lock().unwrap();
-        if events.len() >= EVENT_CAPACITY {
-            events.remove(0);
-            self.events_dropped.fetch_add(1, Relaxed);
-        }
-        events.push(Event {
-            seq,
-            level,
-            target: target.to_string(),
-            message,
-        });
-    }
-
     /// Copy every metric into an immutable [`MetricsSnapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap();
@@ -147,30 +101,19 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Relaxed)))
                 .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Relaxed)))
-                .collect(),
             histograms: inner
                 .histograms
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            events: self.events.lock().unwrap().clone(),
-            events_dropped: self.events_dropped.load(Relaxed),
         }
     }
 
-    /// Clear all metrics and events; the enabled flag is unchanged.
+    /// Clear all metrics; the enabled flag is unchanged.
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.counters.clear();
-        inner.gauges.clear();
         inner.histograms.clear();
-        self.events.lock().unwrap().clear();
-        self.event_seq.store(0, Relaxed);
-        self.events_dropped.store(0, Relaxed);
     }
 }
 
@@ -189,12 +132,9 @@ mod tests {
         let r = Registry::new();
         r.add("c", 5);
         r.observe("h", 10);
-        r.gauge_set("g", 7);
-        r.record_event(Level::Info, "t", "m".into());
         let s = r.snapshot();
         assert_eq!(s.counter("c"), 0);
         assert!(s.histogram("h").is_none());
-        assert!(s.events.is_empty());
     }
 
     #[test]
@@ -203,11 +143,9 @@ mod tests {
         r.set_enabled(true);
         r.add("c", 2);
         r.add("c", 3);
-        r.gauge_set("g", -4);
         r.observe("h", 100);
         let s = r.snapshot();
         assert_eq!(s.counter("c"), 5);
-        assert_eq!(s.gauges.get("g"), Some(&-4));
         assert_eq!(s.histogram("h").unwrap().count, 1);
     }
 
@@ -239,31 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_caps_and_counts_drops() {
-        let r = Registry::new();
-        r.set_enabled(true);
-        for i in 0..(EVENT_CAPACITY + 10) {
-            r.record_event(Level::Debug, "t", format!("e{i}"));
-        }
-        let s = r.snapshot();
-        assert_eq!(s.events.len(), EVENT_CAPACITY);
-        assert_eq!(s.events_dropped, 10);
-        // Oldest were evicted; sequence numbers keep climbing.
-        assert_eq!(s.events.first().unwrap().seq, 10);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let r = Registry::new();
         r.set_enabled(true);
         r.add("c", 1);
         r.observe("h", 1);
-        r.record_event(Level::Info, "t", "m".into());
         r.reset();
         let s = r.snapshot();
         assert!(s.counters.is_empty());
         assert!(s.histograms.is_empty());
-        assert!(s.events.is_empty());
         assert!(r.enabled());
     }
 }

@@ -3,10 +3,10 @@
 //! [`render_report`] turns a [`MetricsSnapshot`] into a fixed-width text
 //! report with a **diagnosis funnel** (how many candidates survived each
 //! pruning stage, with the drop ratio), a **timing table** for every
-//! span and latency histogram (count, total, mean, p50/p90/p99), the raw
-//! counters, and a one-line event digest. The funnel stages are supplied
-//! by the caller as `(label, counter name)` pairs so this crate stays
-//! agnostic of pipeline-specific metric names.
+//! span and latency histogram (count, total, mean, p50/p90/p99), and the
+//! raw counters. The funnel stages are supplied by the caller as
+//! `(label, counter name)` pairs so this crate stays agnostic of
+//! pipeline-specific metric names.
 
 use crate::snapshot::MetricsSnapshot;
 use std::fmt::Write as _;
@@ -95,43 +95,12 @@ pub fn render_report(snap: &MetricsSnapshot, title: &str, funnel: &[(&str, &str)
             let _ = writeln!(out, "{name:width$}  {v:>10}");
         }
     }
-    if !snap.gauges.is_empty() {
-        let _ = writeln!(out, "\n-- gauges --");
-        let width = snap.gauges.keys().map(String::len).max().unwrap_or(4);
-        for (name, v) in &snap.gauges {
-            let _ = writeln!(out, "{name:width$}  {v:>10}");
-        }
-    }
-
-    if !snap.events.is_empty() || snap.events_dropped > 0 {
-        use crate::event::Level;
-        let count_of = |l: Level| snap.events.iter().filter(|e| e.level == l).count();
-        let _ = writeln!(
-            out,
-            "\n-- events: {} recorded ({} debug, {} info, {} warn), {} dropped --",
-            snap.events.len(),
-            count_of(Level::Debug),
-            count_of(Level::Info),
-            count_of(Level::Warn),
-            snap.events_dropped,
-        );
-        for e in snap
-            .events
-            .iter()
-            .filter(|e| e.level == Level::Warn)
-            .take(10)
-        {
-            let _ = writeln!(out, "  [warn {}] {}", e.target, e.message);
-        }
-    }
-
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Level;
     use crate::registry::Registry;
 
     #[test]
@@ -148,7 +117,7 @@ mod tests {
         r.add("f.pairs", 100);
         r.add("f.survivors", 12);
         r.observe("span.analyze", 5_000);
-        r.record_event(Level::Warn, "db.lock", "deadlock".into());
+        r.add("db.lock.deadlock_aborts", 1);
         let text = render_report(
             &r.snapshot(),
             "test",
@@ -164,8 +133,8 @@ mod tests {
         // Absent funnel counters render as '-'.
         assert!(text.contains('-'));
         assert!(text.contains("span.analyze"));
-        assert!(text.contains("1 warn"));
-        assert!(text.contains("[warn db.lock] deadlock"));
+        assert!(text.contains("-- counters --"));
+        assert!(text.contains("db.lock.deadlock_aborts"));
         // Funnel counters are not repeated in the counters section.
         assert!(!text.contains("f.pairs  "));
     }

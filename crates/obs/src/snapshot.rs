@@ -6,7 +6,6 @@
 //! stage and subtracts), and serializable to JSON lines without any
 //! external dependency via a small hand-rolled writer.
 
-use crate::event::Event;
 use crate::hist::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,14 +16,8 @@ use std::fmt::Write as _;
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Events currently retained in the ring.
-    pub events: Vec<Event>,
-    /// Events dropped due to ring capacity.
-    pub events_dropped: u64,
 }
 
 impl MetricsSnapshot {
@@ -39,8 +32,7 @@ impl MetricsSnapshot {
     }
 
     /// Metrics accumulated since `earlier`: counters and histograms are
-    /// subtracted, gauges keep their current value, and only events with
-    /// sequence numbers past `earlier`'s last are retained.
+    /// subtracted.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
             .counters
@@ -63,22 +55,13 @@ impl MetricsSnapshot {
                 )
             })
             .collect();
-        let next_seq = earlier.events.last().map_or(0, |e| e.seq + 1);
         MetricsSnapshot {
             counters,
-            gauges: self.gauges.clone(),
             histograms,
-            events: self
-                .events
-                .iter()
-                .filter(|e| e.seq >= next_seq)
-                .cloned()
-                .collect(),
-            events_dropped: self.events_dropped.saturating_sub(earlier.events_dropped),
         }
     }
 
-    /// Serialize as JSON lines: one object per metric/event, each with a
+    /// Serialize as JSON lines: one object per metric, each with a
     /// `"type"` discriminant. Histogram lines include derived
     /// p50/p90/p99/mean so downstream tooling needs no bucket math. An
     /// optional `scope` (e.g. the app name) is attached to every line.
@@ -92,13 +75,6 @@ impl MetricsSnapshot {
         };
         for (name, value) in &self.counters {
             out.push_str("{\"type\":\"counter\",\"name\":");
-            write_json_string(&mut out, name);
-            let _ = write!(out, ",\"value\":{value}");
-            scope_field(&mut out);
-            out.push_str("}\n");
-        }
-        for (name, value) in &self.gauges {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
             write_json_string(&mut out, name);
             let _ = write!(out, ",\"value\":{value}");
             scope_field(&mut out);
@@ -126,28 +102,6 @@ impl MetricsSnapshot {
                 let _ = write!(out, "[{b},{n}]");
             }
             out.push(']');
-            scope_field(&mut out);
-            out.push_str("}\n");
-        }
-        for e in &self.events {
-            let _ = write!(
-                out,
-                "{{\"type\":\"event\",\"seq\":{},\"level\":\"{}\",\"target\":",
-                e.seq,
-                e.level.as_str()
-            );
-            write_json_string(&mut out, &e.target);
-            out.push_str(",\"message\":");
-            write_json_string(&mut out, &e.message);
-            scope_field(&mut out);
-            out.push_str("}\n");
-        }
-        if self.events_dropped > 0 {
-            let _ = write!(
-                out,
-                "{{\"type\":\"events_dropped\",\"value\":{}",
-                self.events_dropped
-            );
             scope_field(&mut out);
             out.push_str("}\n");
         }
@@ -186,32 +140,27 @@ pub fn write_json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Level;
     use crate::registry::Registry;
 
     fn sample() -> Registry {
         let r = Registry::new();
         r.set_enabled(true);
         r.add("a.count", 3);
-        r.gauge_set("g", -2);
+        r.add("victim \"txn-1\"\naborted", 1);
         r.observe("lat", 100);
         r.observe("lat", 200);
-        r.record_event(Level::Warn, "db.lock", "victim \"txn-1\"\naborted".into());
         r
     }
 
     #[test]
-    fn delta_subtracts_counters_and_events() {
+    fn delta_subtracts_counters_and_histograms() {
         let r = sample();
         let before = r.snapshot();
         r.add("a.count", 4);
         r.observe("lat", 400);
-        r.record_event(Level::Info, "t", "second".into());
         let d = r.snapshot().delta_since(&before);
         assert_eq!(d.counter("a.count"), 4);
         assert_eq!(d.histogram("lat").unwrap().count, 1);
-        assert_eq!(d.events.len(), 1);
-        assert_eq!(d.events[0].message, "second");
     }
 
     #[test]
@@ -220,7 +169,6 @@ mod tests {
         let snap = r.snapshot();
         let d = snap.delta_since(&MetricsSnapshot::default());
         assert_eq!(d.counters, snap.counters);
-        assert_eq!(d.events.len(), snap.events.len());
     }
 
     #[test]
@@ -228,8 +176,8 @@ mod tests {
         let snap = sample().snapshot();
         let text = snap.to_json_lines(Some("broadleaf"));
         let lines: Vec<&str> = text.lines().collect();
-        // counter + gauge + histogram + event.
-        assert_eq!(lines.len(), 4);
+        // Two counters + one histogram.
+        assert_eq!(lines.len(), 3);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "line: {line}");
             assert!(line.contains("\"scope\":\"broadleaf\""), "line: {line}");

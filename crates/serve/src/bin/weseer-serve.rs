@@ -25,7 +25,7 @@ OPTIONS:
 ROUTES:
     GET /analyze/<app>   stream an app's verdicts (broadleaf | shopizer)
     GET /shards          per-thread task counts, ingest lag, verdicts/sec
-    GET /metrics         Prometheus counters, gauges, histograms
+    GET /metrics         Prometheus counters, histograms
     GET /funnel          pipeline funnel JSON
 ";
 
