@@ -6,12 +6,21 @@
 //! model values. Equalities are split into two inequalities by the lowering
 //! pass before reaching this module.
 //!
+//! Internally a row is a sorted sparse coefficient list plus constant,
+//! strictness and provenance (the inputs it follows from), built once per
+//! call. Each elimination step counts every variable's lower and upper
+//! bounds in one pass over the nonzeros and eliminates the first remaining
+//! variable of least `lowers × uppers`; combinations are sorted merges, and
+//! `compact` deduplicates parallel rows by a stable sort and a fold (see
+//! DESIGN.md, "Arithmetic conflicts"). Every step is exact and
+//! deterministic, so models and proof cores are a function of the input.
+//!
 //! This is the theory backend for the conflict/path conditions WeSEER's
 //! deadlock analyzer emits (paper Sec. V-C4): comparisons between SQL
 //! parameters, row columns, and constants.
 
-use crate::rational::{Rat, ZERO};
-use std::collections::btree_map::{BTreeMap, Entry};
+use crate::rational::{Rat, ONE, ZERO};
+use std::collections::BTreeMap;
 
 /// A theory variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,44 +215,90 @@ impl Provenance {
     }
 }
 
-/// A constraint together with the inputs it follows from.
+/// A row of Fourier–Motzkin's working set: `Σ cᵢ·xᵢ + k ≤ 0` (`< 0` when
+/// strict), with its coefficients sorted by variable and none of them zero,
+/// together with the inputs it follows from. A bound saved for
+/// back-substitution has the same shape and reads `x ⋈ Σ cᵢ·xᵢ + k`.
 #[derive(Debug, Clone)]
 struct Row {
-    con: Constraint,
+    coeffs: Vec<(usize, Rat)>,
+    constant: Rat,
+    strict: bool,
     from: Provenance,
+}
+
+impl Row {
+    /// Multiply coefficients and constant by `k ≠ 0` in place.
+    fn scale(&mut self, k: Rat) {
+        for (_, c) in &mut self.coeffs {
+            *c = *c * k;
+        }
+        self.constant = self.constant * k;
+    }
+
+    /// `self - other`: a merge of the two sorted coefficient lists.
+    fn minus(&self, other: &Row) -> Row {
+        let (a, b) = (&self.coeffs, &other.coeffs);
+        let mut coeffs = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let va = a.get(i).map_or(usize::MAX, |t| t.0);
+            let vb = b.get(j).map_or(usize::MAX, |t| t.0);
+            if va < vb {
+                coeffs.push(a[i]);
+                i += 1;
+            } else if vb < va {
+                coeffs.push((vb, -b[j].1));
+                j += 1;
+            } else {
+                let c = a[i].1 - b[j].1;
+                if !c.is_zero() {
+                    coeffs.push((va, c));
+                }
+                (i, j) = (i + 1, j + 1);
+            }
+        }
+        Row {
+            coeffs,
+            constant: self.constant - other.constant,
+            strict: self.strict || other.strict,
+            from: self.from.union(&other.from),
+        }
+    }
+
+    fn eval(&self, model: &[Rat]) -> Rat {
+        self.coeffs
+            .iter()
+            .fold(self.constant, |acc, &(v, c)| acc + c * model[v])
+    }
+}
+
+/// The inputs as rows, built once per call. Integer tightening: over
+/// integer variables with integer coefficients, `e < 0` is equivalent to
+/// `e + 1 ≤ 0`. This keeps Fourier–Motzkin's bounds integral (strict chains
+/// like x₀ < x₁ < … otherwise produce fractional midpoints and
+/// branch-and-bound blow-ups).
+fn input_rows(vars: &[VarInfo], cons: &[Constraint]) -> Vec<Row> {
+    let row = |(i, c): (usize, &Constraint)| {
+        let tighten = c.strict
+            && c.expr.constant.is_integer()
+            && c.expr
+                .coeffs
+                .iter()
+                .all(|(&v, k)| vars[v].is_int && k.is_integer());
+        Row {
+            coeffs: c.expr.coeffs.iter().map(|(&v, &k)| (v, k)).collect(),
+            constant: c.expr.constant + if tighten { ONE } else { ZERO },
+            strict: c.strict && !tighten,
+            from: Provenance::single(cons.len(), i),
+        }
+    };
+    cons.iter().enumerate().map(row).collect()
 }
 
 /// Decide a conjunction of constraints over `vars`.
 pub fn solve(vars: &[VarInfo], cons: &[Constraint], limits: Limits) -> ArithResult {
-    // Integer tightening: over integer variables with integer coefficients,
-    // `e < 0` is equivalent to `e + 1 ≤ 0`. This keeps Fourier–Motzkin's
-    // bounds integral (strict chains like x₀ < x₁ < … otherwise produce
-    // fractional midpoints and branch-and-bound blow-ups).
-    let rows: Vec<Row> = cons
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let all_int = c.strict
-                && c.expr.constant.is_integer()
-                && c.expr
-                    .coeffs
-                    .iter()
-                    .all(|(&v, k)| vars[v].is_int && k.is_integer());
-            let con = if all_int {
-                Constraint {
-                    expr: c.expr.add(&LinExpr::constant(Rat::int(1))),
-                    strict: false,
-                }
-            } else {
-                c.clone()
-            };
-            Row {
-                con,
-                from: Provenance::single(cons.len(), i),
-            }
-        })
-        .collect();
-    match solve_rec(vars, rows, cons.len(), limits, 0) {
+    match solve_rec(vars, input_rows(vars, cons), cons.len(), limits, 0) {
         FmResult::Sat(m) => ArithResult::Sat(m),
         FmResult::Unsat(from) => ArithResult::Unsat(from.indices()),
         FmResult::Unknown => ArithResult::Unknown,
@@ -273,12 +328,17 @@ pub struct MinimalCore {
 /// `Unsat` brings a fresh (usually smaller) proof core. Every keep/drop
 /// decision is therefore the one the plain loop makes, and so is the
 /// result.
+///
+/// The input rows are built once; a trial clones the ones it keeps. Their
+/// provenance names indices into `cons`, so a trial's proof core needs no
+/// renumbering.
 pub fn minimize_core(
     vars: &[VarInfo],
     cons: &[Constraint],
     proof: &[usize],
     limits: Limits,
 ) -> MinimalCore {
+    let rows = input_rows(vars, cons);
     let mut keep: Vec<usize> = (0..cons.len()).collect();
     let mut in_proof = vec![false; cons.len()];
     for &k in proof {
@@ -294,26 +354,26 @@ pub fn minimize_core(
         // The trial still holds the unvisited candidates outside the
         // proof, exactly as the plain loop's would: a refutation of it may
         // go through them.
-        let trial: Vec<Constraint> = keep
+        let trial: Vec<Row> = keep
             .iter()
             .enumerate()
             .filter(|(j, _)| *j != i)
-            .map(|(_, &k)| cons[k].clone())
+            .map(|(_, &k)| rows[k].clone())
             .collect();
         solves += 1;
-        match solve(vars, &trial, limits) {
-            ArithResult::Unsat(core) => {
+        match solve_rec(vars, trial, cons.len(), limits, 0) {
+            FmResult::Unsat(from) => {
                 keep.remove(i);
                 in_proof.fill(false);
-                for j in core {
-                    in_proof[keep[j]] = true;
+                for k in from.indices() {
+                    in_proof[k] = true;
                 }
             }
-            ArithResult::Unknown => {
+            FmResult::Unknown => {
                 budget_exhausted += 1;
                 i += 1;
             }
-            ArithResult::Sat(_) => i += 1,
+            FmResult::Sat(_) => i += 1,
         }
     }
     MinimalCore {
@@ -336,39 +396,34 @@ fn solve_rec(
     };
     // Branch-and-bound: fix the first integer variable with a fractional
     // value.
-    let frac = vars
-        .iter()
-        .enumerate()
-        .find(|(i, v)| v.is_int && !model[*i].is_integer());
-    let (i, _) = match frac {
-        None => return FmResult::Sat(model),
-        Some(f) => f,
+    let Some(i) = (0..vars.len()).find(|&i| vars[i].is_int && !model[i].is_integer()) else {
+        return FmResult::Sat(model);
     };
     if depth >= limits.max_branches {
         return FmResult::Unknown;
     }
-    let floor = model[i].floor() as i64;
+    // The bounds stay in `i128`: a model value past `i64` must still be
+    // cut off.
+    let floor = model[i].floor();
     // A branch row is no input, so it starts with empty provenance: the
     // two branches together cover every integer, and the union of their
     // refutations' inputs is what rules the integers out.
-    let branch = |expr: LinExpr| Row {
-        con: Constraint::le0(expr),
+    let branch = |coef: i64, constant: i128| Row {
+        coeffs: vec![(i, Rat::int(coef))],
+        constant: Rat::new(constant, 1),
+        strict: false,
         from: Provenance::empty(n_inputs),
     };
-    // Branch 1: xᵢ ≤ floor.
+    // Branch 1: xᵢ ≤ floor, i.e. xᵢ - floor ≤ 0.
     let mut lo = rows.clone();
-    lo.push(branch(
-        LinExpr::var(i).sub(&LinExpr::constant(Rat::int(floor))),
-    ));
+    lo.push(branch(1, -floor));
     let lo_from = match solve_rec(vars, lo, n_inputs, limits, depth + 1) {
         FmResult::Unsat(from) => from,
         sat_or_unknown => return sat_or_unknown,
     };
     // Branch 2: xᵢ ≥ floor + 1, i.e. (floor + 1) - xᵢ ≤ 0.
     let mut hi = rows;
-    hi.push(branch(
-        LinExpr::constant(Rat::int(floor + 1)).sub(&LinExpr::var(i)),
-    ));
+    hi.push(branch(-1, floor + 1));
     match solve_rec(vars, hi, n_inputs, limits, depth + 1) {
         FmResult::Unsat(hi_from) => FmResult::Unsat(lo_from.union(&hi_from)),
         sat_or_unknown => sat_or_unknown,
@@ -387,84 +442,60 @@ enum FmResult {
 /// otherwise re-derives the same parallel constraints combinatorially and
 /// blows past the resource limit.
 ///
-/// Constraints are scaled so their leading coefficient is ±1; for equal
-/// coefficient vectors only the tightest bound survives (largest constant;
-/// strict beats non-strict at equal constants; the first seen on an exact
-/// tie) and brings its own provenance. Trivially true ground constraints
-/// are dropped; a trivially false one short-circuits with its provenance.
+/// Rows are scaled so their leading coefficient is ±1 (only those whose
+/// leading coefficient is not ±1 already need it); for equal coefficient
+/// vectors only the tightest bound survives (largest constant; strict beats
+/// non-strict at equal constants; the first seen on an exact tie) and
+/// brings its own provenance. Trivially true ground rows are dropped; the
+/// first trivially false one short-circuits with its provenance.
 ///
-/// The output is ordered by coefficient vector, so it — and with it which
-/// of two equally tight parents a refutation names — is a function of the
+/// The survivors come from a stable sort by coefficient vector and one fold
+/// over each run of equal vectors: the run is in input order, so "replace
+/// only when strictly tighter" keeps the first of equally tight rows. The
+/// output is ordered by coefficient vector, so it — and with it which of
+/// two equally tight parents a refutation names — is a function of the
 /// input alone. Compacting is idempotent, and any subsequence of a
 /// compacted set is itself compacted.
 fn compact(rows: Vec<Row>) -> Result<Vec<Row>, Provenance> {
-    let mut best: BTreeMap<Vec<(usize, Rat)>, (Rat, bool, Provenance)> = BTreeMap::new();
-    for Row { con: c, from } in rows {
-        if c.expr.is_constant() {
-            let k = c.expr.constant;
-            let ok = if c.strict { k < ZERO } else { k <= ZERO };
-            if !ok {
-                return Err(from);
+    let mut out = Vec::with_capacity(rows.len());
+    for mut row in rows {
+        let Some(&(_, lead)) = row.coeffs.first() else {
+            let k = row.constant;
+            if (row.strict && k >= ZERO) || k > ZERO {
+                return Err(row.from);
             }
             continue; // trivially true
+        };
+        if lead != ONE && lead != -ONE {
+            // Positive scale only (preserves the inequality direction).
+            let scale = lead.recip();
+            row.scale(if scale.signum() < 0 { -scale } else { scale });
         }
-        let lead = *c
-            .expr
-            .coeffs
-            .values()
-            .next()
-            .expect("non-constant constraint has a coefficient");
-        // Positive scale only (preserves the inequality direction).
-        let scale = lead.recip();
-        let scale = if scale.signum() < 0 { -scale } else { scale };
-        let key: Vec<(usize, Rat)> = c
-            .expr
-            .coeffs
-            .iter()
-            .map(|(&v, &k)| (v, k * scale))
-            .collect();
-        let constant = c.expr.constant * scale;
-        match best.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert((constant, c.strict, from));
-            }
-            Entry::Occupied(mut e) => {
-                let &(k0, s0, _) = e.get();
-                // Tighter: larger constant, or equal constant but strict.
-                if constant > k0 || (constant == k0 && c.strict && !s0) {
-                    e.insert((constant, c.strict, from));
-                }
-            }
-        }
+        out.push(row);
     }
-    Ok(best
-        .into_iter()
-        .map(|(key, (constant, strict, from))| Row {
-            con: Constraint {
-                expr: LinExpr {
-                    coeffs: key.into_iter().collect(),
-                    constant,
-                },
-                strict,
-            },
-            from,
-        })
-        .collect())
+    out.sort_by(|a, b| a.coeffs.cmp(&b.coeffs));
+    // `dedup_by` hands over (later, kept): swap a tighter later row in,
+    // then drop whichever ends up second.
+    out.dedup_by(|later, kept| {
+        if later.coeffs != kept.coeffs {
+            return false;
+        }
+        if later.constant > kept.constant
+            || (later.constant == kept.constant && later.strict && !kept.strict)
+        {
+            std::mem::swap(later, kept);
+        }
+        true
+    });
+    Ok(out)
 }
 
-/// A bound on an eliminated variable: `expr ≤ x` or `x ≤ expr` (`<` when
-/// strict).
-struct Bound {
-    expr: LinExpr,
-    strict: bool,
-    from: Provenance,
-}
-
-/// One variable's bound set saved for back-substitution.
+/// One variable's bound rows saved for back-substitution: `lower ≤ var`
+/// and `var ≤ upper` (`<` when strict).
 struct Eliminated {
     var: usize,
-    lowers: Vec<Bound>,
-    uppers: Vec<Bound>,
+    lowers: Vec<Row>,
+    uppers: Vec<Row>,
 }
 
 fn fm_solve(n_vars: usize, input: &[Row], limits: Limits) -> FmResult {
@@ -476,76 +507,66 @@ fn fm_solve(n_vars: usize, input: &[Row], limits: Limits) -> FmResult {
 
     // Eliminate variables in a greedy order that minimizes the number of
     // generated constraints (lowers × uppers), the classic FM heuristic.
+    // One pass over the rows' nonzeros counts every variable's bounds; the
+    // first remaining variable of least cost goes next.
     let mut remaining: Vec<usize> = (0..n_vars).collect();
+    let mut counts = vec![(0usize, 0usize); n_vars];
     while !remaining.is_empty() {
+        counts.fill((0, 0));
+        for &(v, k) in rows.iter().flat_map(|row| &row.coeffs) {
+            if k.signum() > 0 {
+                counts[v].1 += 1;
+            } else {
+                counts[v].0 += 1;
+            }
+        }
         let (pos, _) = remaining
             .iter()
             .enumerate()
-            .map(|(pos, &v)| {
-                let mut lo = 0usize;
-                let mut hi = 0usize;
-                for row in &rows {
-                    match row.con.expr.coeffs.get(&v) {
-                        Some(k) if k.signum() > 0 => hi += 1,
-                        Some(_) => lo += 1,
-                        None => {}
-                    }
-                }
-                (pos, lo * hi)
-            })
+            .map(|(pos, &v)| (pos, counts[v].0 * counts[v].1))
             .min_by_key(|&(_, cost)| cost)
             .expect("remaining non-empty");
         let var = remaining.swap_remove(pos);
         let mut lowers = Vec::new();
         let mut uppers = Vec::new();
-        let mut rest = Vec::new();
-        for row in rows {
-            match row.con.expr.coeffs.get(&var).copied() {
-                None => rest.push(row),
-                Some(coef) => {
-                    // expr = coef*x + r ⋈ 0, so x ⋈ -r/coef: an upper
-                    // bound for positive coef, a lower bound (flipped
-                    // side) for negative.
-                    let mut r = row.con.expr;
-                    r.coeffs.remove(&var);
-                    let bound = Bound {
-                        expr: r.scale(-coef.recip()),
-                        strict: row.con.strict,
-                        from: row.from,
-                    };
-                    if coef.signum() > 0 {
-                        uppers.push(bound);
-                    } else {
-                        lowers.push(bound);
+        // A variable no row mentions leaves the rows as they are.
+        if counts[var] != (0, 0) {
+            let mut rest = Vec::new();
+            for mut row in rows {
+                let Ok(at) = row.coeffs.binary_search_by_key(&var, |&(v, _)| v) else {
+                    rest.push(row);
+                    continue;
+                };
+                // expr = coef*x + r ⋈ 0, so x ⋈ -r/coef: an upper bound for
+                // positive coef, a lower bound (flipped side) for negative.
+                let (_, coef) = row.coeffs.remove(at);
+                row.scale(-coef.recip());
+                if coef.signum() > 0 {
+                    uppers.push(row);
+                } else {
+                    lowers.push(row);
+                }
+            }
+            // Pairwise combinations: lower ≤ x ≤ upper ⇒ lower - upper ≤ 0.
+            for lo in &lowers {
+                for hi in &uppers {
+                    rest.push(lo.minus(hi));
+                    if rest.len() > limits.max_constraints {
+                        return FmResult::Unknown;
                     }
                 }
             }
-        }
-        // Pairwise combinations: lower ≤ x ≤ upper ⇒ lower - upper ≤ 0.
-        for lo in &lowers {
-            for hi in &uppers {
-                rest.push(Row {
-                    con: Constraint {
-                        expr: lo.expr.sub(&hi.expr),
-                        strict: lo.strict || hi.strict,
-                    },
-                    from: lo.from.union(&hi.from),
-                });
-                if rest.len() > limits.max_constraints {
-                    return FmResult::Unknown;
+            // With no combination added, `rest` is a subsequence of a
+            // compacted set and needs no second pass.
+            rows = if lowers.is_empty() || uppers.is_empty() {
+                rest
+            } else {
+                match compact(rest) {
+                    Ok(rows) => rows,
+                    Err(from) => return FmResult::Unsat(from),
                 }
-            }
+            };
         }
-        // With no combination added, `rest` is a subsequence of a compacted
-        // set and needs no second pass.
-        rows = if lowers.is_empty() || uppers.is_empty() {
-            rest
-        } else {
-            match compact(rest) {
-                Ok(rows) => rows,
-                Err(from) => return FmResult::Unsat(from),
-            }
-        };
         eliminated.push(Eliminated {
             var,
             lowers,
@@ -562,25 +583,25 @@ fn fm_solve(n_vars: usize, input: &[Row], limits: Limits) -> FmResult {
         let lo = e
             .lowers
             .iter()
-            .map(|b| (b.expr.eval(&model), b.strict))
+            .map(|b| (b.eval(&model), b.strict))
             .max_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let hi = e
             .uppers
             .iter()
-            .map(|b| (b.expr.eval(&model), b.strict))
+            .map(|b| (b.eval(&model), b.strict))
             .min_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         model[e.var] = match (lo, hi) {
             (None, None) => ZERO,
             (Some((l, strict)), None) => {
                 if strict {
-                    l + Rat::int(1)
+                    l + ONE
                 } else {
                     l
                 }
             }
             (None, Some((h, strict))) => {
                 if strict {
-                    h - Rat::int(1)
+                    h - ONE
                 } else {
                     h
                 }
@@ -603,7 +624,7 @@ fn fm_solve(n_vars: usize, input: &[Row], limits: Limits) -> FmResult {
         // Prefer an integer inside the interval when one exists — this cuts
         // most branch-and-bound work.
         if !model[e.var].is_integer() {
-            let cand = Rat::int(model[e.var].ceil() as i64);
+            let cand = Rat::new(model[e.var].ceil(), 1);
             let fits_lo = lo.is_none_or(|(l, s)| if s { l < cand } else { l <= cand });
             let fits_hi = hi.is_none_or(|(h, s)| if s { cand < h } else { cand <= h });
             if fits_lo && fits_hi {
@@ -618,6 +639,7 @@ fn fm_solve(n_vars: usize, input: &[Row], limits: Limits) -> FmResult {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn int_vars(n: usize) -> Vec<VarInfo> {
         (0..n)
@@ -877,6 +899,101 @@ mod tests {
         cons.reverse();
         cons.truncate(40);
         (vars, cons)
+    }
+
+    #[test]
+    fn branching_on_values_past_i64_still_cuts() {
+        // 2x = 2⁶⁵ + 1 has one rational solution and no integer one. The
+        // branch bounds ⌊x⌋ and ⌊x⌋ + 1 lie past `i64`; the two branches
+        // must still cut the fractional value off.
+        let big = LinExpr::constant(Rat::new((1 << 65) + 1, 1));
+        let two_x = LinExpr::var(0).scale(Rat::int(2));
+        let cons = vec![
+            Constraint::le0(two_x.sub(&big)),
+            Constraint::le0(big.sub(&two_x)),
+        ];
+        assert_eq!(
+            solve(&int_vars(1), &cons, Limits::default()),
+            ArithResult::Unsat(vec![0, 1])
+        );
+    }
+
+    /// FNV-1a: a digest that does not depend on the standard library's
+    /// hasher.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn int(&mut self, v: i128) {
+            for b in v.to_le_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+
+        fn ints(&mut self, vs: impl IntoIterator<Item = i128>) {
+            let mut n = 0;
+            for v in vs {
+                self.int(v);
+                n += 1;
+            }
+            self.int(n);
+        }
+    }
+
+    /// One corpus system in the shapes of [`system`]; one in four has
+    /// constants anywhere in ±2³¹.
+    fn corpus_system(rng: &mut TestRng) -> (Vec<VarInfo>, Vec<Constraint>) {
+        let mut below = |n: u64| rng.below(n) as i64;
+        let kinds: Vec<bool> = (0..1 + below(12)).map(|_| below(2) == 0).collect();
+        let wide = below(4) == 0;
+        let raw: Vec<RawRow> = (0..below(22))
+            .map(|_| {
+                let terms = (0..1 + below(3))
+                    .map(|_| (below(12) as usize, below(7) - 3))
+                    .collect();
+                let k = if wide {
+                    below(1 << 32) - (1 << 31)
+                } else {
+                    below(15) - 12
+                };
+                (terms, k, below(2) == 0)
+            })
+            .collect();
+        let clique: Vec<usize> = (0..below(6)).map(|_| below(12) as usize).collect();
+        let chain: Vec<usize> = (0..below(6)).map(|_| below(12) as usize).collect();
+        let closed = below(4) == 0;
+        build_system(&kinds, &raw, &clique, chain, closed)
+    }
+
+    /// Every `solve` answer (tag, model, proof core) and every
+    /// `minimize_core` answer (kept set, solve count) over a fixed-seed
+    /// corpus, folded into one digest. The kernel must make exactly the
+    /// decisions it made when the digest was recorded: a different
+    /// elimination order, tie-break or provenance changes some model or
+    /// core and fails here.
+    #[test]
+    fn outputs_match_the_pinned_corpus_digest() {
+        let mut rng = TestRng::new(0x5eed_f00d);
+        let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+        let limits = Limits::default();
+        for _ in 0..3000 {
+            let (vars, cons) = corpus_system(&mut rng);
+            match solve(&vars, &cons, limits) {
+                ArithResult::Sat(model) => {
+                    digest.int(0);
+                    digest.ints(model.iter().flat_map(|r| [r.num(), r.den()]));
+                }
+                ArithResult::Unsat(proof) => {
+                    digest.int(1);
+                    digest.ints(proof.iter().map(|&k| k as i128));
+                    let core = minimize_core(&vars, &cons, &proof, limits);
+                    digest.ints(core.kept.iter().map(|&k| k as i128));
+                    digest.int(core.solves as i128);
+                    digest.int(core.budget_exhausted as i128);
+                }
+                ArithResult::Unknown => digest.int(2),
+            }
+        }
+        assert_eq!(digest.0, 16_893_515_300_852_131_427);
     }
 
     proptest! {
