@@ -1,8 +1,7 @@
-//! Graphviz (DOT) exports of the analyzer's internal graphs — the paper's
-//! Fig. 4 (SC-graph) and Fig. 8 (index usage graph) as artifacts
-//! developers can render while investigating a report.
+//! Graphviz (DOT) export of the analyzer's index usage graph (the paper's
+//! Fig. 8) as an artifact developers can render while investigating a
+//! report.
 
-use crate::diagnose::CollectedTrace;
 use crate::indexes::infer_possible_indexes;
 use std::fmt::Write as _;
 use weseer_sqlir::{Catalog, Statement};
@@ -69,65 +68,6 @@ pub fn index_usage_dot(stmt: &Statement, catalog: &Catalog) -> String {
     }
     out.push_str("}\n");
     out
-}
-
-/// Render the coarse SC-graph of two transaction instances (Fig. 4):
-/// S-edges chain each instance's statements; C-edges (dashed, both ways)
-/// connect statements that access a common table with at least one write.
-pub fn sc_graph_dot(a: &CollectedTrace, a_txn: usize, b: &CollectedTrace, b_txn: usize) -> String {
-    let mut out = String::from("digraph sc_graph {\n  rankdir=TB;\n");
-    let instances = [("ins1", a, a_txn), ("ins2", b, b_txn)];
-    for (tag, t, txn) in &instances {
-        let stmts = t.trace.statements_of(*txn);
-        let _ = writeln!(out, "  subgraph cluster_{tag} {{");
-        let _ = writeln!(out, "    label=\"{} ({tag})\";", esc(&t.trace.api));
-        for s in &stmts {
-            let _ = writeln!(
-                out,
-                "    {tag}_{} [label=\"{tag}.{}\\n{}\", shape=box];",
-                s.index,
-                s.label(),
-                esc(&truncate(&s.stmt.to_string(), 48)),
-            );
-        }
-        for w in stmts.windows(2) {
-            let _ = writeln!(
-                out,
-                "    {tag}_{} -> {tag}_{} [label=\"S\"];",
-                w[0].index, w[1].index
-            );
-        }
-        let _ = writeln!(out, "  }}");
-    }
-    // C-edges.
-    let a_stmts = a.trace.statements_of(a_txn);
-    let b_stmts = b.trace.statements_of(b_txn);
-    for sa in &a_stmts {
-        for sb in &b_stmts {
-            let shared_write = sa.stmt.tables().iter().any(|t| {
-                sb.stmt.tables().contains(t)
-                    && (sa.stmt.written_table() == Some(t.as_str())
-                        || sb.stmt.written_table() == Some(t.as_str()))
-            });
-            if shared_write {
-                let _ = writeln!(
-                    out,
-                    "  ins1_{} -> ins2_{} [label=\"C\", style=dashed, dir=both];",
-                    sa.index, sb.index
-                );
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..n])
-    }
 }
 
 #[cfg(test)]

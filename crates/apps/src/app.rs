@@ -274,11 +274,33 @@ impl ECommerceApp for Shopizer {
     }
 }
 
+/// The unit-test chain (paper Sec. VII-B): seed a fresh database, then
+/// hand each of `app.unit_tests()`, in order, to `step` together with the
+/// database, which carries the state every earlier step left. `step` runs
+/// the test (usually through [`collect_trace`]). The chain stops before
+/// `stop_before` when that names a unit test, and returns the database.
+pub fn run_chain(
+    app: &dyn ECommerceApp,
+    stop_before: Option<&str>,
+    mut step: impl FnMut(&str, &Database),
+) -> Database {
+    let db = Database::new(app.catalog());
+    app.seed(&db);
+    for test in app.unit_tests() {
+        if stop_before == Some(*test) {
+            break;
+        }
+        step(test, &db);
+    }
+    db
+}
+
 /// Run one unit test under the given execution mode and return its trace
 /// plus the term context (the analyzer input), and the API outcome.
 ///
-/// Unit tests are chained: the database carries the state left by earlier
-/// tests (the paper runs them sequentially for exactly this reason).
+/// Unit tests are chained ([`run_chain`]): the database carries the state
+/// left by earlier tests (the paper runs them sequentially for exactly
+/// this reason).
 pub fn collect_trace(
     app: &dyn ECommerceApp,
     test: &str,
@@ -317,60 +339,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn broadleaf_unit_tests_chain_and_trace() {
-        let app = Broadleaf;
-        let db = Database::new(app.catalog());
-        app.seed(&db);
+    /// Trace `app`'s whole chain concolically; the statement count of
+    /// each trace, and the final database.
+    fn traced_chain(app: &dyn ECommerceApp) -> (Vec<usize>, Database) {
         let fixes = Fixes::none();
         let locks = AppLocks::new();
-        let mut total_stmts = 0;
-        for test in app.unit_tests() {
+        let mut statements = Vec::new();
+        let db = run_chain(app, None, |test, db| {
             let (trace, _ctx, result) = collect_trace(
-                &app,
+                app,
                 test,
-                &db,
+                db,
                 &fixes,
                 &locks,
                 ExecMode::Concolic,
                 LibraryMode::Modeled,
             );
             result.unwrap_or_else(|e| panic!("unit test {test} failed: {e}"));
-            assert!(
-                !trace.statements.is_empty(),
-                "{test} produced no statements"
-            );
-            assert!(trace.txns.iter().any(|t| t.committed));
-            total_stmts += trace.statements.len();
-        }
-        assert!(
-            total_stmts >= 20,
-            "expected a substantial trace, got {total_stmts}"
-        );
+            assert!(trace.txns.iter().any(|t| t.committed), "{test}");
+            statements.push(trace.statements.len());
+        });
+        (statements, db)
+    }
+
+    #[test]
+    fn broadleaf_unit_tests_chain_and_trace() {
+        let (statements, db) = traced_chain(&Broadleaf);
+        assert_eq!(statements.len(), 7);
+        assert!(statements.iter().all(|&n| n > 0), "{statements:?}");
+        let total: usize = statements.iter().sum();
+        assert!(total >= 20, "expected a substantial trace, got {total}");
         // State chained: the full flow left an order behind.
         assert_eq!(db.count("Orders"), 1);
     }
 
     #[test]
     fn shopizer_unit_tests_chain_and_trace() {
-        let app = Shopizer;
-        let db = Database::new(app.catalog());
-        app.seed(&db);
-        let fixes = Fixes::none();
-        let locks = AppLocks::new();
-        for test in app.unit_tests() {
-            let (trace, _ctx, result) = collect_trace(
-                &app,
-                test,
-                &db,
-                &fixes,
-                &locks,
-                ExecMode::Concolic,
-                LibraryMode::Modeled,
-            );
-            result.unwrap_or_else(|e| panic!("unit test {test} failed: {e}"));
-            assert!(!trace.statements.is_empty());
-        }
+        let (statements, db) = traced_chain(&Shopizer);
+        assert_eq!(statements.len(), 6);
+        assert!(statements.iter().all(|&n| n > 0), "{statements:?}");
         assert_eq!(db.count("Orders"), 1);
     }
 

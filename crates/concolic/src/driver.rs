@@ -106,11 +106,6 @@ impl<B: SqlBackend> TraceDriver<B> {
         &self.backend
     }
 
-    /// Mutable access to the wrapped backend (test setup).
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
     /// The engine handle.
     pub fn engine(&self) -> &EngineRef {
         &self.engine

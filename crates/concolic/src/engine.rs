@@ -101,7 +101,6 @@ pub struct Engine {
     frames: Vec<CodeLoc>,
     path_conds: Vec<PathCond>,
     seq: u64,
-    sym_inputs: Vec<(String, Value)>,
     unique_ids: Vec<(String, TermId)>,
     stats: EngineStats,
 }
@@ -134,7 +133,6 @@ impl Engine {
             frames: Vec::new(),
             path_conds: Vec::new(),
             seq: 0,
-            sym_inputs: Vec::new(),
             unique_ids: Vec::new(),
             stats: EngineStats::default(),
         }
@@ -233,14 +231,8 @@ impl Engine {
             Value::Bool(_) => Sort::Bool,
             Value::Null => return SymValue::concrete(value),
         };
-        let term = self.ctx.var(name.clone(), sort);
-        self.sym_inputs.push((name, value.clone()));
+        let term = self.ctx.var(name, sort);
         SymValue::with_sym(value, term)
-    }
-
-    /// The symbolic inputs registered so far (name, concrete value).
-    pub fn symbolic_inputs(&self) -> &[(String, Value)] {
-        &self.sym_inputs
     }
 
     /// A symbolic value drawn from a database sequence / identifier
@@ -254,9 +246,8 @@ impl Engine {
         }
         let n = self.unique_ids.len();
         let name = format!("uniq!{gen}!{n}");
-        let term = self.ctx.var(name.clone(), Sort::Int);
+        let term = self.ctx.var(name, Sort::Int);
         self.unique_ids.push((gen.to_string(), term));
-        self.sym_inputs.push((name, value.clone()));
         SymValue::with_sym(value, term)
     }
 
@@ -424,32 +415,6 @@ impl Engine {
         SymBool::with_sym(concrete, term)
     }
 
-    /// Logical conjunction of concolic booleans.
-    pub fn bool_and(&mut self, a: &SymBool, b: &SymBool) -> SymBool {
-        self.dispatch();
-        let concrete = a.concrete && b.concrete;
-        match (self.tracking(), a.sym, b.sym) {
-            (true, Some(ta), Some(tb)) => {
-                let t = self.ctx.and([ta, tb]);
-                SymBool::with_sym(concrete, t)
-            }
-            (true, Some(t), None) | (true, None, Some(t)) => SymBool::with_sym(concrete, t),
-            _ => SymBool::concrete(concrete),
-        }
-    }
-
-    /// Logical negation.
-    pub fn bool_not(&mut self, a: &SymBool) -> SymBool {
-        self.dispatch();
-        match (self.tracking(), a.sym) {
-            (true, Some(t)) => {
-                let nt = self.ctx.not(t);
-                SymBool::with_sym(!a.concrete, nt)
-            }
-            _ => SymBool::concrete(!a.concrete),
-        }
-    }
-
     // ---- branching -------------------------------------------------------
 
     /// Record a branch on `cond` at `loc` and return the concrete decision.
@@ -558,25 +523,6 @@ impl Drop for FrameGuard {
 pub fn frame(engine: &EngineRef, loc: CodeLoc) -> FrameGuard {
     engine.borrow_mut().push_frame(loc);
     FrameGuard {
-        engine: engine.clone(),
-    }
-}
-
-/// RAII guard marking a modeled library section.
-pub struct LibraryGuard {
-    engine: EngineRef,
-}
-
-impl Drop for LibraryGuard {
-    fn drop(&mut self) {
-        self.engine.borrow_mut().exit_library();
-    }
-}
-
-/// Enter a modeled library section for the guard's lifetime.
-pub fn library_section(engine: &EngineRef) -> LibraryGuard {
-    engine.borrow_mut().enter_library();
-    LibraryGuard {
         engine: engine.clone(),
     }
 }

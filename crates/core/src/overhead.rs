@@ -3,10 +3,9 @@
 //! the interpretive engine, and the full concolic engine.
 
 use std::time::{Duration, Instant};
-use weseer_apps::app::collect_trace;
+use weseer_apps::app::{collect_trace, run_chain};
 use weseer_apps::{AppLocks, ECommerceApp, Fixes};
 use weseer_concolic::{ExecMode, LibraryMode};
-use weseer_db::Database;
 
 /// One Table III row.
 #[derive(Debug, Clone)]
@@ -39,31 +38,29 @@ fn ratio(a: Duration, b: Duration) -> f64 {
 
 /// Measure Table III for an application.
 ///
-/// Each mode runs the full chained unit-test suite `repetitions` times on
-/// fresh databases; per-API times are the minimum over repetitions
+/// Each mode runs the unit-test chain ([`run_chain`]) `repetitions` times
+/// on fresh databases; per-API times are the minimum over repetitions
 /// (steady-state, like the paper's single measured run on a warm JVM).
 pub fn measure_overhead(app: &dyn ECommerceApp, repetitions: usize) -> Vec<OverheadRow> {
     let tests = app.unit_tests();
     let mut best: Vec<[Duration; 3]> = vec![[Duration::MAX; 3]; tests.len()];
+    let fixes = Fixes::none();
+    let locks = AppLocks::new();
     for (mode_idx, mode) in [ExecMode::Native, ExecMode::Interpretive, ExecMode::Concolic]
         .into_iter()
         .enumerate()
     {
         for _ in 0..repetitions.max(1) {
-            let db = Database::new(app.catalog());
-            app.seed(&db);
-            let fixes = Fixes::none();
-            let locks = AppLocks::new();
-            for (i, test) in tests.iter().enumerate() {
+            let mut slots = best.iter_mut();
+            run_chain(app, None, |test, db| {
                 let start = Instant::now();
                 let (_trace, _ctx, result) =
-                    collect_trace(app, test, &db, &fixes, &locks, mode, LibraryMode::Modeled);
+                    collect_trace(app, test, db, &fixes, &locks, mode, LibraryMode::Modeled);
                 let elapsed = start.elapsed();
                 result.unwrap_or_else(|e| panic!("unit test {test} failed: {e}"));
-                if elapsed < best[i][mode_idx] {
-                    best[i][mode_idx] = elapsed;
-                }
-            }
+                let slot = &mut slots.next().expect("one slot per unit test")[mode_idx];
+                *slot = (*slot).min(elapsed);
+            });
         }
     }
     tests
@@ -99,34 +96,34 @@ impl PruningRow {
     }
 }
 
-/// Measure the pruning experiment over every unit test of an app.
+/// Measure the pruning experiment over every unit test of an app: the
+/// unit-test chain, traced concolically once per library mode.
 pub fn measure_pruning(app: &dyn ECommerceApp) -> Vec<PruningRow> {
-    let mut rows = Vec::new();
-    let mut counts = Vec::new();
-    for lib_mode in [LibraryMode::Naive, LibraryMode::Modeled] {
-        let db = Database::new(app.catalog());
-        app.seed(&db);
-        let fixes = Fixes::none();
-        let locks = AppLocks::new();
+    let fixes = Fixes::none();
+    let locks = AppLocks::new();
+    let path_conds = |lib_mode| {
         let mut per_api = Vec::new();
-        for test in app.unit_tests() {
+        run_chain(app, None, |test, db| {
             let (trace, _ctx, result) =
-                collect_trace(app, test, &db, &fixes, &locks, ExecMode::Concolic, lib_mode);
+                collect_trace(app, test, db, &fixes, &locks, ExecMode::Concolic, lib_mode);
             result.unwrap_or_else(|e| panic!("unit test {test} failed: {e}"));
-            // Stats are cumulative per engine, but each test gets a fresh
-            // engine inside collect_trace, so counts are per test.
-            per_api.push((test.to_string(), trace.stats.total_path_conds()));
-        }
-        counts.push(per_api);
-    }
-    for ((api, naive), (_, modeled)) in counts[0].iter().zip(counts[1].iter()) {
-        rows.push(PruningRow {
-            api: api.clone(),
-            naive: *naive,
-            modeled: *modeled,
+            // Each test gets a fresh engine inside collect_trace, so the
+            // engine's cumulative stats are per test.
+            per_api.push(trace.stats.total_path_conds());
         });
-    }
-    rows
+        per_api
+    };
+    let naive = path_conds(LibraryMode::Naive);
+    let modeled = path_conds(LibraryMode::Modeled);
+    app.unit_tests()
+        .iter()
+        .zip(naive.into_iter().zip(modeled))
+        .map(|(api, (naive, modeled))| PruningRow {
+            api: api.to_string(),
+            naive,
+            modeled,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use weseer_analyzer::{
     coarse_cycle_count, diagnose_with, find_anomaly_candidates, resolve_threads, run_ordered,
     AnalyzerConfig, AnomalyCandidate, CollectedTrace, Diagnosis, StoreCtx,
 };
-use weseer_apps::app::collect_trace;
+use weseer_apps::app::{collect_trace, run_chain};
 use weseer_apps::{classify, AppLocks, ECommerceApp, Fixes, KnownDeadlock};
 use weseer_concolic::{ExecMode, LibraryMode};
 use weseer_db::{Database, IsolationLevel};
@@ -351,63 +351,35 @@ impl Weseer {
     }
 
     /// Collect the Table I unit-test traces of an application, chaining
-    /// database state between tests (paper Sec. VII-B).
-    ///
-    /// With more than one worker thread the tests are traced in parallel:
-    /// worker `i` builds its own database, fast-forwards it by running
-    /// tests `0..i` in native mode (the same deterministic replay
-    /// [`crate::replay::prepare_db`] relies on), then traces test `i`
-    /// concolically. The ordered merge makes the result — traces and the
-    /// final database state — identical to the sequential chain for every
-    /// thread count.
+    /// database state between tests (paper Sec. VII-B): the unit-test
+    /// chain ([`run_chain`]) with one concolic trace per step, in test
+    /// order, on the calling thread. Returns the traces and the database
+    /// as the last test left it.
     pub fn collect_traces(
         &self,
         app: &dyn ECommerceApp,
         fixes: &Fixes,
     ) -> (Vec<CollectedTrace>, Database) {
+        let (traces, db, _kept) = Self::collect_and_keep(app, fixes);
+        (traces, db)
+    }
+
+    /// [`Weseer::collect_traces`], also keeping a fork of the database from
+    /// before each step: `kept[i]` is the state unit test `i` ran from,
+    /// which witness replay and the anomaly screen start from.
+    fn collect_and_keep(
+        app: &dyn ECommerceApp,
+        fixes: &Fixes,
+    ) -> (Vec<CollectedTrace>, Database, Vec<Database>) {
         let _span = weseer_obs::span("pipeline.collect_traces");
-        let tests = app.unit_tests();
-        let threads = resolve_threads(self.config.threads);
-        if threads <= 1 || tests.len() <= 1 {
-            let db = Database::new(app.catalog());
-            app.seed(&db);
-            let locks = AppLocks::new();
-            let mut traces = Vec::new();
-            for test in tests {
-                traces.push(Self::trace_one(app, test, &db, fixes, &locks));
-            }
-            return (traces, db);
-        }
-        let outputs = run_ordered(
-            tests,
-            threads,
-            |i, test| {
-                let db = Database::new(app.catalog());
-                app.seed(&db);
-                let locks = AppLocks::new();
-                for prior in &tests[..i] {
-                    let (_t, _c, r) = collect_trace(
-                        app,
-                        prior,
-                        &db,
-                        fixes,
-                        &locks,
-                        ExecMode::Native,
-                        LibraryMode::Modeled,
-                    );
-                    r.unwrap_or_else(|e| panic!("unit test {prior} failed: {e}"));
-                }
-                (Self::trace_one(app, test, &db, fixes, &locks), db)
-            },
-            |_, _| {},
-        );
-        let mut traces = Vec::with_capacity(outputs.len());
-        let mut db = None;
-        for (t, d) in outputs {
-            traces.push(t);
-            db = Some(d);
-        }
-        (traces, db.expect("at least one unit test"))
+        let locks = AppLocks::new();
+        let mut traces = Vec::new();
+        let mut kept = Vec::new();
+        let db = run_chain(app, None, |test, db| {
+            kept.push(db.fork());
+            traces.push(Self::trace_one(app, test, db, fixes, &locks));
+        });
+        (traces, db, kept)
     }
 
     /// Trace one unit test concolically against `db`, recording exactly
@@ -447,7 +419,7 @@ impl Weseer {
     pub fn analyze_with_fixes(&self, app: &dyn ECommerceApp, fixes: &Fixes) -> AppAnalysis {
         let before = weseer_obs::snapshot();
         let pipeline_span = weseer_obs::span("pipeline.analyze");
-        let (traces, _db) = self.collect_traces(app, fixes);
+        let (traces, _db, kept) = Self::collect_and_keep(app, fixes);
         let trace_summaries = traces
             .iter()
             .map(|t| TraceSummary {
@@ -484,9 +456,9 @@ impl Weseer {
         } else {
             diagnosis.stats.coarse_cycles
         };
-        // Replay and the anomaly screen share one set of base states (each
-        // prepared at most once) and the analyzer's worker pool.
-        let bases = crate::replay::BaseStates::new(app);
+        // Replay and the anomaly screen start from the states collection
+        // kept, and share the analyzer's worker pool.
+        let bases = crate::replay::BaseStates::new(app, kept);
         let threads = resolve_threads(self.config.threads);
         let replay = self.replay.as_ref().map(|cfg| {
             Self::replay_reports(
@@ -521,9 +493,9 @@ impl Weseer {
 
     /// Run the static anomaly oracle over the traces, then confirm each
     /// candidate (up to [`AnomalyAnalysis::MAX_CANDIDATES`]) by exploring
-    /// interleavings at `iso` against a database prepared to the state
-    /// the traces ran from. Candidates whose level list excludes `iso`
-    /// are reported [`AnomalyVerdict::NotApplicable`] without exploring.
+    /// interleavings at `iso` from the state the pair's traces ran from.
+    /// Candidates whose level list excludes `iso` are reported
+    /// [`AnomalyVerdict::NotApplicable`] without exploring.
     /// Candidates are independent, so they are explored on `threads`
     /// workers; the ordered merge keeps the verdicts in candidate order.
     fn anomaly_reports(
@@ -582,20 +554,18 @@ impl Weseer {
         }
     }
 
-    /// Replay each report against a database prepared to the state its
-    /// traces were collected from, on `threads` workers of
-    /// [`run_ordered`]. Reports are independent — each search only forks
-    /// its shared base from `bases` — so the verdicts, in report order,
-    /// are the same for every thread count.
+    /// Replay each report from the state its traces were collected from,
+    /// on `threads` workers of [`run_ordered`]. Reports are independent —
+    /// each search only forks its shared base from `bases` — so the
+    /// verdicts, in report order, are the same for every thread count.
     ///
     /// With a store, a cycle whose two trace fingerprints are unchanged
     /// restores its recorded verdict — witness included, byte-identical
-    /// through [`Witness::to_json`] — without preparing a database or
-    /// exploring a single schedule (`replay.schedules_explored` stays 0
-    /// on a fully warm run). Lookups run on the workers; fresh verdicts
-    /// are written through from the ordered merge, so the store receives
-    /// its puts in report order and its file is byte-identical for every
-    /// thread count.
+    /// through [`Witness::to_json`] — without exploring a single schedule
+    /// (`replay.schedules_explored` stays 0 on a fully warm run). Lookups
+    /// run on the workers; fresh verdicts are written through from the
+    /// ordered merge, so the store receives its puts in report order and
+    /// its file is byte-identical for every thread count.
     fn replay_reports(
         bases: &crate::replay::BaseStates<'_>,
         diagnosis: &Diagnosis,
@@ -714,7 +684,40 @@ fn verdict_from_json(v: &Json) -> Option<ReplayVerdict> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weseer_apps::Shopizer;
+    use weseer_apps::{Broadleaf, Shopizer};
+    use weseer_db::{Row, TxnId};
+
+    /// What a replay can observe of a database: every table's rows, every
+    /// table's next id and the next transaction id. Read off a fork, so
+    /// drawing the ids leaves `db` as it is.
+    fn observable_state(db: &Database) -> (Vec<Vec<Row>>, Vec<i64>, Option<TxnId>) {
+        let probe = db.fork();
+        let tables: Vec<String> = db.catalog().tables().map(|t| t.name.clone()).collect();
+        let rows = tables.iter().map(|t| probe.dump(t)).collect();
+        let ids = tables.iter().map(|t| probe.next_id(t)).collect();
+        let mut session = probe.session();
+        session.begin();
+        (rows, ids, session.txn_id())
+    }
+
+    /// Replay starts from the states the concolic chain kept; the frozen
+    /// benchmark's probes and the racer start from `prepare_db`'s native
+    /// chain. Both must be the state each unit test ran from.
+    #[test]
+    fn kept_states_are_prepare_dbs_states() {
+        for app in [&Broadleaf as &dyn ECommerceApp, &Shopizer] {
+            let (_traces, _db, kept) = Weseer::collect_and_keep(app, &Fixes::none());
+            assert_eq!(kept.len(), app.unit_tests().len());
+            for (test, state) in app.unit_tests().iter().zip(&kept) {
+                let prepared = crate::prepare_db(app, test);
+                assert!(
+                    observable_state(state) == observable_state(&prepared),
+                    "{} before {test}: the kept state differs from prepare_db's",
+                    app.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn shopizer_pipeline_smoke() {

@@ -1,17 +1,21 @@
-//! Automatic deadlock reproduction (the paper's Sec. V-D future work:
-//! "develop a framework to automatically reproduce the deadlocks
-//! according to WeSEER's report — doing so helps eliminate all false
-//! positives").
+//! Database states from the unit-test chain, and deadlock reproduction
+//! from them.
 //!
-//! Given a report naming two APIs, the replayer prepares the database in
-//! the state the traces were collected under, then races the two API
-//! invocations (same canonical inputs, so they collide on the same rows)
-//! from a barrier, repeatedly, until the database detects a deadlock and
-//! aborts a victim — or an attempt budget runs out.
+//! * [`prepare_db`] — the database as one unit test found it: the chain
+//!   ([`run_chain`]) in native mode, stopped before that test.
+//! * `BaseStates` — the same states as trace collection kept them, one
+//!   per unit test; witness replay and the anomaly screen fork these.
+//! * [`replay`] — the paper's Sec. V-D future work ("develop a framework
+//!   to automatically reproduce the deadlocks according to WeSEER's
+//!   report — doing so helps eliminate all false positives"): prepare the
+//!   state the report's traces were collected under, then race the two
+//!   API invocations (same canonical inputs, so they collide on the same
+//!   rows) from a barrier, repeatedly, until the database detects a
+//!   deadlock and aborts a victim — or an attempt budget runs out.
 
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, Barrier};
 use weseer_analyzer::DeadlockReport;
-use weseer_apps::app::collect_trace;
+use weseer_apps::app::{collect_trace, run_chain};
 use weseer_apps::{AppLocks, ECommerceApp, Fixes};
 use weseer_concolic::{ExecMode, LibraryMode};
 use weseer_db::Database;
@@ -27,31 +31,25 @@ pub struct ReplayOutcome {
     pub deadlock_aborts: u64,
 }
 
-/// Prepare a database in the state preceding the report's APIs: seed, then
-/// run every unit test before the first involved API (the unit tests are
-/// chained — Sec. VII-B). Native-mode execution makes the resulting state
-/// deterministic, which the witness replayer relies on.
+/// Prepare a database in the state preceding the unit test `upto`: the
+/// unit-test chain ([`run_chain`]) in native mode, stopped before `upto`.
+/// Native-mode execution reaches the same state as the concolic chain
+/// trace collection runs, so this is the state `upto`'s trace ran from.
 pub fn prepare_db(app: &dyn ECommerceApp, upto: &str) -> Database {
-    let db = Database::new(app.catalog());
-    app.seed(&db);
     let fixes = Fixes::none();
     let locks = AppLocks::new();
-    for test in app.unit_tests() {
-        if *test == upto {
-            break;
-        }
+    run_chain(app, Some(upto), |test, db| {
         let (_t, _c, r) = collect_trace(
             app,
             test,
-            &db,
+            db,
             &fixes,
             &locks,
             ExecMode::Native,
             LibraryMode::Modeled,
         );
         r.unwrap_or_else(|e| panic!("state preparation failed at {test}: {e}"));
-    }
-    db
+    })
 }
 
 /// Index (in unit-test order) of the test whose starting state a pair's
@@ -66,30 +64,25 @@ fn earlier_test(app: &dyn ECommerceApp, a_api: &str, b_api: &str) -> usize {
         .unwrap_or(0)
 }
 
-/// Base databases for schedule replay: at most one [`prepare_db`] per
-/// distinct starting test, shared by every pair (and every worker thread)
-/// that starts there. The search only forks a base, never mutates it, so
-/// one `&BaseStates` serves a whole parallel replay; each slot is a
-/// [`OnceLock`], so a state two workers ask for at the same moment is
-/// still prepared exactly once (the second waits for the first).
+/// Base databases for schedule replay and the anomaly screen: the states
+/// trace collection kept, one per unit test — `kept[i]` is the database
+/// as unit test `i` found it. A pair starts from the state before the
+/// earlier of its two APIs. The search only forks a base, never mutates
+/// it, so one `&BaseStates` serves a whole parallel replay.
 pub(crate) struct BaseStates<'a> {
     app: &'a dyn ECommerceApp,
-    /// One slot per unit test, in test order.
-    prepared: Vec<OnceLock<Database>>,
+    kept: Vec<Database>,
 }
 
 impl<'a> BaseStates<'a> {
-    pub(crate) fn new(app: &'a dyn ECommerceApp) -> Self {
-        BaseStates {
-            app,
-            prepared: app.unit_tests().iter().map(|_| OnceLock::new()).collect(),
-        }
+    pub(crate) fn new(app: &'a dyn ECommerceApp, kept: Vec<Database>) -> Self {
+        debug_assert_eq!(kept.len(), app.unit_tests().len());
+        BaseStates { app, kept }
     }
 
     /// The database in the state the pair's traces were collected from.
     pub(crate) fn for_pair(&self, a_api: &str, b_api: &str) -> &Database {
-        let i = earlier_test(self.app, a_api, b_api);
-        self.prepared[i].get_or_init(|| prepare_db(self.app, self.app.unit_tests()[i]))
+        &self.kept[earlier_test(self.app, a_api, b_api)]
     }
 }
 
@@ -146,29 +139,5 @@ pub fn replay<A: ECommerceApp + Copy + Send + Sync + 'static>(
         reproduced: false,
         attempts: max_attempts,
         deadlock_aborts: 0,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use weseer_apps::Broadleaf;
-
-    #[test]
-    fn base_states_are_built_once_and_shared() {
-        let bases = BaseStates::new(&Broadleaf);
-        // Both pairs start at Add1 (the earlier of each pair's APIs), so
-        // two threads racing for them must get the one prepared state.
-        let (a, b) = std::thread::scope(|s| {
-            let a = s.spawn(|| bases.for_pair("Add1", "Ship"));
-            let b = s.spawn(|| bases.for_pair("Checkout", "Add1"));
-            (a.join().unwrap(), b.join().unwrap())
-        });
-        assert!(std::ptr::eq(a, b), "a shared start must be prepared once");
-        let other = bases.for_pair("Ship", "Checkout");
-        assert!(
-            !std::ptr::eq(a, other),
-            "a different start has its own state"
-        );
     }
 }

@@ -68,11 +68,6 @@ impl LockTarget {
             | LockTarget::Gap { table, .. } => table,
         }
     }
-
-    /// Whether this is a gap target.
-    pub fn is_gap(&self) -> bool {
-        matches!(self, LockTarget::Gap { .. })
-    }
 }
 
 /// Lock strength.

@@ -97,21 +97,11 @@ impl LinExpr {
         }
     }
 
-    /// Whether the expression mentions no variables.
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
     /// Evaluate under a (total) assignment.
     pub fn eval(&self, model: &[Rat]) -> Rat {
         self.coeffs
             .iter()
             .fold(self.constant, |acc, (&v, &c)| acc + c * model[v])
-    }
-
-    /// The largest variable index mentioned, if any.
-    pub fn max_var(&self) -> Option<usize> {
-        self.coeffs.keys().next_back().copied()
     }
 }
 
@@ -131,11 +121,6 @@ impl Constraint {
             expr,
             strict: false,
         }
-    }
-
-    /// `expr < 0`.
-    pub fn lt0(expr: LinExpr) -> Constraint {
-        Constraint { expr, strict: true }
     }
 
     /// Whether a model satisfies the constraint.

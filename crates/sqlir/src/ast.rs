@@ -209,11 +209,6 @@ impl Cond {
         conds.into_iter().reduce(Cond::and)
     }
 
-    /// Disjoin an iterator of conditions; `None` when empty.
-    pub fn disjoin(conds: impl IntoIterator<Item = Cond>) -> Option<Cond> {
-        conds.into_iter().reduce(Cond::or)
-    }
-
     /// Split the top-level conjunction into its conjuncts.
     pub fn conjuncts(&self) -> Vec<&Cond> {
         let mut out = Vec::new();

@@ -59,8 +59,6 @@ pub struct ColumnDef {
     pub name: String,
     /// Data type.
     pub ty: ColType,
-    /// Whether the column may hold NULL.
-    pub nullable: bool,
 }
 
 /// Whether an index is the clustered primary index or a secondary index.
@@ -192,22 +190,11 @@ impl TableBuilder {
         }
     }
 
-    /// Add a NOT NULL column.
+    /// Add a column.
     pub fn col(mut self, name: impl Into<String>, ty: ColType) -> Self {
         self.def.columns.push(ColumnDef {
             name: name.into(),
             ty,
-            nullable: false,
-        });
-        self
-    }
-
-    /// Add a nullable column.
-    pub fn col_nullable(mut self, name: impl Into<String>, ty: ColType) -> Self {
-        self.def.columns.push(ColumnDef {
-            name: name.into(),
-            ty,
-            nullable: true,
         });
         self
     }

@@ -13,7 +13,8 @@
 #   * `--isolation <level> --anomaly-out` at every isolation level;
 #   * the `--store` sequence cold (4 threads) -> warm (1 thread) ->
 #     `--dirty Ship` (4 threads): each run's stdout and the store bytes
-#     after it.
+#     after it;
+#   * `reproduce pruning` stdout (the Sec. IV path-condition counts).
 # Prints one line per artifact and exits non-zero if any differs.
 set -euo pipefail
 
@@ -57,6 +58,7 @@ artifacts() (
     cp s.store store-warm.bin
     "$bin" table2 baseline --store s.store --dirty Ship --threads 4 > store-dirty.txt
     cp s.store store-dirty.bin
+    "$bin" pruning > pruning.txt
 )
 artifacts "$work/target/release/reproduce" "$work/base"
 artifacts "$change_target/release/reproduce" "$work/change"
@@ -65,7 +67,8 @@ status=0
 for f in table2-t1.txt table2-t4.txt witness-t1.jsonl witness-t4.jsonl \
     verdicts.ndjson anomaly-read-committed.jsonl anomaly-repeatable-read.jsonl \
     anomaly-snapshot.jsonl anomaly-serializable.jsonl store-cold.txt \
-    store-cold.bin store-warm.txt store-warm.bin store-dirty.txt store-dirty.bin; do
+    store-cold.bin store-warm.txt store-warm.bin store-dirty.txt store-dirty.bin \
+    pruning.txt; do
     if cmp -s "$work/base/$f" "$work/change/$f"; then
         echo "same     $f"
     else

@@ -2,15 +2,27 @@
 //! stream verdicts byte-identical to the batch pipeline, a second daemon
 //! session against the same store file must warm-start from the first
 //! (hits > 0 — the store is fleet-shared, not per-process), versions that
-//! take turns on one daemon must each stay resident in its store, and the
-//! HTTP surface must serve `/analyze/<app>` and `/shards` end to end.
+//! take turns on one daemon must each stay resident in its store, the
+//! HTTP surface must serve `/analyze/<app>` and `/shards` end to end, and
+//! `/shards` must count only analysis, not trace collection, as work.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
+use weseer::analyzer::CollectedTrace;
 use weseer::apps::{Fix, Fixes};
 use weseer::core::Weseer;
 use weseer::serve::{app_by_name, verdict_line, Daemon, DaemonConfig, ServeEvent};
 use weseer::store::json::Json;
+
+/// Every test here runs analyses, which add to the process-global obs
+/// registry, and some read that registry; the harness runs tests on
+/// parallel threads, so each holds this throughout.
+static OBS: Mutex<()> = Mutex::new(());
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The batch pipeline's verdicts in the daemon's wire format.
 fn batch_lines(name: &str) -> String {
@@ -29,6 +41,12 @@ fn batch_lines(name: &str) -> String {
 fn stream(daemon: &Daemon, name: &str, fixes: &Fixes) -> String {
     let app = app_by_name(name).expect("known app");
     let (traces, _db) = Weseer::new().collect_traces(app, fixes);
+    send(daemon, name, traces)
+}
+
+/// Send already collected traces through an ingest client of `daemon` and
+/// concatenate the verdict events.
+fn send(daemon: &Daemon, name: &str, traces: Vec<CollectedTrace>) -> String {
     let client = daemon.client(name);
     for t in traces {
         client.send(t);
@@ -48,6 +66,7 @@ fn stream(daemon: &Daemon, name: &str, fixes: &Fixes) -> String {
 
 #[test]
 fn streamed_verdicts_match_batch_and_warm_across_sessions() {
+    let _obs = obs_lock();
     weseer::obs::set_enabled(true);
     let store =
         std::env::temp_dir().join(format!("weseer-serve-stream-{}.jsonl", std::process::id()));
@@ -91,6 +110,7 @@ fn streamed_verdicts_match_batch_and_warm_across_sessions() {
 
 #[test]
 fn versions_taking_turns_on_one_daemon_each_stay_resident() {
+    let _obs = obs_lock();
     let store =
         std::env::temp_dir().join(format!("weseer-serve-churn-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&store);
@@ -133,6 +153,7 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
 
 #[test]
 fn http_surface_serves_analyze_and_shards() {
+    let _obs = obs_lock();
     let (daemon, server) =
         weseer::serve::serve("127.0.0.1:0", DaemonConfig::default()).expect("bind daemon");
     let addr = server.local_addr();
@@ -182,4 +203,40 @@ fn http_surface_serves_analyze_and_shards() {
     );
 
     server.stop();
+}
+
+/// Analyzer tasks `run` adds to the `analyzer.worker{w}.tasks` counters.
+fn worker_tasks(run: impl FnOnce()) -> u64 {
+    let before = weseer::obs::snapshot();
+    run();
+    let delta = weseer::obs::snapshot().delta_since(&before);
+    delta
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("analyzer.worker") && name.ends_with(".tasks"))
+        .map(|(_, n)| n)
+        .sum()
+}
+
+/// `/shards` reports the `analyzer.worker{w}.tasks` counters as each
+/// shard's work. A server-side `submit` (what `GET /analyze/<app>`
+/// serves) collects its traces first; that collection is not analyzer
+/// work, so the submission must add exactly the tasks that streaming the
+/// same, already collected traces adds.
+#[test]
+fn submit_counts_only_analysis_as_shard_tasks() {
+    let _obs = obs_lock();
+    weseer::obs::set_enabled(true);
+    let daemon = Daemon::start(DaemonConfig::default()).expect("start daemon");
+    let submitted = worker_tasks(|| {
+        daemon.submit("shopizer").expect("submit");
+    });
+    let app = app_by_name("shopizer").expect("known app");
+    let (traces, _db) = Weseer::new().collect_traces(app, &Fixes::none());
+    let streamed = worker_tasks(|| {
+        send(&daemon, "shopizer", traces);
+    });
+    daemon.shutdown();
+    assert!(streamed > 0, "the analysis ran on no worker");
+    assert_eq!(submitted, streamed, "collection counted as shard tasks");
 }
