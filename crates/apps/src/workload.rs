@@ -14,7 +14,9 @@ use weseer_concolic::{shared, ExecMode};
 use weseer_db::{Database, DbStats};
 use weseer_orm::OrmError;
 
-/// Workload parameters.
+/// Workload parameters. Statements run at in-memory speed: no
+/// client↔server round trip is simulated, so an abort wastes exactly the
+/// work its transaction had done.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of concurrent clients (paper: 8 / 64 / 128).
@@ -27,10 +29,6 @@ pub struct WorkloadConfig {
     pub retries: usize,
     /// Size of the hot product set clients contend on.
     pub hot_products: i64,
-    /// Simulated per-statement client↔server latency. Aborted
-    /// transactions waste this time, which is what makes deadlock-prone
-    /// configurations slow (Sec. II-A).
-    pub statement_delay: Duration,
 }
 
 impl Default for WorkloadConfig {
@@ -41,7 +39,6 @@ impl Default for WorkloadConfig {
             fixes: Fixes::all(),
             retries: 3,
             hot_products: 8,
-            statement_delay: Duration::ZERO,
         }
     }
 }
@@ -69,7 +66,6 @@ pub fn run_workload<A: ECommerceApp + Copy + Send + 'static>(
     config: &WorkloadConfig,
 ) -> WorkloadResult {
     let db = Database::with_timeout(app.catalog(), Duration::from_secs(2));
-    db.set_statement_delay(config.statement_delay);
     app.seed(&db);
     let locks = AppLocks::new();
     let completed = Arc::new(AtomicU64::new(0));

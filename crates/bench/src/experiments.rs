@@ -222,7 +222,6 @@ pub fn figure(app_name: &str, quick: bool) -> String {
             client_counts: vec![8, 32],
             duration: Duration::from_millis(700),
             hot_products: 8,
-            statement_delay: Duration::ZERO,
         }
     } else {
         PerfConfig::default()
@@ -610,7 +609,6 @@ pub fn aborts_claim(quick: bool) -> String {
             Duration::from_secs(2)
         },
         hot_products: 8,
-        statement_delay: Duration::ZERO,
     };
     let points = run_perf_sweep(Broadleaf, &[], &config);
     let enabled = &points[0];

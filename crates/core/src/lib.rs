@@ -35,4 +35,4 @@ pub use pipeline::{
     AnomalyAnalysis, AnomalyVerdict, AppAnalysis, ReplaySummary, TraceSummary, Weseer,
     FUNNEL_STAGES,
 };
-pub use replay::{prepare_db, replay, ReplayOutcome};
+pub use replay::prepare_db;

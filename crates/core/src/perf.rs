@@ -25,8 +25,6 @@ pub struct PerfConfig {
     pub duration: Duration,
     /// Hot-product set size.
     pub hot_products: i64,
-    /// Simulated per-statement round-trip latency.
-    pub statement_delay: Duration,
 }
 
 impl Default for PerfConfig {
@@ -35,7 +33,6 @@ impl Default for PerfConfig {
             client_counts: vec![8, 64, 128],
             duration: Duration::from_secs(2),
             hot_products: 8,
-            statement_delay: Duration::ZERO,
         }
     }
 }
@@ -68,7 +65,6 @@ pub fn run_perf_sweep<A: ECommerceApp + Copy + Send + 'static>(
                 fixes: fixes.clone(),
                 retries: 3,
                 hot_products: config.hot_products,
-                statement_delay: config.statement_delay,
             };
             let result = run_workload(app, &wc);
             out.push(PerfPoint {
@@ -103,7 +99,6 @@ mod tests {
             client_counts: vec![8],
             duration: Duration::from_millis(600),
             hot_products: 6,
-            statement_delay: Duration::from_micros(50),
         };
         let points = run_perf_sweep(Broadleaf, &[], &config);
         assert_eq!(points.len(), 2);

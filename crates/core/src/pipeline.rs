@@ -93,7 +93,7 @@ pub enum AnomalyVerdict {
     Clean {
         /// Schedules completed.
         explored: usize,
-        /// Branches pruned by sleep sets.
+        /// Branches pruned by partial-order reduction.
         pruned: usize,
         /// The search stopped at a budget with schedules left unexplored.
         budget_hit: bool,
@@ -701,8 +701,9 @@ mod tests {
     }
 
     /// Replay starts from the states the concolic chain kept; the frozen
-    /// benchmark's probes and the racer start from `prepare_db`'s native
-    /// chain. Both must be the state each unit test ran from.
+    /// benchmark's probes and the threaded re-enactment of every witness
+    /// start from `prepare_db`'s native chain. Both must be the state each
+    /// unit test ran from.
     #[test]
     fn kept_states_are_prepare_dbs_states() {
         for app in [&Broadleaf as &dyn ECommerceApp, &Shopizer] {

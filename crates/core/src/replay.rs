@@ -1,35 +1,19 @@
-//! Database states from the unit-test chain, and deadlock reproduction
-//! from them.
+//! Database states from the unit-test chain, which witness replay starts
+//! from.
 //!
 //! * [`prepare_db`] — the database as one unit test found it: the chain
 //!   ([`run_chain`]) in native mode, stopped before that test.
 //! * `BaseStates` — the same states as trace collection kept them, one
 //!   per unit test; witness replay and the anomaly screen fork these.
-//! * [`replay`] — the paper's Sec. V-D future work ("develop a framework
-//!   to automatically reproduce the deadlocks according to WeSEER's
-//!   report — doing so helps eliminate all false positives"): prepare the
-//!   state the report's traces were collected under, then race the two
-//!   API invocations (same canonical inputs, so they collide on the same
-//!   rows) from a barrier, repeatedly, until the database detects a
-//!   deadlock and aborts a victim — or an attempt budget runs out.
+//!
+//! Replay confirms a report on one thread through the nowait lock path.
+//! `tests/witness_replay.rs` re-enacts every confirmed witness on two real
+//! threads through the blocking path, from [`prepare_db`]'s states.
 
-use std::sync::{Arc, Barrier};
-use weseer_analyzer::DeadlockReport;
 use weseer_apps::app::{collect_trace, run_chain};
 use weseer_apps::{AppLocks, ECommerceApp, Fixes};
 use weseer_concolic::{ExecMode, LibraryMode};
 use weseer_db::Database;
-
-/// Result of a replay campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayOutcome {
-    /// Whether a database deadlock was observed.
-    pub reproduced: bool,
-    /// Attempts used.
-    pub attempts: usize,
-    /// Deadlock aborts observed across attempts.
-    pub deadlock_aborts: u64,
-}
 
 /// Prepare a database in the state preceding the unit test `upto`: the
 /// unit-test chain ([`run_chain`]) in native mode, stopped before `upto`.
@@ -83,61 +67,5 @@ impl<'a> BaseStates<'a> {
     /// The database in the state the pair's traces were collected from.
     pub(crate) fn for_pair(&self, a_api: &str, b_api: &str) -> &Database {
         &self.kept[earlier_test(self.app, a_api, b_api)]
-    }
-}
-
-/// Race the report's two APIs until a deadlock reproduces.
-///
-/// The two instances use the unit tests' canonical inputs, which the
-/// analyzer's witness says can collide (for same-API reports the inputs
-/// are literally identical). `max_attempts` bounds the campaign.
-pub fn replay<A: ECommerceApp + Copy + Send + Sync + 'static>(
-    app: A,
-    report: &DeadlockReport,
-    max_attempts: usize,
-) -> ReplayOutcome {
-    let a_api = report.cycle.a_api.clone();
-    let b_api = report.cycle.b_api.clone();
-    let first = app.unit_tests()[earlier_test(&app, &a_api, &b_api)];
-
-    for attempt in 1..=max_attempts {
-        let db = prepare_db(&app, first);
-        // Slow statements down so the two instances interleave at
-        // statement granularity even on a single-core host (the paper's
-        // STEPDAD citation does the same trick at the driver level).
-        db.set_statement_delay(std::time::Duration::from_micros(400));
-        let before = db.stats().deadlock_aborts;
-        let barrier = Arc::new(Barrier::new(2));
-        let mut handles = Vec::new();
-        for api in [a_api.clone(), b_api.clone()] {
-            let db = db.clone();
-            let barrier = barrier.clone();
-            handles.push(std::thread::spawn(move || {
-                let fixes = Fixes::none();
-                let locks = AppLocks::new();
-                let engine = weseer_concolic::shared(ExecMode::Native);
-                let mut ctx = weseer_apps::AppCtx::new(&db, engine, &fixes, &locks);
-                barrier.wait();
-                // The outcome (success, app abort, deadlock victim) is
-                // read from the database counters afterwards.
-                let _ = app.run_unit_test(&mut ctx, &api);
-            }));
-        }
-        for h in handles {
-            h.join().expect("replay thread panicked");
-        }
-        let aborts = db.stats().deadlock_aborts - before;
-        if aborts > 0 {
-            return ReplayOutcome {
-                reproduced: true,
-                attempts: attempt,
-                deadlock_aborts: aborts,
-            };
-        }
-    }
-    ReplayOutcome {
-        reproduced: false,
-        attempts: max_attempts,
-        deadlock_aborts: 0,
     }
 }

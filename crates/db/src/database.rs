@@ -70,10 +70,6 @@ struct Inner {
     counters: Counters,
     next_txn: AtomicU64,
     id_gens: Mutex<HashMap<String, i64>>,
-    /// Simulated per-statement latency in nanoseconds (client↔server
-    /// round trip). Aborted transactions waste this work — the mechanism
-    /// behind the paper's Fig. 10/11 degradation.
-    statement_delay_ns: AtomicU64,
     /// Default isolation for [`Database::session`] (index into
     /// [`IsolationLevel::ALL`]); serializable unless overridden.
     default_isolation: AtomicU64,
@@ -106,19 +102,10 @@ impl Database {
                 counters: Counters::default(),
                 next_txn: AtomicU64::new(1),
                 id_gens: Mutex::new(HashMap::new()),
-                statement_delay_ns: AtomicU64::new(0),
                 default_isolation: AtomicU64::new(iso_to_u64(IsolationLevel::Serializable)),
                 tracker: AnomalyTracker::default(),
             }),
         }
-    }
-
-    /// Simulate a per-statement client↔server round trip. Zero (the
-    /// default) disables the delay.
-    pub fn set_statement_delay(&self, d: Duration) {
-        self.inner
-            .statement_delay_ns
-            .store(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// The schema.
@@ -252,7 +239,6 @@ impl Database {
                 counters: Counters::default(),
                 next_txn: AtomicU64::new(self.inner.next_txn.load(Ordering::Relaxed)),
                 id_gens: Mutex::new(id_gens),
-                statement_delay_ns: AtomicU64::new(0),
                 default_isolation: AtomicU64::new(
                     self.inner.default_isolation.load(Ordering::Relaxed),
                 ),
@@ -328,15 +314,11 @@ impl Session {
     /// recovery).
     pub fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<ExecData, DbError> {
         self.run(|inner, txn, mvcc| {
-            let delay = inner.statement_delay_ns.load(Ordering::Relaxed);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_nanos(delay));
-            }
             exec::execute(&inner.storage, &inner.locks, txn, stmt, params, mvcc)
         })
     }
 
-    /// Execute one statement without ever sleeping (the replay engine's
+    /// Execute one statement without ever waiting (the replay engine's
     /// step function): the statement either completes, reports whom it
     /// waits on ([`exec::StepResult::Blocked`], waits-for edge recorded),
     /// or closes a waits-for cycle — in which case the transaction is

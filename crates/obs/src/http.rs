@@ -42,11 +42,12 @@ const DRAIN_BYTES: u64 = 1 << 20;
 
 /// An application-supplied route extension for [`ObsServer::start_with`]:
 /// given the request path (query string already stripped), return
-/// `Some((content_type, body))` to serve it with a 200, or `None` to fall
-/// through to the built-in routes / 404. Handlers run on the server
-/// thread, one request at a time — a long-running handler (e.g. a daemon
-/// analyzing an app on demand) simply holds the connection.
-pub type RouteHandler = dyn Fn(&str) -> Option<(String, String)> + Send + Sync;
+/// `Some((status, content_type, body))` to serve it (`status` is the
+/// status line's tail, e.g. `"200 OK"`), or `None` to fall through to the
+/// built-in 404. Handlers run on the server thread, one request at a
+/// time — a long-running handler (e.g. a daemon analyzing an app on
+/// demand) simply holds the connection.
+pub type RouteHandler = dyn Fn(&str) -> Option<(&'static str, String, String)> + Send + Sync;
 
 /// A running observability endpoint. Dropping the handle (or calling
 /// [`ObsServer::stop`]) shuts the listener thread down.
@@ -228,8 +229,8 @@ fn handle_connection(
                 crate::waitfor::to_dot(&crate::waitfor::snapshot()),
             ),
             _ => match extra.and_then(|h| h(route)) {
-                Some((content_type, body)) => {
-                    return respond(&stream, "200 OK", &content_type, &body)
+                Some((status, content_type, body)) => {
+                    return respond(&stream, status, &content_type, &body)
                 }
                 None => (
                     "404 Not Found",

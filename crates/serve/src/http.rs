@@ -3,13 +3,15 @@
 //!
 //! * `GET /analyze/<app>` — collect that app's unit-test traces
 //!   server-side, stream them through the ingest plane, and return the
-//!   verdict lines (one JSON object per line, canonical order);
+//!   verdict lines (one JSON object per line, canonical order); an unknown
+//!   app is a `404` and a failed submission a `500`, each with a JSON
+//!   `{"error": …}` body;
 //! * `GET /shards` — per-analyzer-thread task counts, ingest lag
 //!   percentiles, verdicts/sec, and shared-store hit counters;
 //! * plus the built-in `/metrics`, `/funnel`, `/waitfor`, `/waitfor.dot`
 //!   and the dashboard at `/`.
 
-use crate::daemon::{Daemon, DaemonConfig};
+use crate::daemon::{app_by_name, Daemon, DaemonConfig};
 use std::io;
 use std::sync::Arc;
 use weseer_core::FUNNEL_STAGES;
@@ -22,6 +24,7 @@ pub fn routes(daemon: Arc<Daemon>) -> Arc<RouteHandler> {
     Arc::new(move |route: &str| {
         if route == "/shards" {
             return Some((
+                "200 OK",
                 "application/json; charset=utf-8".to_string(),
                 shards_json(&daemon),
             ));
@@ -31,10 +34,16 @@ pub fn routes(daemon: Arc<Daemon>) -> Arc<RouteHandler> {
             // client simply holds the connection until verdicts are in.
             return match daemon.submit(app) {
                 Ok(result) => Some((
+                    "200 OK",
                     "application/x-ndjson; charset=utf-8".to_string(),
                     result.lines.concat(),
                 )),
                 Err(e) => Some((
+                    if app_by_name(app).is_none() {
+                        "404 Not Found"
+                    } else {
+                        "500 Internal Server Error"
+                    },
                     "application/json; charset=utf-8".to_string(),
                     format!("{{\"error\":{:?}}}\n", e),
                 )),

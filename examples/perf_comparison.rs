@@ -16,7 +16,6 @@ fn config(clients: usize, fixes: Fixes) -> WorkloadConfig {
         fixes,
         retries: 3,
         hot_products: 8,
-        statement_delay: Duration::ZERO,
     }
 }
 

@@ -1,9 +1,10 @@
 //! Workspace-level integration: the user-facing facade runs the full
-//! Fig. 2 pipeline and the reports can be *replayed* into real database
-//! deadlocks (the paper's future-work reproduction framework).
+//! Fig. 2 pipeline and its reports carry what a developer needs to act on
+//! them. Reproducing the reports as real database deadlocks is
+//! `tests/witness_replay.rs`'s job.
 
 use weseer::apps::{Broadleaf, KnownDeadlock, Shopizer};
-use weseer::core::{replay, Weseer};
+use weseer::core::Weseer;
 
 #[test]
 fn facade_finds_every_table2_row() {
@@ -46,44 +47,6 @@ fn range_locks_find_deadlocks_the_row_lock_model_misses() {
     assert!(
         without.iter().all(|c| with_ranges.contains(c)),
         "dropping the range-lock arm must only lose reports"
-    );
-}
-
-#[test]
-fn register_report_replays_into_a_real_deadlock() {
-    // d1: two concurrent registrations — the report names Register twice;
-    // racing the API reproduces the database deadlock.
-    let weseer = Weseer::new();
-    let analysis = weseer.analyze(&Broadleaf);
-    let report = analysis
-        .diagnosis
-        .deadlocks
-        .iter()
-        .find(|r| r.cycle.a_api == "Register" && r.cycle.b_api == "Register")
-        .expect("d1 report present");
-    let outcome = replay(Broadleaf, report, 30);
-    assert!(
-        outcome.reproduced,
-        "the Register-Register deadlock should replay within 30 attempts: {outcome:?}"
-    );
-}
-
-#[test]
-fn shopizer_checkout_report_replays() {
-    // d16: two concurrent checkouts of the same customer read-modify-write
-    // the same product rows.
-    let weseer = Weseer::new();
-    let analysis = weseer.analyze(&Shopizer);
-    let report = analysis
-        .diagnosis
-        .deadlocks
-        .iter()
-        .find(|r| r.cycle.a_api == "Checkout" && r.cycle.b_api == "Checkout")
-        .expect("checkout-checkout report present");
-    let outcome = replay(Shopizer, report, 30);
-    assert!(
-        outcome.reproduced,
-        "the Checkout-Checkout deadlock should replay within 30 attempts: {outcome:?}"
     );
 }
 

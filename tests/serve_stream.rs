@@ -3,8 +3,9 @@
 //! session against the same store file must warm-start from the first
 //! (hits > 0 — the store is fleet-shared, not per-process), versions that
 //! take turns on one daemon must each stay resident in its store, the
-//! HTTP surface must serve `/analyze/<app>` and `/shards` end to end, and
-//! `/shards` must count only analysis, not trace collection, as work.
+//! HTTP surface must serve `/analyze/<app>` and `/shards` end to end and
+//! answer an unknown app with `404`, and `/shards` must count only
+//! analysis, not trace collection, as work.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -141,14 +142,21 @@ fn versions_taking_turns_on_one_daemon_each_stay_resident() {
     let _ = std::fs::remove_file(&store);
 }
 
-fn get(addr: std::net::SocketAddr, path: &str) -> String {
+/// `GET path`: the response head and body.
+fn request(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to daemon");
     write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     let (head, body) = response.split_once("\r\n\r\n").expect("header separator");
+    (head.to_string(), body.to_string())
+}
+
+/// `GET path`, which must answer `200 OK`: the body.
+fn get(addr: std::net::SocketAddr, path: &str) -> String {
+    let (head, body) = request(addr, path);
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{path}: {head}");
-    body.to_string()
+    body
 }
 
 #[test]
@@ -202,6 +210,20 @@ fn http_surface_serves_analyze_and_shards() {
         "serve funnel stage missing or empty"
     );
 
+    server.stop();
+}
+
+/// A misspelled app is a client error, not a one-line verdict stream that
+/// `curl -f` would accept.
+#[test]
+fn analyze_of_an_unknown_app_is_not_found() {
+    let _obs = obs_lock();
+    let (_daemon, server) =
+        weseer::serve::serve("127.0.0.1:0", DaemonConfig::default()).expect("bind daemon");
+    let (head, body) = request(server.local_addr(), "/analyze/shopizr");
+    assert!(head.starts_with("HTTP/1.1 404 Not Found"), "{head}");
+    assert!(head.contains("application/json"), "{head}");
+    assert_eq!(body, "{\"error\":\"unknown app \\\"shopizr\\\"\"}\n");
     server.stop();
 }
 
