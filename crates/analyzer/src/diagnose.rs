@@ -7,19 +7,19 @@
 //! * **Transaction-level phase** — [`crate::pairs::generate_pairs`] builds
 //!   the table-level conflict graph once and yields only transaction pairs
 //!   that write a commonly accessed table (conflict-cycle filter);
-//! * **Coarse-grained phase** — [`scan_pair`] enumerates SC-graph deadlock
+//! * **Coarse-grained phase** — `scan_pair` enumerates SC-graph deadlock
 //!   cycles per pair: A holds the lock of an earlier statement that
 //!   conflicts with B's later statement and vice versa (table-level
 //!   C-edges);
-//! * **Fine-grained phase** — [`fine_check_pair`] models locks (Alg. 2),
+//! * **Fine-grained phase** — `fine_check_pair` models locks (Alg. 2),
 //!   requires a potentially conflicting lock pair per C-edge, generates
 //!   conflict conditions (Alg. 3), conjoins with both instances' path
 //!   conditions up to the waiting statements, and asks the pair's
 //!   persistent SMT solver. SAT ⇒ deadlock reported with a witness model.
 //!
-//! There is one driver, [`diagnose_with`]: the index oracle, the
-//! persistent store and the ordered report sink are its optional
-//! parameters, and [`diagnose`] is the call with none of them.
+//! There is one driver, [`diagnose_with`]: the persistent store and the
+//! ordered report sink are its optional parameters, and [`diagnose`] is
+//! the call with neither.
 //!
 //! ## Determinism under parallelism
 //!
@@ -34,7 +34,6 @@
 //! exactly the bytes a batch caller collects.
 
 use crate::encode::{gen_conflict_cond, Importer, Side};
-use crate::indexes::IndexOracle;
 use crate::locks::{gen_exclusive_locks, gen_shared_locks, potential_conflict};
 use crate::pairs::{generate_pairs, PairJob};
 use crate::prefix::PrefixTable;
@@ -196,14 +195,11 @@ pub fn diagnose(
     traces: &[CollectedTrace],
     config: &AnalyzerConfig,
 ) -> Diagnosis {
-    diagnose_with(catalog, traces, config, None, None, None)
+    diagnose_with(catalog, traces, config, None, None)
 }
 
 /// The diagnosis driver with every optional collaborator spelled out:
 ///
-/// * `oracle` — a concrete-plan oracle (`EXPLAIN`), so lock modeling only
-///   considers the index the database would actually use (the paper's
-///   Sec. V-D future work for cutting false positives);
 /// * `store` — a persistent [`Store`] to consult and feed, so a warm run
 ///   over unchanged traces reuses every phase-2 scan and phase-3
 ///   verdict of the run that filled it. Pair generation and
@@ -220,7 +216,6 @@ pub fn diagnose_with(
     catalog: &Catalog,
     traces: &[CollectedTrace],
     config: &AnalyzerConfig,
-    oracle: Option<&dyn IndexOracle>,
     store: Option<&StoreCtx<'_>>,
     sink: Option<&mut dyn FnMut(&DeadlockReport)>,
 ) -> Diagnosis {
@@ -232,7 +227,7 @@ pub fn diagnose_with(
             "one fingerprint per trace"
         );
     }
-    let diagnosis = run_pipeline(catalog, traces, config, oracle, store, sink);
+    let diagnosis = run_pipeline(catalog, traces, config, store, sink);
     diagnosis.stats.publish();
     weseer_obs::add(
         "analyzer.deadlocks_reported",
@@ -251,7 +246,7 @@ pub fn coarse_cycle_count(traces: &[CollectedTrace]) -> usize {
         max_reports: usize::MAX,
         ..AnalyzerConfig::default()
     };
-    run_pipeline(&Catalog::default(), traces, &config, None, None, None)
+    run_pipeline(&Catalog::default(), traces, &config, None, None)
         .stats
         .coarse_cycles
 }
@@ -261,7 +256,6 @@ pub(crate) struct PairCtx<'a> {
     catalog: &'a Catalog,
     traces: &'a [CollectedTrace],
     config: &'a AnalyzerConfig,
-    oracle: Option<&'a dyn IndexOracle>,
     /// Per-trace pre-simplified path conditions (empty when the fine
     /// phase does not run).
     prefix: PrefixTable,
@@ -281,7 +275,6 @@ impl<'a> PairCtx<'a> {
         catalog: &'a Catalog,
         traces: &'a [CollectedTrace],
         config: &'a AnalyzerConfig,
-        oracle: Option<&'a dyn IndexOracle>,
         prefix: PrefixTable,
         store: Option<&'a StoreCtx<'a>>,
     ) -> Self {
@@ -299,7 +292,6 @@ impl<'a> PairCtx<'a> {
             catalog,
             traces,
             config,
-            oracle,
             prefix,
             stmt_sql,
             store,
@@ -570,7 +562,6 @@ fn check_cycle(job: &FineJob, ctx: &PairCtx<'_>, sess: &mut PairSession<'_>) -> 
         &cand.t1,
         1,
         config,
-        ctx.oracle,
     );
     // Edge 2: B's held lock blocks A's waiter.
     let e2 = edge_condition(
@@ -583,7 +574,6 @@ fn check_cycle(job: &FineJob, ctx: &PairCtx<'_>, sess: &mut PairSession<'_>) -> 
         &cand.t2,
         2,
         config,
-        ctx.oracle,
     );
     let (Some(e1), Some(e2)) = (e1, e2) else {
         return FineVerdict::NoCandidate; // no potentially conflicting lock pair
@@ -800,7 +790,6 @@ fn run_pipeline(
     catalog: &Catalog,
     traces: &[CollectedTrace],
     config: &AnalyzerConfig,
-    oracle: Option<&dyn IndexOracle>,
     store: Option<&StoreCtx<'_>>,
     mut sink: Option<&mut dyn FnMut(&DeadlockReport)>,
 ) -> Diagnosis {
@@ -824,7 +813,7 @@ fn run_pipeline(
     };
 
     let threads = resolve_threads(config.threads);
-    let pctx = PairCtx::new(catalog, traces, config, oracle, prefix, store);
+    let pctx = PairCtx::new(catalog, traces, config, prefix, store);
 
     // ---- Phase 2: coarse SC-graph deadlock cycles (parallel) -----------
     timeline_phase("analyzer.phase2", "coarse SC-graph cycle scan");
@@ -951,7 +940,6 @@ fn edge_condition(
     tables: &[String],
     edge: usize,
     config: &AnalyzerConfig,
-    oracle: Option<&dyn IndexOracle>,
 ) -> Option<TermId> {
     let mut arms: Vec<TermId> = Vec::new();
     for table in tables {
@@ -974,7 +962,7 @@ fn edge_condition(
             // Fine-grained lock filter: some lock pair must be able to
             // conflict on this table.
             let locks_w = gen_exclusive_locks(&w_rec.stmt, table, catalog);
-            let locks_r = gen_shared_locks(&r_rec.stmt, table, r_rec.is_empty, catalog, oracle);
+            let locks_r = gen_shared_locks(&r_rec.stmt, table, r_rec.is_empty, catalog);
             if !potential_conflict(&locks_w, &locks_r) {
                 continue;
             }
@@ -995,7 +983,6 @@ fn edge_condition(
                     table,
                     edge,
                     config.use_range_locks,
-                    oracle,
                 )
             } else {
                 let mut w_side = Side {
@@ -1014,7 +1001,6 @@ fn edge_condition(
                     table,
                     edge,
                     config.use_range_locks,
-                    oracle,
                 )
             };
             arms.push(cond);

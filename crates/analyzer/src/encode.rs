@@ -426,7 +426,6 @@ pub fn range_conflict_cond(
 
 /// Alg. 3 `GenConflictCond`: the full conflict condition for a C-edge where
 /// `w` writes `common_table` and `r` reads (or writes) it.
-#[allow(clippy::too_many_arguments)]
 pub fn gen_conflict_cond(
     dst: &mut Ctx,
     catalog: &Catalog,
@@ -435,7 +434,6 @@ pub fn gen_conflict_cond(
     common_table: &str,
     edge: usize,
     use_range_locks: bool,
-    oracle: Option<&dyn crate::indexes::IndexOracle>,
 ) -> TermId {
     let reader_aliases = r.rec.stmt.aliases_of(common_table);
     let read_c = unified_read_cond(dst, catalog, r, edge);
@@ -445,13 +443,8 @@ pub fn gen_conflict_cond(
 
     if use_range_locks {
         let locks_w = crate::locks::gen_exclusive_locks(&w.rec.stmt, common_table, catalog);
-        let locks_r = crate::locks::gen_shared_locks(
-            &r.rec.stmt,
-            common_table,
-            r.rec.is_empty,
-            catalog,
-            oracle,
-        );
+        let locks_r =
+            crate::locks::gen_shared_locks(&r.rec.stmt, common_table, r.rec.is_empty, catalog);
         for lr in locks_r
             .iter()
             .filter(|l| l.granularity == crate::locks::Granularity::Range)

@@ -42,36 +42,6 @@ struct Edge {
     index: Arc<IndexDef>,
 }
 
-/// An oracle answering "which index would the database actually use?" —
-/// the paper's Sec. V-D future work of consulting the database's concrete
-/// execution plan (`EXPLAIN`) instead of enumerating every possible
-/// index. `None` means the oracle has no answer for this statement and
-/// the enumeration result stands. `Sync` because the parallel fine-grained
-/// phase consults the oracle from worker threads.
-pub trait IndexOracle: Sync {
-    /// The chosen `(alias, index name or None-for-scan)` per table access
-    /// of `stmt`, or `None` when unknown.
-    fn plan(&self, stmt: &Statement) -> Option<Vec<(String, Option<String>)>>;
-}
-
-/// Restrict enumerated index uses to an oracle's concrete plan.
-pub fn refine_with_oracle(
-    uses: Vec<IndexUse>,
-    stmt: &Statement,
-    oracle: &dyn IndexOracle,
-) -> Vec<IndexUse> {
-    let Some(plan) = oracle.plan(stmt) else {
-        return uses;
-    };
-    uses.into_iter()
-        .filter(|u| {
-            plan.iter().any(|(alias, index)| {
-                alias == &u.alias && *index == u.index.as_ref().map(|i| i.name.clone())
-            })
-        })
-        .collect()
-}
-
 /// Infer all possible index uses for `stmt` (paper's
 /// `InferPossibleIndexes`).
 ///
@@ -216,11 +186,6 @@ fn enumerate(
     }
 }
 
-/// Per-alias grouping of possible index uses.
-pub fn uses_for_alias<'a>(uses: &'a [IndexUse], alias: &str) -> Vec<&'a IndexUse> {
-    uses.iter().filter(|u| u.alias == alias).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,13 +297,14 @@ mod tests {
         // then becomes reachable through its primary index.
         let q = parse("SELECT * FROM OrderItem oi JOIN Order o ON o.ID = oi.O_ID").unwrap();
         let uses = infer_possible_indexes(&q, &cat);
-        let oi = uses_for_alias(&uses, "oi");
-        assert!(oi.iter().any(|u| u.index.is_none()), "oi must be scanned");
-        let o = uses_for_alias(&uses, "o");
         assert!(
-            o.iter()
-                .any(|u| u.index.as_ref().is_some_and(|i| i.name == "PRIMARY")),
-            "Order reachable via PRIMARY after scanning oi: {o:?}"
+            uses.iter().any(|u| u.alias == "oi" && u.index.is_none()),
+            "oi must be scanned"
+        );
+        assert!(
+            uses.iter()
+                .any(|u| u.alias == "o" && u.index.as_ref().is_some_and(|i| i.name == "PRIMARY")),
+            "Order reachable via PRIMARY after scanning oi: {uses:?}"
         );
     }
 }

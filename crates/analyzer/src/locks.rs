@@ -6,7 +6,7 @@
 //! empty reads, a table lock when no index is usable, and exclusive
 //! row/range locks for the write set of UPDATE/INSERT/DELETE.
 
-use crate::indexes::{infer_possible_indexes, refine_with_oracle, IndexOracle, IndexUse};
+use crate::indexes::{infer_possible_indexes, IndexUse};
 use std::sync::Arc;
 use weseer_sqlir::cond::is_point_query;
 use weseer_sqlir::{Catalog, IndexDef, Pred, Statement};
@@ -58,12 +58,8 @@ pub fn gen_shared_locks(
     target_table: &str,
     is_empty: bool,
     catalog: &Catalog,
-    oracle: Option<&dyn IndexOracle>,
 ) -> Vec<SymLock> {
-    let mut uses = infer_possible_indexes(stmt, catalog);
-    if let Some(oracle) = oracle {
-        uses = refine_with_oracle(uses, stmt, oracle);
-    }
+    let uses = infer_possible_indexes(stmt, catalog);
     // An INSERT's "read phase" is its duplicate check: it only locks
     // *unique* indexes (InnoDB takes an S lock on a conflicting entry /
     // its gap); non-unique secondary entries are written without any
@@ -228,7 +224,7 @@ mod tests {
     fn unique_point_read_takes_row_lock() {
         let cat = catalog();
         let q = parse("SELECT * FROM Product p WHERE p.ID = ?").unwrap();
-        let locks = gen_shared_locks(&q, "Product", false, &cat, None);
+        let locks = gen_shared_locks(&q, "Product", false, &cat);
         assert_eq!(locks.len(), 1);
         assert_eq!(locks[0].granularity, Granularity::Row);
         assert_eq!(locks[0].mode, SymMode::S);
@@ -238,7 +234,7 @@ mod tests {
     fn empty_read_takes_range_lock() {
         let cat = catalog();
         let q = parse("SELECT * FROM Product p WHERE p.ID = ?").unwrap();
-        let locks = gen_shared_locks(&q, "Product", true, &cat, None);
+        let locks = gen_shared_locks(&q, "Product", true, &cat);
         assert_eq!(locks.len(), 1);
         assert_eq!(locks[0].granularity, Granularity::Range);
         assert_eq!(locks[0].preds.len(), 1);
@@ -248,7 +244,7 @@ mod tests {
     fn secondary_scan_adds_primary_row_lock() {
         let cat = catalog();
         let q = parse("SELECT * FROM OrderItem oi WHERE oi.O_ID = ?").unwrap();
-        let locks = gen_shared_locks(&q, "OrderItem", false, &cat, None);
+        let locks = gen_shared_locks(&q, "OrderItem", false, &cat);
         // Range on the secondary + row on PRIMARY.
         assert!(locks.iter().any(|l| l.granularity == Granularity::Range
             && l.index.as_ref().unwrap().name == "idx_orderitem_o_id"));
@@ -262,7 +258,7 @@ mod tests {
     fn unindexed_read_takes_table_lock() {
         let cat = catalog();
         let q = parse("SELECT * FROM Product p WHERE p.QTY > ?").unwrap();
-        let locks = gen_shared_locks(&q, "Product", false, &cat, None);
+        let locks = gen_shared_locks(&q, "Product", false, &cat);
         assert_eq!(locks.len(), 1);
         assert_eq!(locks[0].granularity, Granularity::Table);
         assert!(locks[0].index.is_none());
@@ -301,14 +297,14 @@ mod tests {
         let cat = catalog();
         let sel = parse("SELECT * FROM Product p WHERE p.ID = ?").unwrap();
         let upd = parse("UPDATE Product SET QTY = ? WHERE ID = ?").unwrap();
-        let s_locks = gen_shared_locks(&sel, "Product", false, &cat, None);
+        let s_locks = gen_shared_locks(&sel, "Product", false, &cat);
         let x_locks = gen_exclusive_locks(&upd, "Product", &cat);
         assert!(potential_conflict(&x_locks, &s_locks));
         // Two readers never conflict.
         assert!(!potential_conflict(&s_locks, &s_locks));
         // Different indexes: OrderItem O_ID range vs Product primary X.
         let oi = parse("SELECT * FROM OrderItem oi WHERE oi.O_ID = ?").unwrap();
-        let oi_locks = gen_shared_locks(&oi, "OrderItem", false, &cat, None);
+        let oi_locks = gen_shared_locks(&oi, "OrderItem", false, &cat);
         assert!(!potential_conflict(&x_locks, &oi_locks));
     }
 
@@ -317,7 +313,7 @@ mod tests {
         let cat = catalog();
         let scan = parse("SELECT * FROM Product p WHERE p.QTY > ?").unwrap();
         let upd = parse("UPDATE Product SET QTY = ? WHERE ID = ?").unwrap();
-        let s = gen_shared_locks(&scan, "Product", false, &cat, None);
+        let s = gen_shared_locks(&scan, "Product", false, &cat);
         let x = gen_exclusive_locks(&upd, "Product", &cat);
         assert!(potential_conflict(&x, &s));
     }

@@ -157,7 +157,7 @@ fn range_enlargement_admits_neighbours() {
         vec![],
         vec![],
     );
-    let locks = gen_shared_locks(&rec.stmt, "Product", true, &cat, None);
+    let locks = gen_shared_locks(&rec.stmt, "Product", true, &cat);
     let range = locks
         .iter()
         .find(|l| l.granularity == Granularity::Range)
@@ -212,16 +212,7 @@ fn conflict_cond_sat_when_params_can_collide() {
         rec: &writer,
         imp: &mut imp_w,
     };
-    let cond = gen_conflict_cond(
-        &mut dst,
-        &cat,
-        &mut w_side,
-        &mut r_side,
-        "Product",
-        1,
-        true,
-        None,
-    );
+    let cond = gen_conflict_cond(&mut dst, &cat, &mut w_side, &mut r_side, "Product", 1, true);
     match check(&mut dst, cond, &SolverConfig::default()) {
         SolveResult::Sat(m) => {
             // The witness picks colliding ids.
@@ -249,16 +240,7 @@ fn conflict_cond_unsat_for_disjoint_constants() {
         rec: &writer,
         imp: &mut imp_w,
     };
-    let cond = gen_conflict_cond(
-        &mut dst,
-        &cat,
-        &mut w_side,
-        &mut r_side,
-        "Product",
-        1,
-        true,
-        None,
-    );
+    let cond = gen_conflict_cond(&mut dst, &cat, &mut w_side, &mut r_side, "Product", 1, true);
     assert!(matches!(
         check(&mut dst, cond, &SolverConfig::default()),
         SolveResult::Unsat

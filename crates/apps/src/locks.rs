@@ -1,7 +1,7 @@
 //! Application-level locks.
 //!
 //! Real web applications guard critical sections with ad-hoc, application-
-//! side synchronization (Tang et al., cited as [5] in the paper). WeSEER
+//! side synchronization (Tang et al., cited as \[5\] in the paper). WeSEER
 //! does not model these — they are its main source of false positives
 //! (Sec. V-D) — but the performance harness must honor them: fix f9 forces
 //! serial execution of Shopizer's product pricing/commit with exactly such

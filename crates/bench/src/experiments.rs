@@ -336,101 +336,10 @@ pub fn metrics_report(weseer: &Weseer) -> (String, String) {
                 "incremental store: {sh} hits / {sm} misses ({temperature})",
             );
         }
-        // Per-stage wall-clock attribution: where the run's time actually
-        // went, from the pipeline spans, the analyzer's phase timers, and
-        // the solver's per-solve wall clock.
-        human.push_str(&stage_wallclock_table(&analysis.metrics));
         human.push('\n');
         json.push_str(&analysis.metrics.to_json_lines(Some(&analysis.app)));
     }
     (human, json)
-}
-
-/// Render the per-stage wall-clock attribution table for one analysis
-/// delta: stage, number of timed intervals, total microseconds, and the
-/// share of the accounted pipeline time. SMT rows are indented under
-/// phase 3 (solves run inside it) and excluded from the share basis.
-fn stage_wallclock_table(m: &weseer_obs::MetricsSnapshot) -> String {
-    let span = |name: &str| {
-        m.histogram(name)
-            .map(|h| (h.count, h.sum))
-            .unwrap_or((0, 0))
-    };
-    // Spans nest: paths are dotted under the enclosing pipeline span.
-    let (pl_n, pl_us) = span("span.pipeline.analyze");
-    let (tc_n, tc_us) = span("span.pipeline.analyze.pipeline.collect_traces");
-    let (an_n, an_us) = span("span.pipeline.analyze.analyzer.diagnose");
-    let (rp_n, rp_us) = span("span.pipeline.analyze.pipeline.replay");
-    let phase = |name: &str| m.counter(name);
-    let (p1, p2, p3) = (
-        phase("analyzer.phase1_us"),
-        phase("analyzer.phase2_us"),
-        phase("analyzer.phase3_us"),
-    );
-    let (sv_n, sv_us) = span("smt.solve_us");
-    let (fs_n, fs_us) = span("smt.full_solve_us");
-
-    let total = pl_us.max(1);
-    let pct = |us: u64| format!("{:.1}%", 100.0 * us as f64 / total as f64);
-    let rows = vec![
-        vec![
-            "pipeline total".into(),
-            pl_n.to_string(),
-            pl_us.to_string(),
-            pct(pl_us),
-        ],
-        vec![
-            "trace collection".into(),
-            tc_n.to_string(),
-            tc_us.to_string(),
-            pct(tc_us),
-        ],
-        vec![
-            "diagnosis".into(),
-            an_n.to_string(),
-            an_us.to_string(),
-            pct(an_us),
-        ],
-        vec![
-            "  phase 1 (pair filter)".into(),
-            "-".into(),
-            p1.to_string(),
-            pct(p1),
-        ],
-        vec![
-            "  phase 2 (coarse cycles)".into(),
-            "-".into(),
-            p2.to_string(),
-            pct(p2),
-        ],
-        vec![
-            "  phase 3 (fine + SMT)".into(),
-            "-".into(),
-            p3.to_string(),
-            pct(p3),
-        ],
-        vec![
-            "    SMT queries (all tiers)".into(),
-            sv_n.to_string(),
-            sv_us.to_string(),
-            pct(sv_us),
-        ],
-        vec![
-            "    full DPLL(T) solves".into(),
-            fs_n.to_string(),
-            fs_us.to_string(),
-            pct(fs_us),
-        ],
-        vec![
-            "witness replay".into(),
-            rp_n.to_string(),
-            rp_us.to_string(),
-            pct(rp_us),
-        ],
-    ];
-    let mut out = String::from("per-stage wall-clock attribution:\n");
-    out.push_str(&table(&["stage", "intervals", "wall (us)", "share"], &rows));
-    out
 }
 
 /// Witness replay over both applications: every diagnosed cycle is

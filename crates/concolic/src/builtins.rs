@@ -47,43 +47,6 @@ pub fn string_equals(engine: &mut Engine, a: &SymValue, b: &SymValue) -> SymBool
     engine.cmp(CmpOp::Eq, a, b)
 }
 
-/// `String.concat`: the result is opaque (no string-concatenation theory),
-/// so it becomes a fresh symbolic variable when any input is symbolic —
-/// exactly the paper's treatment of ignored functions.
-pub fn string_concat(engine: &mut Engine, a: &SymValue, b: &SymValue) -> SymValue {
-    let concrete = format!(
-        "{}{}",
-        a.as_str().unwrap_or_default(),
-        b.as_str().unwrap_or_default()
-    );
-    if engine.tracking() && (a.is_symbolic() || b.is_symbolic()) {
-        if engine.library_mode() == LibraryMode::Naive {
-            naive_probe_branches(engine, concrete.len().max(1));
-        }
-        engine.fresh_output("concat", Value::Str(concrete))
-    } else {
-        SymValue::concrete(Value::Str(concrete))
-    }
-}
-
-/// `String.isEmpty`.
-pub fn string_is_empty(engine: &mut Engine, a: &SymValue) -> SymBool {
-    string_equals(engine, a, &SymValue::concrete(""))
-}
-
-/// `String.length`: opaque non-negative integer output.
-pub fn string_length(engine: &mut Engine, a: &SymValue) -> SymValue {
-    let len = a.as_str().map(str::len).unwrap_or(0) as i64;
-    if engine.tracking() && a.is_symbolic() {
-        if engine.library_mode() == LibraryMode::Naive {
-            naive_probe_branches(engine, (len as usize).max(1));
-        }
-        engine.fresh_output("strlen", Value::Int(len))
-    } else {
-        SymValue::concrete(len)
-    }
-}
-
 /// `BigDecimal` — high-precision decimal modeled as a real (paper: Z3
 /// floats suffice for the unit tests' numeric ranges).
 #[derive(Debug, Clone, PartialEq)]
@@ -93,11 +56,6 @@ impl BigDecimal {
     /// From a concrete decimal.
     pub fn from_f64(v: f64) -> Self {
         BigDecimal(SymValue::concrete(Value::Float(v)))
-    }
-
-    /// Wrap an existing concolic numeric (integers widen to reals).
-    pub fn from_sym(v: SymValue) -> Self {
-        BigDecimal(v)
     }
 
     /// Concrete value.
@@ -167,30 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn concat_produces_fresh_output() {
-        let mut e = engine();
-        let s = e.make_symbolic("a", Value::str("foo"));
-        let t = SymValue::concrete("bar");
-        let c = string_concat(&mut e, &s, &t);
-        assert_eq!(c.as_str(), Some("foobar"));
-        assert!(c.is_symbolic());
-        // Fresh: unrelated to input symbol.
-        assert_ne!(c.sym, s.sym);
-    }
-
-    #[test]
-    fn concrete_concat_stays_concrete() {
-        let mut e = engine();
-        let c = string_concat(&mut e, &SymValue::concrete("a"), &SymValue::concrete("b"));
-        assert!(!c.is_symbolic());
-        assert_eq!(c.as_str(), Some("ab"));
-    }
-
-    #[test]
     fn bigdecimal_arithmetic_models_reals() {
         let mut e = engine();
         let price = e.make_symbolic("price", Value::Float(10.5));
-        let a = BigDecimal::from_sym(price);
+        let a = BigDecimal(price);
         let b = BigDecimal::from_f64(2.5);
         let sum = a.add(&mut e, &b);
         assert_eq!(sum.value(), 13.0);
@@ -198,16 +136,5 @@ mod tests {
         let c = sum.cmp(&mut e, CmpOp::Ge, &BigDecimal::from_f64(0.0));
         assert!(c.concrete);
         assert!(c.sym.is_some());
-    }
-
-    #[test]
-    fn string_length_and_is_empty() {
-        let mut e = engine();
-        let s = e.make_symbolic("s", Value::str("ab"));
-        let l = string_length(&mut e, &s);
-        assert_eq!(l.as_int(), Some(2));
-        assert!(l.is_symbolic());
-        let empty = string_is_empty(&mut e, &SymValue::concrete(""));
-        assert!(empty.concrete);
     }
 }

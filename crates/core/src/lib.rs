@@ -22,13 +22,11 @@
 //! }
 //! ```
 
-pub mod oracle;
 pub mod overhead;
 pub mod perf;
 pub mod pipeline;
 pub mod replay;
 
-pub use oracle::DbPlanOracle;
 pub use overhead::{measure_overhead, measure_pruning, OverheadRow, PruningRow};
 pub use perf::{fix_configurations, run_perf_sweep, PerfConfig, PerfPoint};
 pub use pipeline::{

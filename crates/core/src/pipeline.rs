@@ -440,7 +440,6 @@ impl Weseer {
             &app.catalog(),
             &traces,
             &self.config,
-            None,
             store_ctx.as_ref(),
             None,
         );

@@ -246,13 +246,6 @@ impl Database {
             }),
         }
     }
-
-    /// The concrete access plan for a statement — MySQL's `EXPLAIN`
-    /// (paper Sec. V-D future work: the analyzer can consume this to
-    /// avoid assuming indexes the engine would never use).
-    pub fn explain(&self, stmt: &Statement, params: &[Value]) -> Vec<exec::ExplainRow> {
-        exec::explain(stmt, params, &self.inner.catalog)
-    }
 }
 
 /// A client session holding at most one open transaction.

@@ -150,122 +150,6 @@ enum Access {
 /// Maximum plan/lock/replan iterations before giving up.
 const MAX_REPLANS: usize = 10_000;
 
-/// One row of an EXPLAIN result: how the engine would access one table
-/// of the statement (paper Sec. V-D future work: "query the database for
-/// its concrete execution plan").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplainRow {
-    /// Table alias.
-    pub alias: String,
-    /// Table name.
-    pub table: String,
-    /// Chosen index, `None` for a full table scan.
-    pub index: Option<String>,
-    /// Access kind: `const` (unique point), `ref` (equality scan),
-    /// `range`, or `ALL` (MySQL EXPLAIN vocabulary).
-    pub access: &'static str,
-}
-
-/// Produce the concrete access plan the executor would use, without
-/// taking locks or touching data.
-///
-/// Join levels are planned in FROM/JOIN order with earlier aliases
-/// considered bound (exactly how [`execute`] plans them).
-pub fn explain(
-    stmt: &Statement,
-    params: &[Value],
-    catalog: &weseer_sqlir::Catalog,
-) -> Vec<ExplainRow> {
-    let mut out = Vec::new();
-    let levels: Vec<(String, String, Vec<weseer_sqlir::Cond>)> = match stmt {
-        Statement::Select(s) => {
-            let where_conds: Vec<weseer_sqlir::Cond> = s.where_clause.iter().cloned().collect();
-            let mut levels = vec![(
-                s.from.alias.clone(),
-                s.from.table.clone(),
-                where_conds.clone(),
-            )];
-            for j in &s.joins {
-                let mut cs = vec![j.on.clone()];
-                cs.extend(where_conds.iter().cloned());
-                levels.push((j.table.alias.clone(), j.table.table.clone(), cs));
-            }
-            levels
-        }
-        Statement::Update(u) => vec![(
-            u.table.clone(),
-            u.table.clone(),
-            u.where_clause.iter().cloned().collect(),
-        )],
-        Statement::Delete(d) => vec![(
-            d.table.clone(),
-            d.table.clone(),
-            d.where_clause.iter().cloned().collect(),
-        )],
-        Statement::Insert(i) => {
-            // Inserts locate their position through the primary index.
-            return vec![ExplainRow {
-                alias: i.table.clone(),
-                table: i.table.clone(),
-                index: Some("PRIMARY".to_string()),
-                access: "const",
-            }];
-        }
-    };
-
-    let mut bound_aliases: Vec<String> = Vec::new();
-    for (alias, table, conds) in levels {
-        let Some(def) = catalog.table(&table) else {
-            continue;
-        };
-        // Structural predicate binding: params/consts always resolve;
-        // columns of earlier levels resolve at execution time.
-        let mut preds: Vec<BoundPred> = Vec::new();
-        for cond in &conds {
-            for p in cond.top_predicates() {
-                let o = p.oriented_for(&alias);
-                if let Operand::Column { alias: a, column } = &o.lhs {
-                    if a != &alias {
-                        continue;
-                    }
-                    let resolvable = match &o.rhs {
-                        Operand::Param(i) => params.get(*i).map(|v| !v.is_null()).unwrap_or(true),
-                        Operand::Const(v) => !v.is_null(),
-                        Operand::Column { alias: a2, .. } => bound_aliases.contains(a2),
-                    };
-                    if resolvable {
-                        let value = match &o.rhs {
-                            Operand::Param(i) => params.get(*i).cloned().unwrap_or(Value::Int(0)),
-                            Operand::Const(v) => v.clone(),
-                            Operand::Column { .. } => Value::Int(0), // structural only
-                        };
-                        preds.push(BoundPred {
-                            column: column.clone(),
-                            op: o.op,
-                            value,
-                        });
-                    }
-                }
-            }
-        }
-        let access = choose_access(def, &preds);
-        let (index, kind) = match &access {
-            Access::PointUnique { index, .. } => (Some(index.clone()), "const"),
-            Access::EqScan { index, .. } => (Some(index.clone()), "ref"),
-            Access::RangeScan { index, .. } => (Some(index.clone()), "range"),
-            Access::FullScan => (None, "ALL"),
-        };
-        out.push(ExplainRow {
-            alias: alias.clone(),
-            table,
-            index,
-            access: kind,
-        });
-        bound_aliases.push(alias);
-    }
-    out
-}
-
 /// Whether the statement is a lock-free snapshot read under `iso`:
 /// a plain SELECT (no `FOR UPDATE`) at a weak isolation level. Writes and
 /// locking reads stay current reads under 2PL at every level (InnoDB's

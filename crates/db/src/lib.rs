@@ -65,7 +65,7 @@ pub mod types;
 
 pub use anomaly::{AnomalyEvent, AnomalyKind, AnomalyTracker};
 pub use database::{Database, DbStats, Session};
-pub use exec::{ExecData, ExplainRow, MvccCtx, StepResult};
+pub use exec::{ExecData, MvccCtx, StepResult};
 pub use lock::{AcquireOutcome, LockManager, LockMode, LockStats, LockTarget};
 pub use mvcc::{IsolationLevel, VersionStore};
 pub use storage::{Row, Storage};

@@ -47,20 +47,6 @@ pub fn escape_help(text: &str) -> String {
     out
 }
 
-/// Escape a label value: backslash, newline, and double quote.
-pub fn escape_label_value(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '"' => out.push_str("\\\""),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render `snap` in the Prometheus text exposition format.
 pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
@@ -107,9 +93,8 @@ mod tests {
     }
 
     #[test]
-    fn help_and_label_escaping() {
+    fn help_escaping() {
         assert_eq!(escape_help("a\\b\nc"), "a\\\\b\\nc");
-        assert_eq!(escape_label_value("x\"y\\z\n"), "x\\\"y\\\\z\\n");
     }
 
     #[test]

@@ -25,7 +25,7 @@ thread_local! {
     static STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
-/// RAII guard for a timing span. Create with [`crate::span`] or
+/// RAII guard for a timing span. Create with [`crate::span()`] or
 /// [`SpanGuard::enter`]; the measurement is recorded on drop.
 #[derive(Debug)]
 pub struct SpanGuard {

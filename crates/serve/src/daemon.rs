@@ -359,7 +359,6 @@ fn run_analysis(job: AnalysisJob, store: Option<&Arc<Store>>, shards: usize) {
         &catalog,
         &job.traces,
         &config,
-        None,
         store_ctx.as_ref(),
         Some(&mut |report| {
             verdicts += 1;

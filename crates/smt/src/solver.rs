@@ -25,11 +25,12 @@ use std::collections::{BTreeMap, HashMap};
 /// never verdicts — which the root `tier_grid` test verifies end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Tier 0: bottom-up simplification ([`crate::simplify`]); the later
-    /// stages see the simplified formula.
+    /// Tier 0: bottom-up simplification
+    /// ([`crate::simplify`](mod@crate::simplify)); the later stages see the
+    /// simplified formula.
     pub simplify: bool,
-    /// Tier 1: abstract pre-solve ([`crate::presolve`]), which either
-    /// finds a model or falls through.
+    /// Tier 1: abstract pre-solve ([`crate::presolve`](mod@crate::presolve)),
+    /// which either finds a model or falls through.
     pub presolve: bool,
 }
 

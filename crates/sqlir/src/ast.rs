@@ -45,18 +45,6 @@ impl CmpOp {
         }
     }
 
-    /// The logical negation (`a < b` ⇔ ¬(`a >= b`)).
-    pub fn negate(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Ne,
-            CmpOp::Ne => CmpOp::Eq,
-            CmpOp::Lt => CmpOp::Ge,
-            CmpOp::Le => CmpOp::Gt,
-            CmpOp::Gt => CmpOp::Le,
-            CmpOp::Ge => CmpOp::Lt,
-        }
-    }
-
     /// Evaluate against a comparison result.
     pub fn eval(self, ord: Ordering) -> bool {
         match self {
@@ -654,7 +642,6 @@ mod tests {
             CmpOp::Ge,
         ] {
             assert_eq!(op.flip().flip(), op);
-            assert_eq!(op.negate().negate(), op);
         }
         assert!(CmpOp::Le.eval(Ordering::Equal));
         assert!(!CmpOp::Lt.eval(Ordering::Equal));

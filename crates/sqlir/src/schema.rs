@@ -155,19 +155,6 @@ impl TableDef {
     pub fn index(&self, name: &str) -> Option<&IndexDef> {
         self.indexes.iter().find(|i| i.name == name)
     }
-
-    /// Indexes whose *leading* column set is covered by `columns`
-    /// (a B-tree index is usable when a prefix of its key is constrained).
-    pub fn indexes_usable_with(&self, columns: &[&str]) -> Vec<&IndexDef> {
-        self.indexes
-            .iter()
-            .filter(|idx| {
-                idx.columns
-                    .first()
-                    .is_some_and(|lead| columns.contains(&lead.as_str()))
-            })
-            .collect()
-    }
 }
 
 /// Builder for a [`TableDef`].
@@ -381,16 +368,6 @@ mod tests {
         assert_eq!(idx.columns, vec!["O_ID"]);
         assert!(idx.is_secondary());
         assert!(!idx.unique);
-    }
-
-    #[test]
-    fn usable_indexes_by_leading_column() {
-        let t = order_item();
-        let usable = t.indexes_usable_with(&["O_ID"]);
-        assert_eq!(usable.len(), 1);
-        assert_eq!(usable[0].name, "idx_orderitem_o_id");
-        let usable = t.indexes_usable_with(&["ID", "P_ID"]);
-        assert_eq!(usable.len(), 2); // PRIMARY + idx_orderitem_p_id
     }
 
     #[test]

@@ -92,7 +92,6 @@ fn the_sink_sees_exactly_the_collected_reports() {
             &traces,
             &config,
             None,
-            None,
             Some(&mut |r| streamed.push_str(&bytes(r))),
         );
         let collected: String = diagnosis.deadlocks.iter().map(bytes).collect();
@@ -125,7 +124,6 @@ fn a_capped_run_says_so_and_keeps_the_prefix() {
             &catalog,
             &traces,
             &config,
-            None,
             None,
             Some(&mut |r| sunk.push(r.to_string())),
         );
