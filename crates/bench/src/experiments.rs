@@ -438,9 +438,8 @@ pub fn anomaly_report(weseer: &Weseer) -> (String, String) {
                 );
                 let _ = writeln!(
                     human,
-                    "{} candidates ({} beyond the cap), {} confirmed",
-                    a.candidates.len() + a.truncated,
-                    a.truncated,
+                    "{} candidates, {} confirmed",
+                    a.candidates.len(),
                     a.confirmed().len(),
                 );
                 for (c, v) in a.candidates.iter().zip(&a.verdicts) {

@@ -131,24 +131,47 @@ mod tests {
     use super::*;
     use weseer_apps::Broadleaf;
 
+    /// Engine work over one Broadleaf unit-test chain in `mode`:
+    /// (interpreted operations, symbolic operations).
+    fn chain_work(mode: ExecMode) -> (u64, u64) {
+        let fixes = Fixes::none();
+        let locks = AppLocks::new();
+        let mut work = (0, 0);
+        run_chain(&Broadleaf, None, |test, db| {
+            let (trace, _ctx, result) = collect_trace(
+                &Broadleaf,
+                test,
+                db,
+                &fixes,
+                &locks,
+                mode,
+                LibraryMode::Modeled,
+            );
+            result.unwrap_or_else(|e| panic!("unit test {test} failed: {e}"));
+            work.0 += trace.stats.interpreted_ops;
+            work.1 += trace.stats.sym_ops;
+        });
+        work
+    }
+
     #[test]
     fn overhead_modes_are_ordered() {
-        let rows = measure_overhead(&Broadleaf, 2);
-        assert_eq!(rows.len(), 7);
-        // The *total* across APIs must show the Table III ordering:
-        // concolic > interpretive ≥ native (individual APIs can be noisy).
-        let total = |f: fn(&OverheadRow) -> Duration| -> Duration { rows.iter().map(f).sum() };
-        let orig = total(|r| r.original);
-        let interp = total(|r| r.interpretive);
-        let conc = total(|r| r.concolic);
+        assert_eq!(measure_overhead(&Broadleaf, 1).len(), 7);
+        // Table III's ordering, on the work each mode does rather than on
+        // its wall time: native interprets nothing, interpretive
+        // dispatches every operation, concolic also tracks symbols.
+        let [native, interpretive, concolic] =
+            [ExecMode::Native, ExecMode::Interpretive, ExecMode::Concolic].map(chain_work);
+        assert_eq!(native, (0, 0), "native runs no engine");
         assert!(
-            conc > orig,
-            "concolic {conc:?} should exceed native {orig:?}"
+            interpretive.0 > 0 && interpretive.1 == 0,
+            "interpretive {interpretive:?} dispatches without symbols"
         );
         assert!(
-            conc > interp,
-            "concolic {conc:?} should exceed interpretive {interp:?}"
+            concolic.0 > interpretive.0 && concolic.1 > 0,
+            "concolic {concolic:?} must do more than interpretive {interpretive:?}"
         );
+        assert_eq!([interpretive, concolic], [(805, 0), (1036, 12)]);
     }
 
     #[test]

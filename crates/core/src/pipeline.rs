@@ -12,9 +12,7 @@ use weseer_apps::app::{collect_trace, run_chain};
 use weseer_apps::{classify, AppLocks, ECommerceApp, Fixes, KnownDeadlock};
 use weseer_concolic::{ExecMode, LibraryMode};
 use weseer_db::{Database, IsolationLevel};
-use weseer_replay::{
-    explore_anomalies, pair_instances, AnomalyOutcome, AnomalyWitness, ReplayVerdict, Witness,
-};
+use weseer_replay::{explore_anomalies, pair_instances, AnomalyWitness, ReplayVerdict, Witness};
 use weseer_store::{json::Json, Lookup, Store};
 
 /// The WeSEER tool facade.
@@ -75,13 +73,10 @@ pub struct AppAnalysis {
 pub struct AnomalyAnalysis {
     /// Kebab-case isolation level the confirmations ran under.
     pub isolation: String,
-    /// Candidates from the static oracle, sorted; capped at
-    /// [`AnomalyAnalysis::MAX_CANDIDATES`] (`truncated` counts the rest).
+    /// Every candidate from the static oracle, sorted.
     pub candidates: Vec<AnomalyCandidate>,
     /// One verdict per candidate, index-aligned.
     pub verdicts: Vec<AnomalyVerdict>,
-    /// Candidates dropped by the cap.
-    pub truncated: usize,
 }
 
 /// Dynamic verdict for one anomaly candidate.
@@ -119,9 +114,6 @@ impl AnomalyVerdict {
 }
 
 impl AnomalyAnalysis {
-    /// Deterministic cap on confirmed candidates per analysis.
-    pub const MAX_CANDIDATES: usize = 8;
-
     /// Confirmed witnesses, in candidate order.
     pub fn confirmed(&self) -> Vec<&AnomalyWitness> {
         self.verdicts
@@ -138,10 +130,7 @@ impl AnomalyAnalysis {
     /// exploration budget says so (`"budget_hit":true`; absent otherwise).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let mut s = format!(
-            "{{\"isolation\":\"{}\",\"truncated\":{},\"candidates\":[",
-            self.isolation, self.truncated
-        );
+        let mut s = format!("{{\"isolation\":\"{}\",\"candidates\":[", self.isolation);
         for (i, (c, v)) in self.candidates.iter().zip(&self.verdicts).enumerate() {
             if i > 0 {
                 s.push(',');
@@ -490,9 +479,9 @@ impl Weseer {
         }
     }
 
-    /// Run the static anomaly oracle over the traces, then confirm each
-    /// candidate (up to [`AnomalyAnalysis::MAX_CANDIDATES`]) by exploring
-    /// interleavings at `iso` from the state the pair's traces ran from.
+    /// Run the static anomaly oracle over the traces, then confirm every
+    /// candidate by exploring interleavings at `iso` from the state the
+    /// pair's traces ran from.
     /// Candidates whose level list excludes `iso` are reported
     /// [`AnomalyVerdict::NotApplicable`] without exploring.
     /// Candidates are independent, so they are explored on `threads`
@@ -504,11 +493,7 @@ impl Weseer {
         threads: usize,
     ) -> AnomalyAnalysis {
         let _span = weseer_obs::span("pipeline.anomalies");
-        let mut candidates = find_anomaly_candidates(traces);
-        let truncated = candidates
-            .len()
-            .saturating_sub(AnomalyAnalysis::MAX_CANDIDATES);
-        candidates.truncate(AnomalyAnalysis::MAX_CANDIDATES);
+        let candidates = find_anomaly_candidates(traces);
         // Replays use the traced inputs (the oracle has no SAT model to pin
         // anything sharper).
         let traced = weseer_smt::Model::default();
@@ -524,22 +509,16 @@ impl Weseer {
                     Ok(instances) => instances,
                     Err(reason) => return AnomalyVerdict::Skipped(reason),
                 };
-                match explore_anomalies(
-                    bases.for_pair(&c.a_api, &c.b_api),
-                    &instances,
-                    &[c.a_api.clone(), c.b_api.clone()],
-                    iso,
-                    &weseer_replay::ReplayConfig::default(),
-                ) {
-                    AnomalyOutcome::Anomalous(w) => AnomalyVerdict::Confirmed(w),
-                    AnomalyOutcome::Clean {
-                        explored,
-                        pruned,
-                        budget_hit,
-                    } => AnomalyVerdict::Clean {
-                        explored,
-                        pruned,
-                        budget_hit,
+                let apis = [c.a_api.clone(), c.b_api.clone()];
+                let base = bases.for_pair(&c.a_api, &c.b_api);
+                let config = weseer_replay::ReplayConfig::default();
+                let s = explore_anomalies(base, &instances, iso, &config);
+                match AnomalyWitness::found(&s, &instances, &apis, iso) {
+                    Some(w) => AnomalyVerdict::Confirmed(Box::new(w)),
+                    None => AnomalyVerdict::Clean {
+                        explored: s.explored,
+                        pruned: s.pruned,
+                        budget_hit: s.budget_hit,
                     },
                 }
             },
@@ -549,7 +528,6 @@ impl Weseer {
             isolation: iso.name().to_string(),
             candidates,
             verdicts,
-            truncated,
         }
     }
 
@@ -778,5 +756,58 @@ mod tests {
             .with_isolation(IsolationLevel::ReadCommitted)
             .analyze(&Shopizer);
         assert_eq!(again.anomalies.unwrap().to_json(), json);
+    }
+
+    /// The screen explores every candidate its level admits: per app and
+    /// level, (confirmed, clean, not applicable), with no search cut short
+    /// by the budget.
+    #[test]
+    fn the_anomaly_screen_explores_every_applicable_candidate() {
+        use weseer_db::IsolationLevel::{ReadCommitted, RepeatableRead, Snapshot};
+        let mut counts = Vec::new();
+        let mut si_confirmed = Vec::new();
+        for app in [&Broadleaf as &dyn ECommerceApp, &Shopizer] {
+            let (traces, _, kept) = Weseer::collect_and_keep(app, &Fixes::none());
+            let bases = crate::replay::BaseStates::new(app, kept);
+            for iso in [ReadCommitted, RepeatableRead, Snapshot] {
+                let a = Weseer::anomaly_reports(&bases, &traces, iso, 1);
+                let tally = |tag: &str| a.verdicts.iter().filter(|v| v.tag() == tag).count();
+                assert_eq!(tally("skipped"), 0);
+                for v in &a.verdicts {
+                    if let AnomalyVerdict::Clean { budget_hit, .. } = v {
+                        assert!(!budget_hit, "{}: a clean search hit its budget", app.name());
+                    }
+                }
+                let tags = ["confirmed", "clean", "not_applicable"].map(tally);
+                counts.push((app.name(), iso.name(), tags));
+                if iso == Snapshot {
+                    for (c, v) in a.candidates.iter().zip(&a.verdicts) {
+                        if v.tag() == "confirmed" {
+                            let apis = format!("{}/{}", c.a_api, c.b_api);
+                            si_confirmed.push((app.name(), c.kind.clone(), c.table.clone(), apis));
+                        }
+                    }
+                }
+            }
+        }
+        let expected = [
+            ("broadleaf", "read-committed", [22, 22, 0]),
+            ("broadleaf", "repeatable-read", [22, 22, 0]),
+            ("broadleaf", "snapshot", [0, 11, 33]),
+            ("shopizer", "read-committed", [8, 18, 0]),
+            ("shopizer", "repeatable-read", [6, 12, 8]),
+            ("shopizer", "snapshot", [2, 13, 11]),
+        ];
+        assert_eq!(counts, expected, "(confirmed, clean, not_applicable)");
+        let skew = |apis: &str| {
+            let apis = apis.to_string();
+            (
+                "shopizer",
+                "write-skew".to_string(),
+                "CartItem".to_string(),
+                apis,
+            )
+        };
+        assert_eq!(si_confirmed, [skew("Add3/Checkout"), skew("Add3/Ship")]);
     }
 }

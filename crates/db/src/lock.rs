@@ -354,7 +354,7 @@ impl LockManager {
             });
             publish_waitfor(st);
             self.cond.notify_all();
-            return Err(DbError::Deadlock { cycle });
+            return Err(DbError::Deadlock { cycle, target });
         }
         let mut on: Vec<TxnId> = blockers.iter().copied().collect();
         on.sort_unstable();
@@ -594,7 +594,8 @@ mod tests {
         assert_eq!(
             r,
             Err(DbError::Deadlock {
-                cycle: vec![TxnId(2), TxnId(1)]
+                cycle: vec![TxnId(2), TxnId(1)],
+                target: row(1),
             })
         );
         lm.release_all(TxnId(2));
@@ -635,7 +636,8 @@ mod tests {
         assert_eq!(
             r,
             Err(DbError::Deadlock {
-                cycle: vec![TxnId(3), TxnId(1), TxnId(2)]
+                cycle: vec![TxnId(3), TxnId(1), TxnId(2)],
+                target: row(1),
             })
         );
         lm.release_all(TxnId(3));
@@ -692,7 +694,8 @@ mod tests {
         assert_eq!(
             r,
             Err(DbError::Deadlock {
-                cycle: vec![TxnId(2), TxnId(1)]
+                cycle: vec![TxnId(2), TxnId(1)],
+                target: row(1),
             })
         );
         assert_eq!(lm.stats().deadlocks, 1);
@@ -724,7 +727,8 @@ mod tests {
         assert_eq!(
             r,
             Err(DbError::Deadlock {
-                cycle: vec![TxnId(1), TxnId(2)]
+                cycle: vec![TxnId(1), TxnId(2)],
+                target: row(2),
             })
         );
         // … but T1 deliberately does not release, so T2's wait on the
@@ -788,7 +792,8 @@ mod tests {
         assert_eq!(
             r,
             Err(DbError::Deadlock {
-                cycle: vec![TxnId(1), TxnId(2)]
+                cycle: vec![TxnId(1), TxnId(2)],
+                target: gap(100),
             })
         );
         // T2 releases from another thread; once it is gone the remaining
@@ -802,7 +807,8 @@ mod tests {
         assert_eq!(
             r,
             Err(DbError::Deadlock {
-                cycle: vec![TxnId(1), TxnId(3)]
+                cycle: vec![TxnId(1), TxnId(3)],
+                target: gap(100),
             })
         );
         assert_eq!(lm.stats().deadlocks, 2);

@@ -1,5 +1,6 @@
 //! Core identifiers and key types for the storage engine.
 
+use crate::lock::LockTarget;
 use std::fmt;
 use weseer_sqlir::Value;
 
@@ -60,6 +61,9 @@ pub enum DbError {
     Deadlock {
         /// The waits-for cycle (victim first; implicitly closed).
         cycle: Vec<TxnId>,
+        /// The lock the victim requested when waiting would have closed
+        /// the cycle.
+        target: LockTarget,
     },
     /// Waited longer than the configured lock-wait timeout; the
     /// transaction was rolled back (MySQL's detect-or-timeout recovery).
@@ -88,7 +92,7 @@ pub enum DbError {
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DbError::Deadlock { cycle } => {
+            DbError::Deadlock { cycle, .. } => {
                 write!(
                     f,
                     "deadlock found when trying to get lock; transaction rolled back"
@@ -135,7 +139,7 @@ impl DbError {
     /// The waits-for cycle of a deadlock error, if any.
     pub fn deadlock_cycle(&self) -> Option<&[TxnId]> {
         match self {
-            DbError::Deadlock { cycle } => Some(cycle),
+            DbError::Deadlock { cycle, .. } => Some(cycle),
             _ => None,
         }
     }
@@ -152,8 +156,10 @@ mod tests {
         assert!(KeyBound::Key(vec![Value::Int(1), Value::str("a")])
             .to_string()
             .contains("1,'a'"));
+        let target = LockTarget::Table { table: "T".into() };
         let dl = DbError::Deadlock {
             cycle: vec![TxnId(2), TxnId(1)],
+            target,
         };
         assert!(dl.to_string().contains("deadlock"));
         assert!(dl.to_string().contains("txn#2 -> txn#1 -> txn#2"));
@@ -161,7 +167,11 @@ mod tests {
 
     #[test]
     fn abort_classification() {
-        let dl = DbError::Deadlock { cycle: vec![] };
+        let target = LockTarget::Table { table: "T".into() };
+        let dl = DbError::Deadlock {
+            cycle: vec![],
+            target,
+        };
         assert!(dl.aborts_txn());
         assert_eq!(dl.deadlock_cycle(), Some(&[][..]));
         assert!(DbError::LockWaitTimeout.aborts_txn());

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use weseer_db::{Database, DbError, DbStats, StepResult, TxnId};
 use weseer_sqlir::{parser::parse, Catalog, ColType, Statement, TableBuilder, Value};
 
@@ -63,6 +63,21 @@ fn seeded() -> Database {
         ],
     );
     db
+}
+
+/// Return once the lock manager lists a transaction waiting on `holder`;
+/// fail if `h`'s statement finished first (it never blocked) or nothing
+/// waits before a generous deadline.
+fn await_waiter<T>(db: &Database, holder: TxnId, h: &thread::JoinHandle<T>, what: &str) {
+    let start = Instant::now();
+    while !db.wait_for_edges().iter().any(|&(_, held)| held == holder) {
+        assert!(!h.is_finished(), "{what} finished without waiting");
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "{what} never waited"
+        );
+        thread::yield_now();
+    }
 }
 
 #[test]
@@ -215,7 +230,6 @@ fn empty_select_blocks_insert_in_gap() {
         let mut s2 = db2.session();
         s2.begin();
         let ins = parse("INSERT INTO OrderItem (ID, O_ID, P_ID, QTY) VALUES (?, ?, ?, ?)").unwrap();
-        let started = std::time::Instant::now();
         let r = s2.execute(
             &ins,
             &[
@@ -225,21 +239,20 @@ fn empty_select_blocks_insert_in_gap() {
                 Value::Int(1),
             ],
         );
-        let waited = started.elapsed();
         if r.is_ok() {
             s2.commit().unwrap();
         }
-        (r.map(|d| d.affected), waited)
+        r.map(|d| d.affected)
     });
-    // Give the inserter time to block, then release.
-    thread::sleep(Duration::from_millis(150));
-    s1.commit().unwrap();
-    let (res, waited) = h.join().unwrap();
-    assert_eq!(res.unwrap(), 1);
-    assert!(
-        waited >= Duration::from_millis(100),
-        "insert should have blocked on the gap lock, waited {waited:?}"
+    // The insert must wait on the reader's gap lock until it commits.
+    await_waiter(
+        &db,
+        s1.txn_id().unwrap(),
+        &h,
+        "the insert into the locked gap",
     );
+    s1.commit().unwrap();
+    assert_eq!(h.join().unwrap().unwrap(), 1);
     assert!(db.stats().locks.waits >= 1);
 }
 
@@ -491,18 +504,19 @@ fn full_scan_without_index_takes_table_lock_path() {
         let mut s2 = db2.session();
         s2.begin();
         let u = parse("UPDATE Product SET QTY = ? WHERE ID = ?").unwrap();
-        let started = std::time::Instant::now();
         let r = s2.execute(&u, &[Value::Int(0), Value::Int(11)]);
         if r.is_ok() {
             s2.commit().unwrap();
         }
-        started.elapsed()
+        r.map(|d| d.affected)
     });
-    thread::sleep(Duration::from_millis(120));
-    s1.commit().unwrap();
-    let waited = h.join().unwrap();
-    assert!(
-        waited >= Duration::from_millis(80),
-        "writer should wait, got {waited:?}"
+    // The writer must wait on the reader's table lock until it commits.
+    await_waiter(
+        &db,
+        s1.txn_id().unwrap(),
+        &h,
+        "the write to the scanned table",
     );
+    s1.commit().unwrap();
+    assert_eq!(h.join().unwrap().unwrap(), 1);
 }

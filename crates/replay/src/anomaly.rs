@@ -1,7 +1,9 @@
 //! Weak-isolation anomaly exploration: the replay plane's one schedule
 //! search ([`mod@crate::explore`]) run at a chosen MVCC isolation level
-//! with the *anomaly* goal. Where [`crate::explore()`] hunts for schedules
-//! that *deadlock*, [`explore_anomalies`] hunts for schedules whose
+//! with the *anomaly* goal, whose one judgement treats a wait-for cycle as
+//! an abort and classifies every finished schedule. Where
+//! [`crate::explore()`] hunts for schedules that *deadlock*,
+//! [`explore_anomalies`] hunts for schedules whose
 //! committed history exhibits a lost update, write skew, or read fracture
 //! under `read-committed`, `repeatable-read`, or `snapshot` isolation, as
 //! reported by the storage engine's runtime oracle
@@ -21,7 +23,7 @@
 //! strict 2PL makes this check provably quiet — the property the replay
 //! proptests pin down.
 
-use crate::explore::{search, Finished, Goal, Instance, ReplayConfig};
+use crate::explore::{search, Goal, Instance, ReplayConfig, Schedule, Searched};
 use crate::witness::{
     named, parse_schedule_json, quoted, quoted_list, render_schedule, str_field, strs_field,
     write_schedule_json, WitnessInstance, WitnessStep,
@@ -117,6 +119,26 @@ impl AnomalyWitness {
         })
     }
 
+    /// The witness of an anomaly search at `iso`, if it found one: the one
+    /// place a search result becomes an [`AnomalyWitness`]. `apis` names
+    /// each instance's API (parallel to `instances`).
+    pub fn found(
+        s: &Searched<Vec<AnomalyFinding>>,
+        instances: &[Instance],
+        apis: &[String],
+        iso: IsolationLevel,
+    ) -> Option<AnomalyWitness> {
+        let (steps, anomalies) = s.found.as_ref()?;
+        Some(AnomalyWitness {
+            isolation: iso.name().to_string(),
+            instances: named(instances, apis),
+            steps: steps.clone(),
+            anomalies: anomalies.clone(),
+            schedules_explored: s.explored,
+            schedules_pruned: s.pruned,
+        })
+    }
+
     /// Human-readable rendering for reports.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -140,33 +162,6 @@ impl AnomalyWitness {
             );
         }
         out
-    }
-}
-
-/// Result of exploring interleavings for anomalies within budget.
-#[derive(Debug)]
-pub enum AnomalyOutcome {
-    /// A committed schedule exhibited at least one anomaly; first one
-    /// found in DFS order.
-    Anomalous(Box<AnomalyWitness>),
-    /// No schedule within budget exhibited an anomaly.
-    Clean {
-        /// Schedules completed.
-        explored: usize,
-        /// Branches pruned by sleep sets.
-        pruned: usize,
-        /// The search stopped at a budget, not by covering the schedule space.
-        budget_hit: bool,
-    },
-}
-
-impl AnomalyOutcome {
-    /// The witness, if anomalous.
-    pub fn witness(&self) -> Option<&AnomalyWitness> {
-        match self {
-            AnomalyOutcome::Anomalous(w) => Some(w),
-            AnomalyOutcome::Clean { .. } => None,
-        }
     }
 }
 
@@ -269,35 +264,33 @@ impl Goal for AnomalyGoal {
         db.set_default_isolation(self.iso);
     }
 
-    /// An abort, not a verdict: the victim's history vanishes and the
-    /// surviving instances keep running — the anomaly question is about
-    /// the history that *commits*.
-    fn on_deadlock(&self, _cycle: &[String]) -> Option<Vec<AnomalyFinding>> {
-        None
-    }
-
-    /// Tracker events first, then the serial-state cross-check (only when
-    /// every instance committed — an abort legitimately removes effects no
-    /// serial order would lose).
-    fn on_terminal(&self, fin: &Finished<'_>) -> Option<Vec<AnomalyFinding>> {
-        let mut findings: Vec<AnomalyFinding> = fin
-            .db
-            .anomaly_events()
-            .into_iter()
-            .map(|ev| AnomalyFinding {
-                kind: ev.kind.name().to_string(),
-                table: ev.table.clone(),
-                instances: fin.names(&ev.txns),
-                detail: ev.detail.clone(),
-            })
-            .collect();
-        if findings.is_empty() && !fin.failed.iter().any(|&f| f) && fin.instances.len() <= 3 {
-            let digest = state_digest(&fin.db);
+    /// A wait-for cycle is an abort, not a verdict: the victim's history
+    /// vanishes and the surviving instances keep running — the anomaly
+    /// question is about the history that *commits*. A finished schedule
+    /// is judged by its tracker events first, then by the serial-state
+    /// cross-check (only when every instance committed — an abort
+    /// legitimately removes effects no serial order would lose).
+    fn judge(&self, s: &Schedule<'_>) -> Option<Vec<AnomalyFinding>> {
+        if !s.waits.is_empty() {
+            return None;
+        }
+        let mut findings: Vec<AnomalyFinding> =
+            s.db.anomaly_events()
+                .into_iter()
+                .map(|ev| AnomalyFinding {
+                    kind: ev.kind.name().to_string(),
+                    table: ev.table.clone(),
+                    instances: s.names(&ev.txns),
+                    detail: ev.detail.clone(),
+                })
+                .collect();
+        if findings.is_empty() && !s.failed.iter().any(|&f| f) && s.instances.len() <= 3 {
+            let digest = state_digest(s.db);
             if !self.serial.contains(&digest) {
                 findings.push(AnomalyFinding {
                     kind: "non-serializable-state".into(),
                     table: "*".into(),
-                    instances: fin.instances.iter().map(|i| i.name.clone()).collect(),
+                    instances: s.instances.iter().map(|i| i.name.clone()).collect(),
                     detail: format!(
                         "final state {digest} matches none of the {} serial execution(s)",
                         self.serial.len()
@@ -313,36 +306,22 @@ impl Goal for AnomalyGoal {
 
 /// Explore interleavings of `instances` over forks of `base` at isolation
 /// level `iso`, depth first, until a committed schedule exhibits an
-/// anomaly or budgets are exhausted. `apis` names each instance's API for
-/// the witness (parallel to `instances`).
+/// anomaly or budgets are exhausted. [`AnomalyWitness::found`] turns the
+/// result into a witness.
 pub fn explore_anomalies(
     base: &Database,
     instances: &[Instance],
-    apis: &[String],
     iso: IsolationLevel,
     config: &ReplayConfig,
-) -> AnomalyOutcome {
-    debug_assert_eq!(instances.len(), apis.len());
+) -> Searched<Vec<AnomalyFinding>> {
     let goal = AnomalyGoal {
         iso,
         serial: serial_state_digests(base, instances, iso),
     };
     let s = search(base, instances, &goal, config);
-    let Some((steps, anomalies)) = s.found else {
-        weseer_obs::incr("replay.anomaly.clean");
-        return AnomalyOutcome::Clean {
-            explored: s.explored,
-            pruned: s.pruned,
-            budget_hit: s.budget_hit,
-        };
-    };
-    weseer_obs::incr("replay.anomaly.confirmed");
-    AnomalyOutcome::Anomalous(Box::new(AnomalyWitness {
-        isolation: iso.name().to_string(),
-        instances: named(instances, apis),
-        steps,
-        anomalies,
-        schedules_explored: s.explored,
-        schedules_pruned: s.pruned,
-    }))
+    weseer_obs::incr(match s.found {
+        Some(_) => "replay.anomaly.confirmed",
+        None => "replay.anomaly.clean",
+    });
+    s
 }

@@ -1,15 +1,19 @@
 //! The replay plane's one schedule search: a deterministic DFS over
 //! statement-level interleavings with sleep-set (DPOR-style) pruning,
-//! generic over what it is looking for (a crate-private `Goal`).
+//! generic over what it is looking for (a [`Goal`]).
 //!
-//! [`explore`] hunts for a schedule that *deadlocks*;
+//! A goal judges schedules through one hook, [`Goal::judge`], which sees
+//! a [`Schedule`]: the fork, the instances, the steps so far, which
+//! instances failed and — when a step closed a wait-for cycle — one
+//! [`Wait`] per waiting instance, with the lock it waits on and the steps
+//! of the next instance that were granted it. The search calls it at the
+//! two points a schedule can end: a closed cycle and a finished schedule.
+//! [`explore()`] hunts for a schedule that *deadlocks*;
 //! [`crate::anomaly::explore_anomalies`] runs the same search at a weak
 //! isolation level and hunts for a schedule whose *committed history* is
-//! anomalous. The two goals differ at exactly four points — how a fresh
-//! fork is set up, what a wait-for cycle means, how a finished schedule is
-//! classified, and the prefix of their span and counter names — and share
-//! everything else: the driver loop, frontier expansion, sleep sets, DFS
-//! order and the per-schedule executor.
+//! anomalous. Everything else is shared: the driver loop, frontier
+//! expansion, sleep sets, DFS order, the per-schedule executor and the
+//! result, [`Searched`], which every caller receives.
 //!
 //! There is one [`Database::fork`] per root-to-leaf path of the search
 //! tree, not per node: a run re-executes the decided prefix of the node it
@@ -40,7 +44,7 @@
 
 use crate::concretize::ConcreteStmt;
 use crate::witness::{render_lock, WitnessStep};
-use weseer_db::{Database, DbError, StepResult, TxnId};
+use weseer_db::{Database, DbError, LockMode, LockTarget, StepResult, TxnId};
 
 /// Budget limits for schedule exploration.
 #[derive(Debug, Clone)]
@@ -77,31 +81,6 @@ pub struct Instance {
 
 /// A scheduling decision: `(instance index, statement position)`.
 type Move = (usize, usize);
-
-/// Result of exploring all schedules within budget.
-#[derive(Debug)]
-pub enum ExploreOutcome {
-    /// A schedule deadlocked; first one found in DFS order.
-    Deadlock {
-        /// The witness schedule.
-        steps: Vec<WitnessStep>,
-        /// Final wait-for cycle (instance names, victim first).
-        cycle: Vec<String>,
-        /// Schedules completed up to and including this one.
-        explored: usize,
-        /// Branches pruned by sleep sets.
-        pruned: usize,
-    },
-    /// No schedule within budget deadlocked.
-    Exhausted {
-        /// Schedules completed.
-        explored: usize,
-        /// Branches pruned by sleep sets.
-        pruned: usize,
-        /// The search stopped at a budget, not by covering the schedule space.
-        budget_hit: bool,
-    },
-}
 
 /// Table-level read/write footprint of one move.
 #[derive(Debug, Clone)]
@@ -172,9 +151,11 @@ impl Footprints {
     }
 }
 
-/// What a search is looking for: the four points at which the deadlock
-/// hunt and the anomaly hunt differ.
-pub(crate) trait Goal {
+/// What a search is looking for: a judgement over schedules. The deadlock
+/// hunt ([`explore()`]) and the anomaly hunt
+/// ([`crate::anomaly::explore_anomalies`]) are two goals; a test can bring
+/// its own and run it through [`search`].
+pub trait Goal {
     /// What a witness schedule carries besides its steps.
     type Finding;
     /// Prefix of the span and counter names (`{PREFIX}.explore`,
@@ -182,39 +163,64 @@ pub(crate) trait Goal {
     const PREFIX: &'static str;
     /// Prepare a fresh fork before its sessions begin.
     fn setup(&self, _db: &Database) {}
-    /// A statement closed a wait-for cycle (instance names, victim first).
-    /// `Some` ends the search with this schedule as the witness; `None`
-    /// fails the victim and lets the surviving instances run on.
-    fn on_deadlock(&self, cycle: &[String]) -> Option<Self::Finding>;
-    /// Every instance committed or failed. `Some` ends the search.
-    fn on_terminal(&self, fin: &Finished<'_>) -> Option<Self::Finding>;
+    /// Judge the schedule at one of the two points where it can end: a
+    /// step closed a wait-for cycle (`s.waits` is non-empty), or every
+    /// instance committed or failed (`s.waits` is empty). `Some` ends the
+    /// search with this schedule as the witness. `None` fails the cycle's
+    /// victim and lets the other instances run on, or, at the end of a
+    /// schedule, moves on to the next one.
+    fn judge(&self, s: &Schedule<'_>) -> Option<Self::Finding>;
 }
 
-/// One schedule's state; handed to [`Goal::on_terminal`] once every
-/// instance has committed or failed.
-pub(crate) struct Finished<'a> {
-    /// The fork the schedule ran against.
-    pub db: Database,
+/// One schedule as a [`Goal`] sees it.
+pub struct Schedule<'a> {
+    /// The fork the schedule runs against.
+    pub db: &'a Database,
     /// The interleaved instances.
     pub instances: &'a [Instance],
+    /// The steps so far, in execution order; a closing step is last.
+    pub steps: &'a [WitnessStep],
     /// Which instances aborted (deadlock victim, write conflict, error).
-    pub failed: Vec<bool>,
-    txn_ids: Vec<TxnId>,
+    pub failed: &'a [bool],
+    /// For a step that closed a wait-for cycle, one entry per waiting
+    /// instance, victim first, each waiting on the next (the last on the
+    /// victim); empty otherwise.
+    pub waits: Vec<Wait>,
+    txn_ids: &'a [TxnId],
 }
 
-impl Finished<'_> {
+impl Schedule<'_> {
     /// The instances running transactions `ts`, by name.
     pub fn names(&self, ts: &[TxnId]) -> Vec<String> {
-        let name = |t: &TxnId| match self.txn_ids.iter().position(|x| x == t) {
-            Some(i) => self.instances[i].name.clone(),
-            None => t.to_string(),
-        };
-        ts.iter().map(name).collect()
+        names(self.instances, self.txn_ids, ts)
     }
 }
 
-/// What [`search`] came back with.
-pub(crate) struct Searched<F> {
+/// One waiting instance of a closed wait-for cycle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Wait {
+    /// The waiting instance (an index into [`Schedule::instances`]).
+    pub instance: usize,
+    /// Position of its waiting statement in its instance's statements.
+    pub pos: usize,
+    /// The lock it waits on.
+    pub target: LockTarget,
+    /// Positions, in the next instance's statements, of every step of that
+    /// instance whose granted locks include exactly `target`.
+    pub holders: Vec<usize>,
+}
+
+fn names(instances: &[Instance], txn_ids: &[TxnId], ts: &[TxnId]) -> Vec<String> {
+    let name = |t: &TxnId| match txn_ids.iter().position(|x| x == t) {
+        Some(i) => instances[i].name.clone(),
+        None => t.to_string(),
+    };
+    ts.iter().map(name).collect()
+}
+
+/// What [`search`] came back with; every explorer entry returns it.
+#[derive(Debug)]
+pub struct Searched<F> {
     /// The first schedule in DFS order the goal accepted, with its finding.
     pub found: Option<(Vec<WitnessStep>, F)>,
     /// Schedules completed (including the found one).
@@ -398,7 +404,7 @@ impl<'a> Dfs<'a> {
 
 /// Depth-first search over the interleavings of `instances` on forks of
 /// `base`, until `goal` accepts a schedule or the budgets run out.
-pub(crate) fn search<G: Goal>(
+pub fn search<G: Goal>(
     base: &Database,
     instances: &[Instance],
     goal: &G,
@@ -441,37 +447,43 @@ fn run<G: Goal>(
     mut sleep: Vec<Move>,
 ) -> RunResult<G::Finding> {
     let n = instances.len();
-    let mut fin = Finished {
-        db: base.fork(),
-        instances,
-        failed: vec![false; n],
-        txn_ids: Vec::new(),
-    };
-    goal.setup(&fin.db);
-    let mut sessions: Vec<_> = (0..n).map(|_| fin.db.session()).collect();
+    let db = base.fork();
+    goal.setup(&db);
+    let mut sessions: Vec<_> = (0..n).map(|_| db.session()).collect();
+    let mut txn_ids = Vec::with_capacity(n);
     for s in &mut sessions {
         s.begin();
-        fin.txn_ids
-            .push(s.txn_id().expect("begun transaction has an id"));
+        txn_ids.push(s.txn_id().expect("begun transaction has an id"));
     }
 
     let mut pos = vec![0usize; n];
     let mut done = vec![false; n];
+    let mut failed = vec![false; n];
     let mut blocked = vec![false; n];
+    // What each instance's latest refused lock request asked for.
+    let mut waiting_on: Vec<Option<LockTarget>> = vec![None; n];
     let mut steps: Vec<WitnessStep> = Vec::new();
+    // Every completed step's move and the locks it was granted.
+    let mut grants: Vec<(Move, Vec<(LockTarget, LockMode)>)> = Vec::new();
     // How many of `path`'s choices have been taken.
     let mut di = 0usize;
 
     for _ in 0..dfs.config.max_steps {
         let runnable: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !done[i] && !fin.failed[i] && !blocked[i] && pos[i] < instances[i].stmts.len()
-            })
+            .filter(|&i| !done[i] && !failed[i] && !blocked[i] && pos[i] < instances[i].stmts.len())
             .collect();
         if runnable.is_empty() {
             // Blocked instances cannot persist here: a closing cycle errors
             // out at acquire time, and a finished instance wakes everyone.
-            return match goal.on_terminal(&fin) {
+            let finding = goal.judge(&Schedule {
+                db: &db,
+                instances,
+                steps: &steps,
+                failed: &failed,
+                waits: Vec::new(),
+                txn_ids: &txn_ids,
+            });
+            return match finding {
                 Some(finding) => RunResult::Found { steps, finding },
                 None => RunResult::Terminal { cut: false },
             };
@@ -527,6 +539,7 @@ fn run<G: Goal>(
                 step.locks = data.locks.iter().map(|(t, m)| render_lock(t, *m)).collect();
                 step.outcome = "ok".into();
                 steps.push(step);
+                grants.push((mv, data.locks));
                 pos[choice] += 1;
                 if pos[choice] == inst.stmts.len() {
                     let _ = sessions[choice].commit();
@@ -538,20 +551,30 @@ fn run<G: Goal>(
             Ok(StepResult::Blocked { on, target, mode }) => {
                 step.locks = vec![render_lock(&target, mode)];
                 step.outcome = "blocked".into();
-                step.waits_on = fin.names(&on);
+                step.waits_on = names(instances, &txn_ids, &on);
                 steps.push(step);
                 blocked[choice] = true;
+                waiting_on[choice] = Some(target);
             }
             Err(e) => {
-                let finding = if let DbError::Deadlock { cycle } = &e {
+                let finding = if let DbError::Deadlock { cycle, target } = e {
                     step.outcome = "deadlock".into();
-                    step.waits_on = fin.names(cycle);
-                    goal.on_deadlock(&step.waits_on)
+                    step.waits_on = names(instances, &txn_ids, &cycle);
+                    steps.push(step);
+                    waiting_on[choice] = Some(target);
+                    goal.judge(&Schedule {
+                        db: &db,
+                        instances,
+                        steps: &steps,
+                        failed: &failed,
+                        waits: cycle_waits(&cycle, &txn_ids, &pos, &waiting_on, &grants),
+                        txn_ids: &txn_ids,
+                    })
                 } else {
                     step.outcome = format!("error: {e}");
+                    steps.push(step);
                     None
                 };
-                steps.push(step);
                 if let Some(finding) = finding {
                     return RunResult::Found { steps, finding };
                 }
@@ -560,7 +583,7 @@ fn run<G: Goal>(
                 // duplicate key) too — partial replays cannot meaningfully
                 // continue — and let everyone it blocked retry.
                 sessions[choice].rollback();
-                fin.failed[choice] = true;
+                failed[choice] = true;
                 blocked.fill(false);
             }
         }
@@ -568,37 +591,63 @@ fn run<G: Goal>(
     RunResult::Terminal { cut: true }
 }
 
+/// The [`Wait`]s of a wait-for cycle the lock manager closed (`cycle`,
+/// victim first): every member waits at its current statement on what
+/// its latest refused request asked for, and is held up by the steps of
+/// the next member that were granted exactly that target.
+fn cycle_waits(
+    cycle: &[TxnId],
+    txn_ids: &[TxnId],
+    pos: &[usize],
+    waiting_on: &[Option<LockTarget>],
+    grants: &[(Move, Vec<(LockTarget, LockMode)>)],
+) -> Vec<Wait> {
+    let instance = |t: &TxnId| {
+        let i = txn_ids.iter().position(|x| x == t);
+        i.expect("a cycle runs through the schedule's own transactions")
+    };
+    let members: Vec<usize> = cycle.iter().map(instance).collect();
+    let wait = |(k, &i): (usize, &usize)| {
+        let next = members[(k + 1) % members.len()];
+        let target = waiting_on[i]
+            .clone()
+            .expect("a cycle member's request was refused");
+        let holders = grants
+            .iter()
+            .filter(|((who, _), locks)| *who == next && locks.iter().any(|(t, _)| *t == target))
+            .map(|((_, p), _)| *p)
+            .collect();
+        Wait {
+            instance: i,
+            pos: pos[i],
+            target,
+            holders,
+        }
+    };
+    members.iter().enumerate().map(wait).collect()
+}
+
 /// The deadlock hunt: the first wait-for cycle ends the search.
 struct DeadlockGoal;
 
 impl Goal for DeadlockGoal {
+    /// The cycle's instance names, victim first.
     type Finding = Vec<String>;
     const PREFIX: &'static str = "replay";
-    fn on_deadlock(&self, cycle: &[String]) -> Option<Vec<String>> {
-        Some(cycle.to_vec())
-    }
-    fn on_terminal(&self, _fin: &Finished<'_>) -> Option<Vec<String>> {
-        None
+    fn judge(&self, s: &Schedule<'_>) -> Option<Vec<String>> {
+        let cycle = s.waits.iter().map(|w| s.instances[w.instance].name.clone());
+        (!s.waits.is_empty()).then(|| cycle.collect())
     }
 }
 
 /// Explore interleavings of `instances` over forks of `base`, depth first,
 /// until a schedule deadlocks or budgets are exhausted.
-pub fn explore(base: &Database, instances: &[Instance], config: &ReplayConfig) -> ExploreOutcome {
-    let s = search(base, instances, &DeadlockGoal, config);
-    match s.found {
-        Some((steps, cycle)) => ExploreOutcome::Deadlock {
-            steps,
-            cycle,
-            explored: s.explored,
-            pruned: s.pruned,
-        },
-        None => ExploreOutcome::Exhausted {
-            explored: s.explored,
-            pruned: s.pruned,
-            budget_hit: s.budget_hit,
-        },
-    }
+pub fn explore(
+    base: &Database,
+    instances: &[Instance],
+    config: &ReplayConfig,
+) -> Searched<Vec<String>> {
+    search(base, instances, &DeadlockGoal, config)
 }
 
 #[cfg(test)]

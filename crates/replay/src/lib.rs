@@ -19,10 +19,14 @@
 //!    footprints. Statements run in
 //!    nowait mode, so the lock manager's wait-for graph yields instant
 //!    deterministic cycle detection without threads or timeouts. There is
-//!    one search with two goals: [`explore()`] stops at the first wait-for
-//!    cycle; [`explore_anomalies`] ([`anomaly`]) runs the same loop at a
-//!    weak isolation level, treats a cycle as an abort, and classifies
-//!    the committed history of every schedule that runs to the end.
+//!    one search ([`search`]) whose [`Goal`] judges each closed cycle and
+//!    each finished schedule through a [`Schedule`] view (steps, failures,
+//!    and per waiting instance the lock it waits on and who was granted
+//!    it). [`explore()`] stops at the first wait-for cycle;
+//!    [`explore_anomalies`] ([`anomaly`]) runs the same loop at a weak
+//!    isolation level, treats a cycle as an abort, and classifies the
+//!    committed history of every schedule that runs to the end. Both
+//!    return the search's own result, [`Searched`].
 //! 3. **Witness** ([`witness`]) — the first deadlocking schedule becomes a
 //!    [`Witness`]: ordered steps (instance, statement, concrete SQL, locks
 //!    acquired) plus the final wait-for cycle, renderable as text and as
@@ -42,11 +46,10 @@ pub mod explore;
 pub mod witness;
 
 pub use anomaly::{
-    explore_anomalies, serial_state_digests, state_digest, AnomalyFinding, AnomalyOutcome,
-    AnomalyWitness,
+    explore_anomalies, serial_state_digests, state_digest, AnomalyFinding, AnomalyWitness,
 };
 pub use concretize::{concretize_txn, render_sql, ConcreteStmt};
-pub use explore::{explore, ExploreOutcome, Instance, ReplayConfig};
+pub use explore::{explore, search, Goal, Instance, ReplayConfig, Schedule, Searched, Wait};
 pub use witness::{render_lock, Witness, WitnessInstance, WitnessStep};
 
 use weseer_analyzer::{CollectedTrace, DeadlockReport};
@@ -155,38 +158,26 @@ impl<'a> Replayer<'a> {
         if sqls(&attempts[0]) == sqls(&attempts[1]) {
             attempts.pop();
         }
-        let (mut total_explored, mut total_pruned, mut any_budget_hit) = (0, 0, false);
+        let (mut explored, mut pruned, mut budget_hit) = (0, 0, false);
         for instances in attempts {
-            match explore(base, &instances, &self.config) {
-                ExploreOutcome::Deadlock {
+            let s = explore(base, &instances, &self.config);
+            explored += s.explored;
+            pruned += s.pruned;
+            budget_hit |= s.budget_hit;
+            if let Some((steps, cycle)) = s.found {
+                return ReplayVerdict::Confirmed(Box::new(Witness {
+                    instances: witness::named(&instances, [&c.a_api, &c.b_api]),
                     steps,
                     cycle,
-                    explored,
-                    pruned,
-                } => {
-                    return ReplayVerdict::Confirmed(Box::new(Witness {
-                        instances: witness::named(&instances, [&c.a_api, &c.b_api]),
-                        steps,
-                        cycle,
-                        schedules_explored: total_explored + explored,
-                        schedules_pruned: total_pruned + pruned,
-                    }));
-                }
-                ExploreOutcome::Exhausted {
-                    explored,
-                    pruned,
-                    budget_hit,
-                } => {
-                    total_explored += explored;
-                    total_pruned += pruned;
-                    any_budget_hit |= budget_hit;
-                }
+                    schedules_explored: explored,
+                    schedules_pruned: pruned,
+                }));
             }
         }
         ReplayVerdict::NotReproduced {
-            schedules_explored: total_explored,
-            schedules_pruned: total_pruned,
-            budget_hit: any_budget_hit,
+            schedules_explored: explored,
+            schedules_pruned: pruned,
+            budget_hit,
         }
     }
 }

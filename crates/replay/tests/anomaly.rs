@@ -4,8 +4,8 @@
 
 use weseer_db::{Database, IsolationLevel};
 use weseer_replay::{
-    explore_anomalies, serial_state_digests, state_digest, AnomalyOutcome, AnomalyWitness,
-    ConcreteStmt, Instance, ReplayConfig,
+    explore_anomalies, serial_state_digests, state_digest, AnomalyWitness, ConcreteStmt, Instance,
+    ReplayConfig,
 };
 use weseer_sqlir::{parser::parse, Catalog, ColType, TableBuilder, Value};
 
@@ -104,17 +104,25 @@ fn apis() -> Vec<String> {
     vec!["ApiA".into(), "ApiB".into()]
 }
 
+/// Hunt for an anomaly at `iso`: the witness, built the way the anomaly
+/// screen builds it, and the schedules explored.
+fn hunt(
+    base: &Database,
+    instances: &[Instance],
+    iso: IsolationLevel,
+) -> (Option<AnomalyWitness>, usize) {
+    let s = explore_anomalies(base, instances, iso, &ReplayConfig::default());
+    (
+        AnomalyWitness::found(&s, instances, &apis(), iso),
+        s.explored,
+    )
+}
+
 #[test]
 fn lost_update_confirmed_at_read_committed() {
     let base = account_db();
-    let out = explore_anomalies(
-        &base,
-        &withdraw_instances(),
-        &apis(),
-        IsolationLevel::ReadCommitted,
-        &ReplayConfig::default(),
-    );
-    let w = out.witness().expect("lost update must be confirmed");
+    let (w, _) = hunt(&base, &withdraw_instances(), IsolationLevel::ReadCommitted);
+    let w = w.expect("lost update must be confirmed");
     assert_eq!(w.isolation, "read-committed");
     assert!(w.anomalies.iter().any(|a| a.kind == "lost-update"));
     assert_eq!(w.instances.len(), 2);
@@ -125,19 +133,11 @@ fn lost_update_confirmed_at_read_committed() {
 #[test]
 fn lost_update_vanishes_at_serializable() {
     let base = account_db();
-    let out = explore_anomalies(
-        &base,
-        &withdraw_instances(),
-        &apis(),
-        IsolationLevel::Serializable,
-        &ReplayConfig::default(),
-    );
-    match out {
-        AnomalyOutcome::Clean { explored, .. } => assert!(explored >= 1),
-        AnomalyOutcome::Anomalous(w) => {
-            panic!("serializable must be clean, got {}", w.render())
-        }
+    let (w, explored) = hunt(&base, &withdraw_instances(), IsolationLevel::Serializable);
+    if let Some(w) = w {
+        panic!("serializable must be clean, got {}", w.render());
     }
+    assert!(explored >= 1);
 }
 
 #[test]
@@ -145,16 +145,9 @@ fn lost_update_vanishes_at_snapshot_isolation() {
     // First-updater-wins aborts the stale overwrite, and an aborted
     // transaction contributes no anomalies.
     let base = account_db();
-    let out = explore_anomalies(
-        &base,
-        &withdraw_instances(),
-        &apis(),
-        IsolationLevel::Snapshot,
-        &ReplayConfig::default(),
-    );
+    let (w, _) = hunt(&base, &withdraw_instances(), IsolationLevel::Snapshot);
     assert!(
-        out.witness()
-            .map(|w| w.anomalies.iter().all(|a| a.kind != "lost-update"))
+        w.map(|w| w.anomalies.iter().all(|a| a.kind != "lost-update"))
             .unwrap_or(true),
         "snapshot isolation kills lost updates"
     );
@@ -163,14 +156,8 @@ fn lost_update_vanishes_at_snapshot_isolation() {
 #[test]
 fn write_skew_confirmed_at_snapshot_but_not_serializable() {
     let base = doctors_db();
-    let out = explore_anomalies(
-        &base,
-        &oncall_instances(),
-        &apis(),
-        IsolationLevel::Snapshot,
-        &ReplayConfig::default(),
-    );
-    let w = out.witness().expect("write skew must be confirmed at SI");
+    let (w, _) = hunt(&base, &oncall_instances(), IsolationLevel::Snapshot);
+    let w = w.expect("write skew must be confirmed at SI");
     assert!(w.anomalies.iter().any(|a| a.kind == "write-skew"));
     assert_eq!(
         w.anomalies
@@ -181,30 +168,16 @@ fn write_skew_confirmed_at_snapshot_but_not_serializable() {
         "Doctors"
     );
 
-    let out = explore_anomalies(
-        &base,
-        &oncall_instances(),
-        &apis(),
-        IsolationLevel::Serializable,
-        &ReplayConfig::default(),
-    );
-    assert!(out.witness().is_none(), "2PL forbids write skew");
+    let (w, _) = hunt(&base, &oncall_instances(), IsolationLevel::Serializable);
+    assert!(w.is_none(), "2PL forbids write skew");
 }
 
 #[test]
 fn witness_json_is_deterministic_and_round_trips() {
     let render = || {
         let base = account_db();
-        match explore_anomalies(
-            &base,
-            &withdraw_instances(),
-            &apis(),
-            IsolationLevel::ReadCommitted,
-            &ReplayConfig::default(),
-        ) {
-            AnomalyOutcome::Anomalous(w) => w.to_json(),
-            other => panic!("expected anomaly, got {other:?}"),
-        }
+        let (w, _) = hunt(&base, &withdraw_instances(), IsolationLevel::ReadCommitted);
+        w.expect("the lost update is confirmed").to_json()
     };
     let j = render();
     assert_eq!(j, render(), "exploration must be deterministic");

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use weseer_db::{Database, IsolationLevel};
-use weseer_replay::{explore_anomalies, AnomalyOutcome, ConcreteStmt, Instance, ReplayConfig};
+use weseer_replay::{explore_anomalies, ConcreteStmt, Instance, ReplayConfig};
 use weseer_sqlir::{parser::parse, Catalog, ColType, TableBuilder, Value};
 
 fn catalog() -> Catalog {
@@ -88,17 +88,14 @@ proptest! {
                 stmts: vec![select(1, key)],
             });
         }
-        let apis: Vec<String> = instances.iter().map(|i| format!("{}Api", i.name)).collect();
         for level in IsolationLevel::ALL {
-            match explore_anomalies(&base, &instances, &apis, level, &ReplayConfig::default()) {
-                AnomalyOutcome::Clean { .. } => {}
-                AnomalyOutcome::Anomalous(w) => prop_assert!(
-                    false,
-                    "single-writer history reported an anomaly at {}: {}",
-                    level.name(),
-                    w.render()
-                ),
-            }
+            let s = explore_anomalies(&base, &instances, level, &ReplayConfig::default());
+            prop_assert!(
+                s.found.is_none(),
+                "single-writer history reported an anomaly at {}: {:?}",
+                level.name(),
+                s.found.map(|(_, anomalies)| anomalies)
+            );
         }
     }
 
@@ -126,20 +123,17 @@ proptest! {
         };
         let base = base_db();
         let instances = vec![build("A1", &a), build("A2", &b)];
-        let apis = vec!["ApiA".to_string(), "ApiB".to_string()];
-        match explore_anomalies(
+        let s = explore_anomalies(
             &base,
             &instances,
-            &apis,
             IsolationLevel::Serializable,
             &ReplayConfig::default(),
-        ) {
-            AnomalyOutcome::Clean { explored, .. } => prop_assert!(explored >= 1),
-            AnomalyOutcome::Anomalous(w) => prop_assert!(
-                false,
-                "serializable run reported an anomaly: {}",
-                w.render()
-            ),
-        }
+        );
+        prop_assert!(
+            s.found.is_none(),
+            "serializable run reported an anomaly: {:?}",
+            s.found.map(|(_, anomalies)| anomalies)
+        );
+        prop_assert!(s.explored >= 1);
     }
 }

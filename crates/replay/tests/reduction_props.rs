@@ -14,10 +14,7 @@
 
 use proptest::prelude::*;
 use weseer_db::{Database, IsolationLevel};
-use weseer_replay::{
-    explore, explore_anomalies, AnomalyOutcome, ConcreteStmt, ExploreOutcome, Instance,
-    ReplayConfig,
-};
+use weseer_replay::{explore, explore_anomalies, ConcreteStmt, Instance, ReplayConfig, Searched};
 use weseer_sqlir::{parser::parse, Catalog, ColType, TableBuilder, Value};
 
 const TABLES: [&str; 3] = ["T0", "T1", "T2"];
@@ -98,20 +95,14 @@ fn widened(instances: &[Instance]) -> Vec<Instance> {
 /// `(found, schedules explored, branches pruned)` of one search.
 type Summary = (bool, usize, usize);
 
+fn summary<F>(s: Searched<F>) -> Summary {
+    let found = s.found.is_some();
+    assert!(found || !s.budget_hit, "budget must not bind in this test");
+    (found, s.explored, s.pruned)
+}
+
 fn deadlock_hunt(base: &Database, instances: &[Instance], config: &ReplayConfig) -> Summary {
-    match explore(base, instances, config) {
-        ExploreOutcome::Deadlock {
-            explored, pruned, ..
-        } => (true, explored, pruned),
-        ExploreOutcome::Exhausted {
-            explored,
-            pruned,
-            budget_hit,
-        } => {
-            assert!(!budget_hit, "budget must not bind in this test");
-            (false, explored, pruned)
-        }
-    }
+    summary(explore(base, instances, config))
 }
 
 fn anomaly_hunt(
@@ -120,18 +111,7 @@ fn anomaly_hunt(
     iso: IsolationLevel,
     config: &ReplayConfig,
 ) -> Summary {
-    let apis: Vec<String> = instances.iter().map(|i| format!("{}Api", i.name)).collect();
-    match explore_anomalies(base, instances, &apis, iso, config) {
-        AnomalyOutcome::Anomalous(w) => (true, w.schedules_explored, w.schedules_pruned),
-        AnomalyOutcome::Clean {
-            explored,
-            pruned,
-            budget_hit,
-        } => {
-            assert!(!budget_hit, "budget must not bind in this test");
-            (false, explored, pruned)
-        }
-    }
+    summary(explore_anomalies(base, instances, iso, config))
 }
 
 proptest! {

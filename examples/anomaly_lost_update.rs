@@ -13,7 +13,7 @@ use weseer::analyzer::{find_anomaly_candidates, CollectedTrace};
 use weseer::concolic::{loc, shared, take_ctx, ExecMode, SymValue};
 use weseer::db::{Database, IsolationLevel};
 use weseer::orm::OrmSession;
-use weseer::replay::{concretize_txn, explore_anomalies, AnomalyOutcome, Instance, ReplayConfig};
+use weseer::replay::{concretize_txn, explore_anomalies, AnomalyWitness, Instance, ReplayConfig};
 use weseer::sqlir::{Catalog, ColType, TableBuilder, Value};
 
 fn catalog() -> Catalog {
@@ -108,38 +108,26 @@ fn main() {
 
     println!("\n== read-committed: the update is lost ==");
     let base = seeded_db();
-    let out = explore_anomalies(
-        &base,
-        &instances,
-        &apis,
-        IsolationLevel::ReadCommitted,
-        &ReplayConfig::default(),
-    );
-    let witness = match out {
-        AnomalyOutcome::Anomalous(w) => w,
-        AnomalyOutcome::Clean { .. } => panic!("read committed must lose the update"),
-    };
+    let iso = IsolationLevel::ReadCommitted;
+    let out = explore_anomalies(&base, &instances, iso, &ReplayConfig::default());
+    let witness = AnomalyWitness::found(&out, &instances, &apis, iso)
+        .expect("read committed must lose the update");
     assert!(witness.anomalies.iter().any(|a| a.kind == "lost-update"));
     print!("{}", witness.render());
     println!("canonical witness JSON:\n{}", witness.to_json());
 
     println!("\n== serializable (default): 2PL forbids it ==");
-    let out = explore_anomalies(
-        &base,
-        &instances,
-        &apis,
-        IsolationLevel::Serializable,
-        &ReplayConfig::default(),
-    );
-    match out {
-        AnomalyOutcome::Clean {
-            explored,
-            pruned,
-            budget_hit,
-        } => {
-            assert!(!budget_hit, "clean must mean every schedule was covered");
-            println!("clean: {explored} schedules explored, {pruned} pruned");
-        }
-        AnomalyOutcome::Anomalous(w) => panic!("serializable must be clean: {}", w.render()),
+    let iso = IsolationLevel::Serializable;
+    let out = explore_anomalies(&base, &instances, iso, &ReplayConfig::default());
+    if let Some(w) = AnomalyWitness::found(&out, &instances, &apis, iso) {
+        panic!("serializable must be clean: {}", w.render());
     }
+    assert!(
+        !out.budget_hit,
+        "clean must mean every schedule was covered"
+    );
+    println!(
+        "clean: {} schedules explored, {} pruned",
+        out.explored, out.pruned
+    );
 }

@@ -15,7 +15,7 @@ use weseer::analyzer::{find_anomaly_candidates, CollectedTrace};
 use weseer::concolic::{loc, shared, take_ctx, ExecMode, SymValue};
 use weseer::db::{Database, IsolationLevel};
 use weseer::orm::OrmSession;
-use weseer::replay::{concretize_txn, explore_anomalies, AnomalyOutcome, Instance, ReplayConfig};
+use weseer::replay::{concretize_txn, explore_anomalies, AnomalyWitness, Instance, ReplayConfig};
 use weseer::sqlir::{parser::parse, Catalog, ColType, TableBuilder, Value};
 
 fn catalog() -> Catalog {
@@ -130,38 +130,26 @@ fn main() {
 
     println!("\n== snapshot isolation: both sign off ==");
     let base = seeded_db();
-    let out = explore_anomalies(
-        &base,
-        &instances,
-        &apis,
-        IsolationLevel::Snapshot,
-        &ReplayConfig::default(),
-    );
-    let witness = match out {
-        AnomalyOutcome::Anomalous(w) => w,
-        AnomalyOutcome::Clean { .. } => panic!("snapshot isolation must admit the skew"),
-    };
+    let iso = IsolationLevel::Snapshot;
+    let out = explore_anomalies(&base, &instances, iso, &ReplayConfig::default());
+    let witness = AnomalyWitness::found(&out, &instances, &apis, iso)
+        .expect("snapshot isolation must admit the skew");
     assert!(witness.anomalies.iter().any(|a| a.kind == "write-skew"));
     print!("{}", witness.render());
     println!("canonical witness JSON:\n{}", witness.to_json());
 
     println!("\n== serializable (default): 2PL forbids it ==");
-    let out = explore_anomalies(
-        &base,
-        &instances,
-        &apis,
-        IsolationLevel::Serializable,
-        &ReplayConfig::default(),
-    );
-    match out {
-        AnomalyOutcome::Clean {
-            explored,
-            pruned,
-            budget_hit,
-        } => {
-            assert!(!budget_hit, "clean must mean every schedule was covered");
-            println!("clean: {explored} schedules explored, {pruned} pruned");
-        }
-        AnomalyOutcome::Anomalous(w) => panic!("serializable must be clean: {}", w.render()),
+    let iso = IsolationLevel::Serializable;
+    let out = explore_anomalies(&base, &instances, iso, &ReplayConfig::default());
+    if let Some(w) = AnomalyWitness::found(&out, &instances, &apis, iso) {
+        panic!("serializable must be clean: {}", w.render());
     }
+    assert!(
+        !out.budget_hit,
+        "clean must mean every schedule was covered"
+    );
+    println!(
+        "clean: {} schedules explored, {} pruned",
+        out.explored, out.pruned
+    );
 }

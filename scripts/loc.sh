@@ -4,7 +4,9 @@
 #   scripts/loc.sh
 #
 # A line counts when it is non-blank, does not start with `//` (comments
-# and doc comments), and comes before the file's first `#[cfg(test)]`.
+# and doc comments), and comes before the file's first `#[cfg(test)]` at
+# column 0 (the test module). An indented `#[cfg(test)]` guards one item
+# inside non-test code and does not end the count.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -13,7 +15,7 @@ for dir in crates/*/; do
     crate=$(basename "$dir")
     n=$(find "$dir/src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { in_test = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        /^#\[cfg\(test\)\]/ { in_test = 1 }
         !in_test && !/^[[:space:]]*(\/\/|$)/ { n++ }
         END { print n + 0 }')
     printf '%-10s %6d\n' "$crate" "$n"

@@ -11,15 +11,20 @@
 //!   one thread through `execute_nowait`; the re-enactment checks what
 //!   that path never runs: the condvar wait, the wake once the victim
 //!   rolls back, and the blocked statement's replan after it.
+//! * "Confirmed" means the pair deadlocks somewhere, not that the reported
+//!   cycle happened: a search with a goal that accepts only the report's
+//!   own cycle pins, per Table II row, how many reports ever close it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
-use weseer::apps::{classify, Broadleaf, ECommerceApp, KnownDeadlock, Shopizer};
+use weseer::analyzer::{CollectedTrace, CycleId, DeadlockReport};
+use weseer::apps::{classify, Broadleaf, ECommerceApp, Fixes, KnownDeadlock, Shopizer};
 use weseer::core::{prepare_db, Weseer};
 use weseer::db::{Database, DbError, DbStats, TxnId};
-use weseer::replay::Witness;
+use weseer::replay::{pair_instances, search, Goal, ReplayConfig, Schedule, Witness};
+use weseer::smt::Model;
 use weseer::sqlir::{parser::parse, Statement};
 
 const REPLAY_BY_CLASS: [(KnownDeadlock, usize, usize); 6] = [
@@ -221,7 +226,7 @@ fn reenact(base: &Database, witness: &Witness) -> DbStats {
                 "deadlock" => {
                     assert_eq!(n + 1, witness.steps.len(), "the deadlock ends the witness");
                     match workers[who].reply() {
-                        Err(DbError::Deadlock { cycle }) => {
+                        Err(DbError::Deadlock { cycle, .. }) => {
                             let names: Vec<String> = cycle.iter().map(name).collect();
                             assert_eq!(names, witness.cycle, "cycle, victim first");
                         }
@@ -284,4 +289,133 @@ fn every_witness_deadlocks_on_real_threads() {
             "{api}/{api} is re-enacted"
         );
     }
+}
+
+/// Accepts a wait-for cycle only when it is the report's own: instance 0
+/// (the report's A side) waits at `a_wait` and instance 1 at `b_wait`, each
+/// matched by trace index or by SQL template. With `hold_lock`, each side
+/// must also wait on a lock that a step of the other side template-equal
+/// to that side's hold statement was granted. Every other cycle fails its
+/// victim and the search goes on.
+struct OwnCycle<'r> {
+    cycle: &'r CycleId,
+    hold_lock: bool,
+}
+
+impl Goal for OwnCycle<'_> {
+    type Finding = ();
+    const PREFIX: &'static str = "test.own_cycle";
+
+    fn judge(&self, s: &Schedule<'_>) -> Option<()> {
+        let c = self.cycle;
+        // (wait, hold) trace indices of instance 0 (A) and instance 1 (B).
+        let roles = [(c.a_wait, c.a_hold), (c.b_wait, c.b_hold)];
+        // Statement `pos` of instance `i` is trace statement `index`, or
+        // has its template.
+        let is = |i: usize, pos: usize, index: usize| {
+            let stmts = &s.instances[i].stmts;
+            let stmt = &stmts[pos];
+            stmt.index == index
+                || stmts
+                    .iter()
+                    .any(|r| r.index == index && r.stmt == stmt.stmt)
+        };
+        let own = |w: &weseer::replay::Wait| {
+            let other = 1 - w.instance;
+            is(w.instance, w.pos, roles[w.instance].0)
+                && (!self.hold_lock || w.holders.iter().any(|&p| is(other, p, roles[other].1)))
+        };
+        (s.waits.len() == 2 && s.waits.iter().all(own)).then_some(())
+    }
+}
+
+/// Whether some schedule of `report`'s pair closes the report's own cycle,
+/// trying the model inputs and then the traced inputs as replay does.
+fn own_cycle_closes(
+    report: &DeadlockReport,
+    traces: &[CollectedTrace],
+    base: &Database,
+    hold_lock: bool,
+) -> bool {
+    let c = &report.cycle;
+    let pair = |a: &Model, b: &Model| {
+        pair_instances(traces, [(&c.a_api, c.a_txn, a), (&c.b_api, c.b_txn, b)])
+            .expect("every report's pair is replayable")
+    };
+    let solved = pair(
+        &report.sat_model.strip_prefix("A1."),
+        &report.sat_model.strip_prefix("A2."),
+    );
+    let traced = pair(&Model::default(), &Model::default());
+    let goal = OwnCycle {
+        cycle: c,
+        hold_lock,
+    };
+    [solved, traced].iter().any(|instances| {
+        let s = search(base, instances, &goal, &ReplayConfig::default());
+        assert!(!s.budget_hit, "{report}: the search stopped at its budget");
+        s.found.is_some()
+    })
+}
+
+/// Per Table II row: reports whose own cycle closes with the waits alone,
+/// with the hold lock too, and reports in the row.
+const OWN_CYCLE_BY_ROW: [(KnownDeadlock, usize, usize, usize); 15] = [
+    (KnownDeadlock::D1, 1, 1, 1),
+    (KnownDeadlock::D2, 3, 3, 3),
+    (KnownDeadlock::D3_4, 6, 6, 13),
+    (KnownDeadlock::D5_6, 4, 3, 5),
+    (KnownDeadlock::D7_8, 0, 0, 67),
+    (KnownDeadlock::D9, 9, 9, 21),
+    (KnownDeadlock::D10, 1, 1, 2),
+    (KnownDeadlock::D11, 0, 0, 11),
+    (KnownDeadlock::D12_13, 0, 0, 1),
+    (KnownDeadlock::D14, 3, 3, 4),
+    (KnownDeadlock::D15, 4, 4, 4),
+    (KnownDeadlock::D16, 0, 0, 1),
+    (KnownDeadlock::D17, 1, 0, 3),
+    (KnownDeadlock::D18, 0, 0, 8),
+    (KnownDeadlock::FpAppLocked, 2, 2, 6),
+];
+
+#[test]
+fn few_reports_close_their_own_cycle() {
+    let mut by_row: BTreeMap<KnownDeadlock, (usize, usize, usize)> = BTreeMap::new();
+    let mut totals = Vec::new();
+    for app in [&Broadleaf as &dyn ECommerceApp, &Shopizer] {
+        let weseer = Weseer::new();
+        let (traces, _) = weseer.collect_traces(app, &Fixes::none());
+        let analysis = weseer.analyze(app);
+        let mut bases: HashMap<&str, Database> = HashMap::new();
+        let mut total = (0, 0, 0);
+        for report in &analysis.diagnosis.deadlocks {
+            let c = &report.cycle;
+            let first = *app
+                .unit_tests()
+                .iter()
+                .find(|t| **t == c.a_api || **t == c.b_api)
+                .expect("report APIs are unit tests");
+            let base = bases.entry(first).or_insert_with(|| prepare_db(app, first));
+            let waits = own_cycle_closes(report, &traces, base, false);
+            let held = own_cycle_closes(report, &traces, base, true);
+            assert!(waits || !held, "the hold lock only narrows the predicate");
+            let row = by_row.entry(classify(app.name(), report)).or_default();
+            for counts in [row, &mut total] {
+                counts.0 += waits as usize;
+                counts.1 += held as usize;
+                counts.2 += 1;
+            }
+        }
+        totals.push((app.name(), total.0, total.1, total.2));
+    }
+    assert_eq!(
+        totals,
+        [("broadleaf", 24, 23, 124), ("shopizer", 10, 9, 26)],
+        "(app, closes with the waits, with the hold lock too, reports)"
+    );
+    let expected: BTreeMap<_, _> = OWN_CYCLE_BY_ROW
+        .iter()
+        .map(|&(row, waits, held, reports)| (row, (waits, held, reports)))
+        .collect();
+    assert_eq!(by_row, expected, "own cycles per Table II row");
 }
