@@ -221,12 +221,15 @@ impl Database {
     ///
     /// The replay engine prepares a database once per report and forks it
     /// per explored schedule, so every branch starts from bit-identical
-    /// state. In-flight transactions of the source are rolled back *in the
-    /// fork* ([`Storage::reset_in_flight`]): their locks and waits-for
-    /// edges live in the source's lock manager and cannot transfer, so
-    /// carrying their uncommitted heap data or undo logs across would
-    /// leave the fork with orphaned dirty rows and a wait-for graph that
-    /// lies about them.
+    /// state. Tables are shared copy-on-write with the source: the fork
+    /// costs a reference count per table, and a table is copied only when
+    /// the fork or the source first writes it after the fork. In-flight
+    /// transactions of the source are rolled back *in the fork*
+    /// ([`Storage::reset_in_flight`], which copies the tables they wrote):
+    /// their locks and waits-for edges live in the source's lock manager
+    /// and cannot transfer, so carrying their uncommitted heap data or undo
+    /// logs across would leave the fork with orphaned dirty rows and a
+    /// wait-for graph that lies about them.
     pub fn fork(&self) -> Database {
         let mut storage = self.inner.storage.lock().clone();
         storage.reset_in_flight();

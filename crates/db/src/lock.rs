@@ -29,31 +29,34 @@
 use crate::types::{DbError, KeyBound, KeyTuple, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What is being locked.
+/// What is being locked. Table and index names are shared with the
+/// table's [`crate::storage::TableStore`], so cloning a target copies no
+/// name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LockTarget {
     /// Whole table (used when no index is usable — Alg. 2 line 19).
     Table {
         /// Table name.
-        table: String,
+        table: Arc<str>,
     },
     /// One index entry (record lock).
     Row {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Index name.
-        index: String,
+        index: Arc<str>,
         /// Index key (with PK suffix for secondary indexes).
         key: KeyTuple,
     },
     /// The open interval before an index entry (gap lock).
     Gap {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Index name.
-        index: String,
+        index: Arc<str>,
         /// The key the gap precedes.
         upper: KeyBound,
     },
@@ -206,15 +209,18 @@ impl LockState {
         out
     }
 
-    fn grant(&mut self, txn: TxnId, target: LockTarget, mode: LockMode) {
-        let entry = self.granted.entry(target.clone()).or_default();
+    fn grant(&mut self, txn: TxnId, target: &LockTarget, mode: LockMode) {
+        if !self.granted.contains_key(target) {
+            self.granted.insert(target.clone(), Vec::new());
+        }
+        let entry = self.granted.get_mut(target).expect("inserted above");
         if entry.iter().any(|(t, m)| *t == txn && *m == mode) {
             return;
         }
         let first_for_txn = !entry.iter().any(|(t, _)| *t == txn);
         entry.push((txn, mode));
         if first_for_txn {
-            self.held_by.entry(txn).or_default().push(target);
+            self.held_by.entry(txn).or_default().push(target.clone());
         }
     }
 }
@@ -310,10 +316,10 @@ impl LockManager {
         &self,
         st: &mut LockState,
         txn: TxnId,
-        target: LockTarget,
+        target: &LockTarget,
         mode: LockMode,
     ) -> Result<AcquireOutcome, DbError> {
-        let blockers = st.blockers(txn, &target, mode);
+        let blockers = st.blockers(txn, target, mode);
         if blockers.is_empty() {
             timeline_lock_event("db.lock.acquire", txn, || {
                 [
@@ -354,7 +360,10 @@ impl LockManager {
             });
             publish_waitfor(st);
             self.cond.notify_all();
-            return Err(DbError::Deadlock { cycle, target });
+            return Err(DbError::Deadlock {
+                cycle,
+                target: target.clone(),
+            });
         }
         let mut on: Vec<TxnId> = blockers.iter().copied().collect();
         on.sort_unstable();
@@ -381,12 +390,12 @@ impl LockManager {
     /// and [`DbError::LockWaitTimeout`] after `wait_timeout`, with the
     /// waits-for edge cleared. In both cases the caller must roll the
     /// transaction back.
-    pub fn acquire(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> Result<(), DbError> {
+    pub fn acquire(&self, txn: TxnId, target: &LockTarget, mode: LockMode) -> Result<(), DbError> {
         let start = Instant::now();
         let deadline = start + self.wait_timeout;
         let mut st = self.state.lock();
         let mut waited = false;
-        while let AcquireOutcome::WouldBlock(_) = self.decide(&mut st, txn, target.clone(), mode)? {
+        while let AcquireOutcome::WouldBlock(_) = self.decide(&mut st, txn, target, mode)? {
             waited = true;
             if self.cond.wait_until(&mut st, deadline).timed_out() {
                 st.waiting_for.remove(&txn);
@@ -417,7 +426,7 @@ impl LockManager {
     pub fn acquire_nowait(
         &self,
         txn: TxnId,
-        target: LockTarget,
+        target: &LockTarget,
         mode: LockMode,
     ) -> Result<AcquireOutcome, DbError> {
         self.decide(&mut self.state.lock(), txn, target, mode)
@@ -496,8 +505,8 @@ mod tests {
     #[test]
     fn shared_locks_coexist() {
         let lm = LockManager::default();
-        lm.acquire(TxnId(1), row(1), LockMode::Shared).unwrap();
-        lm.acquire(TxnId(2), row(1), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(2), &row(1), LockMode::Shared).unwrap();
         assert_eq!(lm.held(TxnId(1)).len(), 1);
         assert_eq!(lm.held(TxnId(2)).len(), 1);
     }
@@ -505,13 +514,13 @@ mod tests {
     #[test]
     fn exclusive_blocks_then_releases() {
         let lm = Arc::new(LockManager::default());
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
         assert_eq!(
-            lm.acquire_nowait(TxnId(2), row(1), LockMode::Shared),
+            lm.acquire_nowait(TxnId(2), &row(1), LockMode::Shared),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(1)]))
         );
         let lm2 = lm.clone();
-        let h = thread::spawn(move || lm2.acquire(TxnId(2), row(1), LockMode::Shared));
+        let h = thread::spawn(move || lm2.acquire(TxnId(2), &row(1), LockMode::Shared));
         thread::sleep(Duration::from_millis(30));
         lm.release_all(TxnId(1));
         h.join().unwrap().unwrap();
@@ -524,14 +533,14 @@ mod tests {
     #[test]
     fn reentrant_and_upgrade() {
         let lm = LockManager::default();
-        lm.acquire(TxnId(1), row(1), LockMode::Shared).unwrap();
-        lm.acquire(TxnId(1), row(1), LockMode::Shared).unwrap();
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
         let held = lm.held(TxnId(1));
         assert!(held.iter().any(|(_, m)| *m == LockMode::Exclusive));
         // The upgraded row is still blocked for others.
         assert_eq!(
-            lm.acquire_nowait(TxnId(2), row(1), LockMode::Shared),
+            lm.acquire_nowait(TxnId(2), &row(1), LockMode::Shared),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(1)]))
         );
     }
@@ -539,23 +548,23 @@ mod tests {
     #[test]
     fn gap_locks_are_mutually_compatible() {
         let lm = LockManager::default();
-        lm.acquire(TxnId(1), gap(10), LockMode::Shared).unwrap();
-        lm.acquire(TxnId(2), gap(10), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &gap(10), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(2), &gap(10), LockMode::Exclusive).unwrap();
         // But insert intention by a third party must wait.
         assert_eq!(
-            lm.acquire_nowait(TxnId(3), gap(10), LockMode::InsertIntention),
+            lm.acquire_nowait(TxnId(3), &gap(10), LockMode::InsertIntention),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(1), TxnId(2)]))
         );
         // Even a gap holder is blocked by the *other* holder's gap lock —
         // this mutual blocking is exactly how the Table-II deadlocks form.
         assert_eq!(
-            lm.acquire_nowait(TxnId(1), gap(10), LockMode::InsertIntention),
+            lm.acquire_nowait(TxnId(1), &gap(10), LockMode::InsertIntention),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(2)]))
         );
         // A txn holding the only gap lock may insert through it.
         lm.release_all(TxnId(2));
         assert_eq!(
-            lm.acquire_nowait(TxnId(1), gap(10), LockMode::InsertIntention),
+            lm.acquire_nowait(TxnId(1), &gap(10), LockMode::InsertIntention),
             Ok(AcquireOutcome::Granted)
         );
     }
@@ -563,15 +572,15 @@ mod tests {
     #[test]
     fn insert_intentions_are_compatible() {
         let lm = LockManager::default();
-        lm.acquire(TxnId(1), gap(10), LockMode::InsertIntention)
+        lm.acquire(TxnId(1), &gap(10), LockMode::InsertIntention)
             .unwrap();
         assert_eq!(
-            lm.acquire_nowait(TxnId(2), gap(10), LockMode::InsertIntention),
+            lm.acquire_nowait(TxnId(2), &gap(10), LockMode::InsertIntention),
             Ok(AcquireOutcome::Granted)
         );
         // Gap locks never wait, even with an II present (InnoDB).
         assert_eq!(
-            lm.acquire_nowait(TxnId(3), gap(10), LockMode::Shared),
+            lm.acquire_nowait(TxnId(3), &gap(10), LockMode::Shared),
             Ok(AcquireOutcome::Granted)
         );
     }
@@ -580,17 +589,17 @@ mod tests {
     fn two_txn_deadlock_detected() {
         // T1: X(r1) then wants X(r2); T2: X(r2) then wants X(r1).
         let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(2), row(2), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(2), &row(2), LockMode::Exclusive).unwrap();
         let lm2 = lm.clone();
         let h = thread::spawn(move || {
             // T1 blocks on r2.
-            lm2.acquire(TxnId(1), row(2), LockMode::Exclusive)
+            lm2.acquire(TxnId(1), &row(2), LockMode::Exclusive)
         });
         thread::sleep(Duration::from_millis(50));
         // T2 requesting r1 closes the cycle → T2 is the victim, and the
         // error names the concrete cycle T2 → T1 → T2.
-        let r = lm.acquire(TxnId(2), row(1), LockMode::Exclusive);
+        let r = lm.acquire(TxnId(2), &row(1), LockMode::Exclusive);
         assert_eq!(
             r,
             Err(DbError::Deadlock {
@@ -609,12 +618,12 @@ mod tests {
         // The paper's d1-style deadlock: both transactions hold a gap lock,
         // both try to insert into it.
         let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
-        lm.acquire(TxnId(1), gap(100), LockMode::Shared).unwrap();
-        lm.acquire(TxnId(2), gap(100), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), &gap(100), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(2), &gap(100), LockMode::Shared).unwrap();
         let lm2 = lm.clone();
-        let h = thread::spawn(move || lm2.acquire(TxnId(1), gap(100), LockMode::InsertIntention));
+        let h = thread::spawn(move || lm2.acquire(TxnId(1), &gap(100), LockMode::InsertIntention));
         thread::sleep(Duration::from_millis(50));
-        let r = lm.acquire(TxnId(2), gap(100), LockMode::InsertIntention);
+        let r = lm.acquire(TxnId(2), &gap(100), LockMode::InsertIntention);
         assert!(matches!(r, Err(DbError::Deadlock { .. })));
         lm.release_all(TxnId(2));
         h.join().unwrap().unwrap();
@@ -624,15 +633,15 @@ mod tests {
     #[test]
     fn three_txn_cycle_detected() {
         let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(2), row(2), LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(3), row(3), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(2), &row(2), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(3), &row(3), LockMode::Exclusive).unwrap();
         let lm1 = lm.clone();
-        let h1 = thread::spawn(move || lm1.acquire(TxnId(1), row(2), LockMode::Exclusive));
+        let h1 = thread::spawn(move || lm1.acquire(TxnId(1), &row(2), LockMode::Exclusive));
         let lm2 = lm.clone();
-        let h2 = thread::spawn(move || lm2.acquire(TxnId(2), row(3), LockMode::Exclusive));
+        let h2 = thread::spawn(move || lm2.acquire(TxnId(2), &row(3), LockMode::Exclusive));
         thread::sleep(Duration::from_millis(80));
-        let r = lm.acquire(TxnId(3), row(1), LockMode::Exclusive);
+        let r = lm.acquire(TxnId(3), &row(1), LockMode::Exclusive);
         assert_eq!(
             r,
             Err(DbError::Deadlock {
@@ -650,8 +659,8 @@ mod tests {
     #[test]
     fn timeout_fires() {
         let lm = LockManager::new(Duration::from_millis(50));
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        let r = lm.acquire(TxnId(2), row(1), LockMode::Exclusive);
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        let r = lm.acquire(TxnId(2), &row(1), LockMode::Exclusive);
         assert_eq!(r, Err(DbError::LockWaitTimeout));
         assert_eq!(lm.stats().timeouts, 1);
     }
@@ -659,13 +668,13 @@ mod tests {
     #[test]
     fn release_clears_everything() {
         let lm = LockManager::default();
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(1), gap(5), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &gap(5), LockMode::Shared).unwrap();
         assert_eq!(lm.held(TxnId(1)).len(), 2);
         lm.release_all(TxnId(1));
         assert!(lm.held(TxnId(1)).is_empty());
         assert_eq!(
-            lm.acquire_nowait(TxnId(2), row(1), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(2), &row(1), LockMode::Exclusive),
             Ok(AcquireOutcome::Granted)
         );
     }
@@ -675,22 +684,22 @@ mod tests {
         // The same two-txn deadlock as above, but entirely single-threaded
         // through the nowait path — the foundation of deterministic replay.
         let lm = LockManager::default();
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(2), row(2), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(2), &row(2), LockMode::Exclusive).unwrap();
         assert_eq!(
-            lm.acquire_nowait(TxnId(1), row(2), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(1), &row(2), LockMode::Exclusive),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(2)]))
         );
         assert_eq!(lm.wait_for_edges(), vec![(TxnId(1), TxnId(2))]);
         // A repeat attempt is idempotent (no double wait counting).
         let waits = lm.stats().waits;
         assert_eq!(
-            lm.acquire_nowait(TxnId(1), row(2), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(1), &row(2), LockMode::Exclusive),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(2)]))
         );
         assert_eq!(lm.stats().waits, waits);
         // T2 closing the cycle deadlocks instantly, no other threads.
-        let r = lm.acquire_nowait(TxnId(2), row(1), LockMode::Exclusive);
+        let r = lm.acquire_nowait(TxnId(2), &row(1), LockMode::Exclusive);
         assert_eq!(
             r,
             Err(DbError::Deadlock {
@@ -703,7 +712,7 @@ mod tests {
         // it re-attempts and is granted.
         lm.release_all(TxnId(2));
         assert_eq!(
-            lm.acquire_nowait(TxnId(1), row(2), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(1), &row(2), LockMode::Exclusive),
             Ok(AcquireOutcome::Granted)
         );
         assert!(lm.wait_for_edges().is_empty());
@@ -717,13 +726,13 @@ mod tests {
         // very same edge subsequently times out. Both counters must fire
         // and the manager must stay consistent.
         let lm = Arc::new(LockManager::new(Duration::from_millis(150)));
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(2), row(2), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(2), &row(2), LockMode::Exclusive).unwrap();
         let lm2 = lm.clone();
-        let h = thread::spawn(move || lm2.acquire(TxnId(2), row(1), LockMode::Exclusive));
+        let h = thread::spawn(move || lm2.acquire(TxnId(2), &row(1), LockMode::Exclusive));
         thread::sleep(Duration::from_millis(40));
         // Closing the cycle: T1 is the victim and errors instantly …
-        let r = lm.acquire(TxnId(1), row(2), LockMode::Exclusive);
+        let r = lm.acquire(TxnId(1), &row(2), LockMode::Exclusive);
         assert_eq!(
             r,
             Err(DbError::Deadlock {
@@ -741,11 +750,11 @@ mod tests {
         lm.release_all(TxnId(1));
         lm.release_all(TxnId(2));
         assert_eq!(
-            lm.acquire_nowait(TxnId(3), row(1), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(3), &row(1), LockMode::Exclusive),
             Ok(AcquireOutcome::Granted)
         );
         assert_eq!(
-            lm.acquire_nowait(TxnId(3), row(2), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(3), &row(2), LockMode::Exclusive),
             Ok(AcquireOutcome::Granted)
         );
     }
@@ -756,15 +765,15 @@ mod tests {
         // later request in the opposite direction would see a phantom
         // cycle and abort a perfectly healthy transaction.
         let lm = LockManager::new(Duration::from_millis(40));
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        let r = lm.acquire(TxnId(2), row(1), LockMode::Exclusive);
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        let r = lm.acquire(TxnId(2), &row(1), LockMode::Exclusive);
         assert_eq!(r, Err(DbError::LockWaitTimeout));
         assert!(lm.wait_for_edges().is_empty());
         // T2 holds r2 now; T1 requesting it must block, not deadlock —
         // the stale T2 → T1 edge is gone.
-        lm.acquire(TxnId(2), row(2), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(2), &row(2), LockMode::Exclusive).unwrap();
         assert_eq!(
-            lm.acquire_nowait(TxnId(1), row(2), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(1), &row(2), LockMode::Exclusive),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(2)]))
         );
         assert_eq!(lm.stats().deadlocks, 0);
@@ -777,18 +786,18 @@ mod tests {
         // T1→T2→T1 *and* T1→T3→T1. The reported cycle must start with
         // the victim and pick blockers in ascending TxnId order.
         let lm = Arc::new(LockManager::default());
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(2), gap(100), LockMode::Shared).unwrap();
-        lm.acquire(TxnId(3), gap(100), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(2), &gap(100), LockMode::Shared).unwrap();
+        lm.acquire(TxnId(3), &gap(100), LockMode::Shared).unwrap();
         assert_eq!(
-            lm.acquire_nowait(TxnId(2), row(1), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(2), &row(1), LockMode::Exclusive),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(1)]))
         );
         assert_eq!(
-            lm.acquire_nowait(TxnId(3), row(1), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(3), &row(1), LockMode::Exclusive),
             Ok(AcquireOutcome::WouldBlock(vec![TxnId(1)]))
         );
-        let r = lm.acquire_nowait(TxnId(1), gap(100), LockMode::InsertIntention);
+        let r = lm.acquire_nowait(TxnId(1), &gap(100), LockMode::InsertIntention);
         assert_eq!(
             r,
             Err(DbError::Deadlock {
@@ -803,7 +812,7 @@ mod tests {
         thread::spawn(move || lm2.release_all(TxnId(2)))
             .join()
             .unwrap();
-        let r = lm.acquire_nowait(TxnId(1), gap(100), LockMode::InsertIntention);
+        let r = lm.acquire_nowait(TxnId(1), &gap(100), LockMode::InsertIntention);
         assert_eq!(
             r,
             Err(DbError::Deadlock {
@@ -816,7 +825,7 @@ mod tests {
         lm.release_all(TxnId(1));
         lm.release_all(TxnId(3));
         assert_eq!(
-            lm.acquire_nowait(TxnId(4), gap(100), LockMode::InsertIntention),
+            lm.acquire_nowait(TxnId(4), &gap(100), LockMode::InsertIntention),
             Ok(AcquireOutcome::Granted)
         );
     }
@@ -824,14 +833,14 @@ mod tests {
     #[test]
     fn different_targets_do_not_conflict() {
         let lm = LockManager::default();
-        lm.acquire(TxnId(1), row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), &row(1), LockMode::Exclusive).unwrap();
         assert_eq!(
-            lm.acquire_nowait(TxnId(2), row(2), LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(2), &row(2), LockMode::Exclusive),
             Ok(AcquireOutcome::Granted)
         );
         let t = LockTarget::Table { table: "U".into() };
         assert_eq!(
-            lm.acquire_nowait(TxnId(2), t, LockMode::Exclusive),
+            lm.acquire_nowait(TxnId(2), &t, LockMode::Exclusive),
             Ok(AcquireOutcome::Granted)
         );
     }

@@ -21,6 +21,7 @@ use crate::types::{RowId, TxnId};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// The isolation level of a session.
 ///
@@ -227,7 +228,8 @@ impl VersionStore {
 /// `reader`: committed versions at or before the snapshot, plus the
 /// reader's own uncommitted writes.
 ///
-/// Construction works in three steps on cloned [`crate::storage::TableStore`]s:
+/// Construction works in three steps on the statement's tables, shared
+/// with `st` until a step writes one ([`Storage::table_mut`]'s copy-on-write):
 ///
 /// 1. **Un-apply** every *other* active transaction's undo log (newest
 ///    transaction first — strict 2PL makes active write sets row-disjoint,
@@ -259,17 +261,17 @@ pub fn snapshot_view(st: &Storage, reader: TxnId, snapshot: u64, tables: &[Strin
             use crate::storage::Undo;
             match u {
                 Undo::Insert { table, rid } => {
-                    if let Some(t) = view.tables.get_mut(table) {
+                    if let Some(t) = view.tables.get_mut(table).map(Arc::make_mut) {
                         t.delete(*rid);
                     }
                 }
                 Undo::Update { table, rid, old } => {
-                    if let Some(t) = view.tables.get_mut(table) {
+                    if let Some(t) = view.tables.get_mut(table).map(Arc::make_mut) {
                         t.update(*rid, old.clone());
                     }
                 }
                 Undo::Delete { table, rid, old } => {
-                    if let Some(t) = view.tables.get_mut(table) {
+                    if let Some(t) = view.tables.get_mut(table).map(Arc::make_mut) {
                         t.restore(*rid, old.clone());
                     }
                 }
@@ -300,20 +302,17 @@ pub fn snapshot_view(st: &Storage, reader: TxnId, snapshot: u64, tables: &[Strin
             let Some(t) = view.tables.get_mut(table) else {
                 continue;
             };
-            let current = t.heap.get(&rid).cloned();
-            match (current, visible) {
-                (Some(cur), Some(vis)) => {
-                    if cur != vis {
-                        t.update(rid, vis);
-                    }
+            match (t.heap.get(&rid), visible) {
+                (Some(cur), Some(vis)) if *cur != vis => {
+                    Arc::make_mut(t).update(rid, vis);
                 }
                 (Some(_), None) => {
-                    t.delete(rid);
+                    Arc::make_mut(t).delete(rid);
                 }
                 (None, Some(vis)) => {
-                    t.restore(rid, vis);
+                    Arc::make_mut(t).restore(rid, vis);
                 }
-                (None, None) => {}
+                _ => {}
             }
         }
     }

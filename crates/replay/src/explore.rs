@@ -3,10 +3,11 @@
 //! generic over what it is looking for (a [`Goal`]).
 //!
 //! A goal judges schedules through one hook, [`Goal::judge`], which sees
-//! a [`Schedule`]: the fork, the instances, the steps so far, which
-//! instances failed and — when a step closed a wait-for cycle — one
-//! [`Wait`] per waiting instance, with the lock it waits on and the steps
-//! of the next instance that were granted it. The search calls it at the
+//! a [`Schedule`]: the fork, the instances, the steps so far
+//! ([`Schedule::steps`], rendered on demand), which instances failed and
+//! — when a step closed a wait-for cycle — one [`Wait`] per waiting
+//! instance, with the lock it waits on and the steps of the next instance
+//! that were granted it. The search calls it at the
 //! two points a schedule can end: a closed cycle and a finished schedule.
 //! [`explore()`] hunts for a schedule that *deadlocks*;
 //! [`crate::anomaly::explore_anomalies`] runs the same search at a weak
@@ -26,12 +27,17 @@
 //! differential test keeps that expansion as its reference); only the
 //! forks and the repeated prefixes are gone. `max_runs` counts nodes
 //! visited, `max_schedules` schedules completed, `max_steps` the steps of
-//! one path from the root. Forks share nothing, so results are
-//! bit-identical regardless of thread count. Statements execute in nowait
-//! mode ([`weseer_db::Session::execute_nowait`]): a lock conflict records
-//! a persistent wait-for edge and returns control instead of parking a
-//! thread, which gives the search instant, deterministic deadlock
-//! detection from the lock manager's wait-for graph.
+//! one path from the root. A fork shares its base's tables copy-on-write
+//! and copies only the tables its schedule writes, so a path costs the
+//! statements it runs; no fork sees another's writes, so results are
+//! bit-identical regardless of thread count. A path records its steps
+//! unrendered (the move, how it ended, the lock targets, the transactions
+//! waited on); only a schedule the goal accepts, or a goal that asks for
+//! [`Schedule::steps`], formats them into [`WitnessStep`]s. Statements
+//! execute in nowait mode ([`weseer_db::Session::execute_nowait`]): a lock
+//! conflict records a persistent wait-for edge and returns control instead
+//! of parking a thread, which gives the search instant, deterministic
+//! deadlock detection from the lock manager's wait-for graph.
 //!
 //! Pruning uses sleep sets keyed on table-level lock footprints: after
 //! exploring instance `i`'s move at a branch point, sibling branches
@@ -178,8 +184,7 @@ pub struct Schedule<'a> {
     pub db: &'a Database,
     /// The interleaved instances.
     pub instances: &'a [Instance],
-    /// The steps so far, in execution order; a closing step is last.
-    pub steps: &'a [WitnessStep],
+    steps: &'a [Step],
     /// Which instances aborted (deadlock victim, write conflict, error).
     pub failed: &'a [bool],
     /// For a step that closed a wait-for cycle, one entry per waiting
@@ -194,6 +199,63 @@ impl Schedule<'_> {
     pub fn names(&self, ts: &[TxnId]) -> Vec<String> {
         names(self.instances, self.txn_ids, ts)
     }
+
+    /// The steps so far, in execution order (a closing step is last),
+    /// rendered as a witness shows them. Each call formats every step's SQL,
+    /// locks and waits afresh; the search itself only renders the schedule a
+    /// goal accepts.
+    pub fn steps(&self) -> Vec<WitnessStep> {
+        render(self.steps, self.instances, self.txn_ids)
+    }
+}
+
+/// How a step ended.
+#[derive(Debug)]
+enum Outcome {
+    /// The statement completed.
+    Ok,
+    /// A lock request must wait.
+    Blocked,
+    /// Waiting would close a wait-for cycle; the instance was the victim.
+    Deadlock,
+    /// Any other error; the instance is out.
+    Error(DbError),
+}
+
+/// One executed (or attempted) step as the search records it: what a
+/// [`WitnessStep`] shows, before any of it is formatted.
+#[derive(Debug)]
+struct Step {
+    mv: Move,
+    outcome: Outcome,
+    /// The locks granted ([`Outcome::Ok`]) or the one requested
+    /// ([`Outcome::Blocked`]).
+    locks: Vec<(LockTarget, LockMode)>,
+    /// Whom the step waits on ([`Outcome::Blocked`]) or the closed cycle,
+    /// victim first ([`Outcome::Deadlock`]).
+    waits_on: Vec<TxnId>,
+}
+
+/// Format recorded steps as witness steps.
+fn render(steps: &[Step], instances: &[Instance], txn_ids: &[TxnId]) -> Vec<WitnessStep> {
+    let step = |s: &Step| {
+        let inst = &instances[s.mv.0];
+        let cs = &inst.stmts[s.mv.1];
+        WitnessStep {
+            instance: inst.name.clone(),
+            label: cs.label.clone(),
+            sql: cs.sql.clone(),
+            locks: s.locks.iter().map(|(t, m)| render_lock(t, *m)).collect(),
+            outcome: match &s.outcome {
+                Outcome::Ok => "ok".into(),
+                Outcome::Blocked => "blocked".into(),
+                Outcome::Deadlock => "deadlock".into(),
+                Outcome::Error(e) => format!("error: {e}"),
+            },
+            waits_on: names(instances, txn_ids, &s.waits_on),
+        }
+    };
+    steps.iter().map(step).collect()
 }
 
 /// One waiting instance of a closed wait-for cycle.
@@ -462,9 +524,7 @@ fn run<G: Goal>(
     let mut blocked = vec![false; n];
     // What each instance's latest refused lock request asked for.
     let mut waiting_on: Vec<Option<LockTarget>> = vec![None; n];
-    let mut steps: Vec<WitnessStep> = Vec::new();
-    // Every completed step's move and the locks it was granted.
-    let mut grants: Vec<(Move, Vec<(LockTarget, LockMode)>)> = Vec::new();
+    let mut steps: Vec<Step> = Vec::new();
     // How many of `path`'s choices have been taken.
     let mut di = 0usize;
 
@@ -484,7 +544,10 @@ fn run<G: Goal>(
                 txn_ids: &txn_ids,
             });
             return match finding {
-                Some(finding) => RunResult::Found { steps, finding },
+                Some(finding) => RunResult::Found {
+                    steps: render(&steps, instances, &txn_ids),
+                    finding,
+                },
                 None => RunResult::Terminal { cut: false },
             };
         }
@@ -493,10 +556,14 @@ fn run<G: Goal>(
         } else if di < path.len() {
             let c = path[di];
             di += 1;
+            // Execution is deterministic, so the recorded prefix replays.
+            // Should a fork ever diverge from it, the rest of this subtree
+            // goes unsearched: end the schedule as cut, like one stopped at
+            // `max_steps`, so the search reports a budget hit ("not
+            // reproduced so far") and never a clean exhaustion.
+            debug_assert!(runnable.contains(&c), "fork diverged from its prefix");
             if !runnable.contains(&c) {
-                // Divergence from the recorded prefix; deterministic
-                // execution makes this unreachable, but fail safe.
-                return RunResult::Terminal { cut: false };
+                return RunResult::Terminal { cut: true };
             }
             c
         } else {
@@ -526,20 +593,16 @@ fn run<G: Goal>(
 
         let inst = &instances[choice];
         let cs = &inst.stmts[pos[choice]];
-        let mut step = WitnessStep {
-            instance: inst.name.clone(),
-            label: cs.label.clone(),
-            sql: cs.sql.clone(),
+        let mut step = Step {
+            mv,
+            outcome: Outcome::Ok,
             locks: Vec::new(),
-            outcome: String::new(),
             waits_on: Vec::new(),
         };
         match sessions[choice].execute_nowait(&cs.stmt, &cs.params) {
             Ok(StepResult::Done(data)) => {
-                step.locks = data.locks.iter().map(|(t, m)| render_lock(t, *m)).collect();
-                step.outcome = "ok".into();
+                step.locks = data.locks;
                 steps.push(step);
-                grants.push((mv, data.locks));
                 pos[choice] += 1;
                 if pos[choice] == inst.stmts.len() {
                     let _ = sessions[choice].commit();
@@ -549,34 +612,38 @@ fn run<G: Goal>(
                 }
             }
             Ok(StepResult::Blocked { on, target, mode }) => {
-                step.locks = vec![render_lock(&target, mode)];
-                step.outcome = "blocked".into();
-                step.waits_on = names(instances, &txn_ids, &on);
+                step.outcome = Outcome::Blocked;
+                step.locks = vec![(target.clone(), mode)];
+                step.waits_on = on;
                 steps.push(step);
                 blocked[choice] = true;
                 waiting_on[choice] = Some(target);
             }
             Err(e) => {
                 let finding = if let DbError::Deadlock { cycle, target } = e {
-                    step.outcome = "deadlock".into();
-                    step.waits_on = names(instances, &txn_ids, &cycle);
+                    step.outcome = Outcome::Deadlock;
+                    step.waits_on = cycle;
                     steps.push(step);
                     waiting_on[choice] = Some(target);
+                    let cycle = &steps[steps.len() - 1].waits_on;
                     goal.judge(&Schedule {
                         db: &db,
                         instances,
                         steps: &steps,
                         failed: &failed,
-                        waits: cycle_waits(&cycle, &txn_ids, &pos, &waiting_on, &grants),
+                        waits: cycle_waits(cycle, &txn_ids, &pos, &waiting_on, &steps),
                         txn_ids: &txn_ids,
                     })
                 } else {
-                    step.outcome = format!("error: {e}");
+                    step.outcome = Outcome::Error(e);
                     steps.push(step);
                     None
                 };
                 if let Some(finding) = finding {
-                    return RunResult::Found { steps, finding };
+                    return RunResult::Found {
+                        steps: render(&steps, instances, &txn_ids),
+                        finding,
+                    };
                 }
                 // The instance is out: `execute_nowait` already rolled back
                 // aborting errors; roll back statement-level ones (e.g.
@@ -593,14 +660,14 @@ fn run<G: Goal>(
 
 /// The [`Wait`]s of a wait-for cycle the lock manager closed (`cycle`,
 /// victim first): every member waits at its current statement on what
-/// its latest refused request asked for, and is held up by the steps of
-/// the next member that were granted exactly that target.
+/// its latest refused request asked for, and is held up by the completed
+/// steps of the next member that were granted exactly that target.
 fn cycle_waits(
     cycle: &[TxnId],
     txn_ids: &[TxnId],
     pos: &[usize],
     waiting_on: &[Option<LockTarget>],
-    grants: &[(Move, Vec<(LockTarget, LockMode)>)],
+    steps: &[Step],
 ) -> Vec<Wait> {
     let instance = |t: &TxnId| {
         let i = txn_ids.iter().position(|x| x == t);
@@ -612,11 +679,12 @@ fn cycle_waits(
         let target = waiting_on[i]
             .clone()
             .expect("a cycle member's request was refused");
-        let holders = grants
-            .iter()
-            .filter(|((who, _), locks)| *who == next && locks.iter().any(|(t, _)| *t == target))
-            .map(|((_, p), _)| *p)
-            .collect();
+        let granted = |s: &&Step| {
+            matches!(s.outcome, Outcome::Ok)
+                && s.mv.0 == next
+                && s.locks.iter().any(|(t, _)| *t == target)
+        };
+        let holders = steps.iter().filter(granted).map(|s| s.mv.1).collect();
         Wait {
             instance: i,
             pos: pos[i],

@@ -16,11 +16,15 @@
 //!    [`weseer_db::Database::fork`] per root-to-leaf path (a run continues
 //!    through branch points into the first child instead of restarting),
 //!    with sleep-set (DPOR-style) pruning keyed on table-level lock
-//!    footprints. Statements run in
+//!    footprints. A fork shares the base's tables copy-on-write and copies
+//!    only those its schedule writes, and a path records its steps
+//!    unrendered, so one path costs the statements it executes; only the
+//!    schedule the goal accepts is formatted. Statements run in
 //!    nowait mode, so the lock manager's wait-for graph yields instant
 //!    deterministic cycle detection without threads or timeouts. There is
 //!    one search ([`search`]) whose [`Goal`] judges each closed cycle and
-//!    each finished schedule through a [`Schedule`] view (steps, failures,
+//!    each finished schedule through a [`Schedule`] view (steps rendered on
+//!    demand by [`Schedule::steps`], failures,
 //!    and per waiting instance the lock it waits on and who was granted
 //!    it). [`explore()`] stops at the first wait-for cycle;
 //!    [`explore_anomalies`] ([`anomaly`]) runs the same loop at a weak

@@ -185,7 +185,7 @@ impl Goal for FirstCycle {
     type Finding = (Vec<Wait>, Vec<WitnessStep>);
     const PREFIX: &'static str = "test.first_cycle";
     fn judge(&self, s: &Schedule<'_>) -> Option<Self::Finding> {
-        (!s.waits.is_empty()).then(|| (s.waits.clone(), s.steps.to_vec()))
+        (!s.waits.is_empty()).then(|| (s.waits.clone(), s.steps()))
     }
 }
 
