@@ -61,7 +61,7 @@ pub struct StoreCtx<'a> {
     /// The open store.
     pub store: &'a Store,
     /// Content fingerprint per trace, parallel to the trace slice.
-    pub fingerprints: &'a [String],
+    pub fingerprints: Vec<String>,
     /// Namespace prefixed onto every per-trace and per-pair site
     /// (typically the application name). Records are keyed by content, so
     /// two apps that reuse a site (both have a trace 0 called `Register`)
@@ -97,9 +97,6 @@ impl CollectedTrace {
 pub struct AnalyzerConfig {
     /// SMT solver limits.
     pub solver: SolverConfig,
-    /// Run the fine-grained phase (false = the STEPDAD/REDACT-style coarse
-    /// baseline that reports every coarse cycle).
-    pub fine_grained: bool,
     /// Model range locks in conflict conditions (Alg. 3 lines 10–13).
     pub use_range_locks: bool,
     /// Skip the first two (filtering) phases and send every coarse cycle
@@ -119,7 +116,6 @@ impl Default for AnalyzerConfig {
     fn default() -> Self {
         AnalyzerConfig {
             solver: SolverConfig::default(),
-            fine_grained: true,
             use_range_locks: true,
             skip_filter_phases: false,
             max_reports: 10_000,
@@ -238,17 +234,21 @@ pub fn diagnose_with(
 
 /// Count coarse-grained deadlock cycles only (the STEPDAD/REDACT baseline
 /// of Sec. VII-B, which reports 18,384 hold-and-wait cycles on the paper's
-/// workload). No lock modeling, no SMT, and — unlike [`diagnose`] — no
-/// funnel counters published.
+/// workload): phase 1's pairs, each scanned by phase 2, on the default
+/// worker pool.
+/// No lock modeling, no SMT, and — unlike [`diagnose`] — no funnel
+/// counters published.
 pub fn coarse_cycle_count(traces: &[CollectedTrace]) -> usize {
-    let config = AnalyzerConfig {
-        fine_grained: false,
-        max_reports: usize::MAX,
-        ..AnalyzerConfig::default()
-    };
-    run_pipeline(&Catalog::default(), traces, &config, None, None)
-        .stats
-        .coarse_cycles
+    let jobs = generate_pairs(traces, false).jobs;
+    let threads = resolve_threads(AnalyzerConfig::default().threads);
+    run_ordered(
+        &jobs,
+        threads,
+        |_, job| coarse_cycles(job, traces, false).len(),
+        |_, _| {},
+    )
+    .into_iter()
+    .sum()
 }
 
 /// Shared read-only context for the pure per-pair functions.
@@ -256,8 +256,7 @@ pub(crate) struct PairCtx<'a> {
     catalog: &'a Catalog,
     traces: &'a [CollectedTrace],
     config: &'a AnalyzerConfig,
-    /// Per-trace pre-simplified path conditions (empty when the fine
-    /// phase does not run).
+    /// Per-trace pre-simplified path conditions.
     prefix: PrefixTable,
     /// SQL text per trace statement, rendered once (indexed by trace, then
     /// `StmtRecord::index - 1`) — cycle signatures are built in the hot
@@ -334,8 +333,8 @@ impl<'a> PairCtx<'a> {
 /// affect truncation and scheduling).
 fn analyzer_tag(config: &AnalyzerConfig) -> String {
     format!(
-        "{LOCK_MODEL_VERSION}|fine={}|range={}|skip={}|solver={:?}",
-        config.fine_grained, config.use_range_locks, config.skip_filter_phases, config.solver
+        "{LOCK_MODEL_VERSION}|range={}|skip={}|solver={:?}",
+        config.use_range_locks, config.skip_filter_phases, config.solver
     )
 }
 
@@ -355,10 +354,8 @@ pub(crate) struct CycleCandidate {
 
 /// Everything phase 2 produces for one pair.
 pub(crate) struct PairOutcome {
-    /// Coarse cycles counted (equals `cycles.len()` when candidates are
-    /// collected; still counted when `fine_grained` is off).
-    coarse_cycles: usize,
-    /// Cycle candidates for the fine-grained phase, in scan order.
+    /// The pair's coarse cycles, in scan order: the fine-grained phase's
+    /// candidates.
     cycles: Vec<CycleCandidate>,
     /// Wall time this pair cost phase 2 — the scan, or the store lookup
     /// that replaced it (summed into `phase2_time`).
@@ -381,20 +378,33 @@ pub(crate) fn scan_pair(job: &PairJob, ctx: &PairCtx<'_>) -> PairOutcome {
             }
         }
     }
-    let a = &ctx.traces[job.a];
-    let b = &ctx.traces[job.b];
-    let same_instance = job.same_instance();
     let mut out = PairOutcome {
-        coarse_cycles: 0,
-        cycles: Vec::new(),
+        cycles: coarse_cycles(job, ctx.traces, ctx.config.skip_filter_phases),
         scan_time: Duration::ZERO,
     };
-    let stmts_a = a.trace.statements_of(job.a_txn);
-    let stmts_b = b.trace.statements_of(job.b_txn);
+    if let Some((sc, site, content)) = &stored {
+        sc.store.put("pair2", site, content, pair2_to_json(&out));
+    }
+    out.scan_time = start.elapsed();
+    out
+}
+
+/// Enumerate the pair's coarse SC-graph deadlock cycles, in scan order.
+/// With `skip_filter` (brute force) every hold-and-wait shape counts, C-edge
+/// or not.
+fn coarse_cycles(
+    job: &PairJob,
+    traces: &[CollectedTrace],
+    skip_filter: bool,
+) -> Vec<CycleCandidate> {
+    let same_instance = job.same_instance();
+    let mut cycles = Vec::new();
+    let stmts_a = traces[job.a].trace.statements_of(job.a_txn);
+    let stmts_b = traces[job.b].trace.statements_of(job.b_txn);
     for (ah, a_hold) in stmts_a.iter().enumerate() {
-        for (awo, a_wait) in stmts_a.iter().enumerate().skip(ah + 1) {
+        for (aw, a_wait) in stmts_a.iter().enumerate().skip(ah + 1) {
             for (bh, b_hold) in stmts_b.iter().enumerate() {
-                for (bwo, b_wait) in stmts_b.iter().enumerate().skip(bh + 1) {
+                for (bw, b_wait) in stmts_b.iter().enumerate().skip(bh + 1) {
                     if same_instance && (b_hold.index, b_wait.index) < (a_hold.index, a_wait.index)
                     {
                         continue; // symmetric duplicate
@@ -402,29 +412,22 @@ pub(crate) fn scan_pair(job: &PairJob, ctx: &PairCtx<'_>) -> PairOutcome {
                     // C-edges at table granularity (unless brute force).
                     let t1 = conflict_tables(a_hold, b_wait);
                     let t2 = conflict_tables(b_hold, a_wait);
-                    if !ctx.config.skip_filter_phases && (t1.is_empty() || t2.is_empty()) {
+                    if !skip_filter && (t1.is_empty() || t2.is_empty()) {
                         continue;
                     }
-                    out.coarse_cycles += 1;
-                    if ctx.config.fine_grained {
-                        out.cycles.push(CycleCandidate {
-                            ah,
-                            aw: awo,
-                            bh,
-                            bw: bwo,
-                            t1,
-                            t2,
-                        });
-                    }
+                    cycles.push(CycleCandidate {
+                        ah,
+                        aw,
+                        bh,
+                        bw,
+                        t1,
+                        t2,
+                    });
                 }
             }
         }
     }
-    if let Some((sc, site, content)) = &stored {
-        sc.store.put("pair2", site, content, pair2_to_json(&out));
-    }
-    out.scan_time = start.elapsed();
-    out
+    cycles
 }
 
 fn pair2_to_json(out: &PairOutcome) -> Json {
@@ -443,7 +446,7 @@ fn pair2_to_json(out: &PairOutcome) -> Json {
         })
         .collect();
     Json::Obj(vec![
-        ("coarse".into(), Json::u64(out.coarse_cycles as u64)),
+        ("coarse".into(), Json::u64(out.cycles.len() as u64)),
         ("cycles".into(), Json::Arr(cycles)),
     ])
 }
@@ -471,7 +474,6 @@ fn pair2_from_json(v: &Json) -> Option<PairOutcome> {
         });
     }
     Some(PairOutcome {
-        coarse_cycles: v.get("coarse")?.as_u64()? as usize,
         cycles,
         scan_time: Duration::ZERO,
     })
@@ -804,13 +806,8 @@ fn run_pipeline(
     stats.pairs_after_phase1 = pair_set.jobs.len();
 
     // Path conditions are simplified once per trace, not once per cycle
-    // (sequentially — deterministic pipeline setup). Only the fine phase
-    // reads them.
-    let prefix = if config.fine_grained {
-        PrefixTable::build(traces, &config.solver)
-    } else {
-        PrefixTable::default()
-    };
+    // (sequentially — deterministic pipeline setup).
+    let prefix = PrefixTable::build(traces, &config.solver);
 
     let threads = resolve_threads(config.threads);
     let pctx = PairCtx::new(catalog, traces, config, prefix, store);
@@ -834,7 +831,7 @@ fn run_pipeline(
     let mut seen: HashSet<String> = HashSet::new();
     let mut groups: Vec<Vec<FineJob>> = Vec::new();
     for (job, out) in pair_set.jobs.iter().zip(&outcomes) {
-        stats.coarse_cycles += out.coarse_cycles;
+        stats.coarse_cycles += out.cycles.len();
         stats.phase2_time += out.scan_time;
         if out.cycles.is_empty() {
             continue;

@@ -35,7 +35,6 @@ pub(crate) struct TracePrefix {
 /// Pre-simplified path conditions for every trace, built once per
 /// analysis run (sequentially — the table is part of the deterministic
 /// pipeline setup).
-#[derive(Default)]
 pub struct PrefixTable {
     per_trace: Vec<TracePrefix>,
 }

@@ -29,7 +29,7 @@
 //!   warm-start from it and are byte-identical. `--dirty <api>` treats
 //!   `<api>`'s trace as changed ([`Weseer::with_dirty`]; repeatable, or
 //!   comma-separated), invalidating exactly the stored outcomes that
-//!   involve it.
+//!   involve it; an API neither app traces is a usage error.
 //! * `--isolation <level>` asks the weak-isolation question at
 //!   `serializable` (the default), `snapshot`, `repeatable-read`, or
 //!   `read-committed` ([`Weseer::with_isolation`]). At serializable every
@@ -65,6 +65,7 @@
 
 use std::io::Write as _;
 use std::process::exit;
+use weseer_apps::{Broadleaf, ECommerceApp, Shopizer};
 use weseer_bench::experiments;
 use weseer_core::{Weseer, FUNNEL_STAGES};
 use weseer_db::IsolationLevel;
@@ -150,6 +151,18 @@ impl Args {
                 flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
                 other => return Err(format!("unknown selector {other:?}")),
             }
+        }
+        let mut known: Vec<&str> = Broadleaf.unit_tests().to_vec();
+        for api in Shopizer.unit_tests() {
+            if !known.contains(api) {
+                known.push(api);
+            }
+        }
+        if let Some(api) = args.dirty.iter().find(|api| !known.contains(&api.as_str())) {
+            return Err(format!(
+                "--dirty: no app traces an API {api:?} (known APIs: {})",
+                known.join(", ")
+            ));
         }
         Ok(args)
     }
@@ -301,5 +314,28 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_secs(args.serve_hold));
         }
         server.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn dirty_accepts_only_apis_an_app_traces() {
+        let args = parse(&["--dirty", "Ship,Payment", "--dirty", "Register"]).unwrap();
+        assert_eq!(args.dirty, ["Ship", "Payment", "Register"]);
+        let err = parse(&["--dirty", "Ship,Shp"])
+            .err()
+            .expect("a typo is rejected");
+        assert!(err.contains("\"Shp\""), "{err}");
+        assert!(
+            err.contains("Register, Add1, Add2, Add3, Ship, Payment, Checkout"),
+            "{err}"
+        );
     }
 }

@@ -33,6 +33,8 @@ fn garbage_is_rejected_with_exit_2() {
     assert_usage_error(&["table1", "--store"], "--store requires a value");
     assert_usage_error(&["--threads", "many"], "--threads expects a number");
     assert_usage_error(&["--isolation", "bogus"], "read-committed, repeatable-read");
+    // A misspelt API must not turn a dirtied run into a plain warm one.
+    assert_usage_error(&["--dirty", "Shp", "table2"], "known APIs: Register");
 }
 
 #[test]

@@ -5,18 +5,16 @@
 //! analyzer and replayer read** from a [`Trace`] — SQL templates,
 //! transaction boundaries, concolic parameter and result values, path
 //! conditions with their interleaving against the statements, unique-id
-//! generators, and the triggering-code stacks surfaced in reports — while
-//! ignoring run-to-run noise:
+//! generators, and the triggering-code stacks surfaced in reports.
 //!
-//! * **symbol names** — symbolic terms are canonicalized through
-//!   [`weseer_smt::Canonical::content_keys`] with one alpha assignment
-//!   shared across the whole trace, so renaming every symbol (or
-//!   re-collecting with a differently-seeded name counter) leaves the
-//!   fingerprint unchanged while cross-statement value sharing stays
-//!   visible;
-//! * **raw sequence counters** — path conditions are positioned by *how
-//!   many statements precede them*, not by the engine's global event
-//!   counter.
+//! Symbolic terms are printed as the analysis reads them
+//! ([`Ctx::display`]), **symbol names included**: reports print the names
+//! (a witness assignment names the inputs that trigger a deadlock), so
+//! two traces that differ only in a name must not share a stored verdict.
+//! Names are a deterministic function of the traced code, so re-collecting
+//! an unchanged trace prints the same names. Only the engine's raw
+//! sequence counters are left out: path conditions are positioned by *how
+//! many statements precede them*, not by the global event counter.
 //!
 //! The description is hashed (two independent 64-bit FNV-1a lanes) under a
 //! versioned schema tag, [`FINGERPRINT_SCHEMA`]; bumping the tag invalidates
@@ -26,10 +24,10 @@ use crate::location::StackTrace;
 use crate::sym::SymValue;
 use crate::trace::Trace;
 use std::fmt::Write as _;
-use weseer_smt::{Canonical, Ctx, TermId};
+use weseer_smt::Ctx;
 
 /// Versioned schema tag mixed into every fingerprint.
-pub const FINGERPRINT_SCHEMA: &str = "weseer-fp-v1";
+pub const FINGERPRINT_SCHEMA: &str = "weseer-fp-v2";
 
 impl Trace {
     /// A stable content fingerprint of this trace: 32 lowercase hex
@@ -44,25 +42,14 @@ impl Trace {
         format!("{h1:016x}{h2:016x}")
     }
 
-    /// The canonical description string that gets hashed. Exposed to the
-    /// crate's tests so failures show *what* differed, not just that the
-    /// hashes did.
+    /// The description string that gets hashed. Exposed to the crate's
+    /// tests so failures show *what* differed, not just that the hashes
+    /// did.
     pub(crate) fn describe(&self, ctx: &Ctx) -> String {
-        // One shared canonicalization pass over every symbolic term, in a
-        // deterministic trace order, so the alpha assignment reflects
-        // which statements/conditions share symbols.
-        let mut terms: Vec<TermId> = Vec::new();
-        for s in &self.statements {
-            terms.extend(s.params.iter().filter_map(|p| p.sym));
-            for row in &s.rows {
-                terms.extend(row.cols.iter().filter_map(|(_, v)| v.sym));
-            }
-        }
-        terms.extend(self.path_conds.iter().map(|c| c.term));
-        terms.extend(self.unique_ids.iter().map(|(_, t)| *t));
-        let keys = Canonical::content_keys(ctx, &terms);
-        let mut next_key = keys.into_iter();
-
+        let sym = |v: &SymValue| match v.sym {
+            Some(t) => format!("{:?}#{}", v.concrete, ctx.display(t)),
+            None => format!("{:?}", v.concrete),
+        };
         let mut out = String::new();
         let _ = writeln!(out, "{FINGERPRINT_SCHEMA}");
         let _ = writeln!(out, "api={}", self.api);
@@ -75,12 +62,12 @@ impl Trace {
             let _ = writeln!(out, " trigger={}", stack_line(&s.trigger));
             let _ = writeln!(out, " sent={}", stack_line(&s.sent_at));
             for p in &s.params {
-                let _ = writeln!(out, " param={}", sym_desc(p, &mut next_key));
+                let _ = writeln!(out, " param={}", sym(p));
             }
             for row in &s.rows {
                 let _ = write!(out, " row");
                 for (name, v) in &row.cols {
-                    let _ = write!(out, " {name}={}", sym_desc(v, &mut next_key));
+                    let _ = write!(out, " {name}={}", sym(v));
                 }
                 let _ = writeln!(out);
             }
@@ -98,31 +85,17 @@ impl Trace {
             let pos = self.statements.iter().filter(|s| s.seq < c.seq).count();
             let _ = writeln!(
                 out,
-                "cond pos={pos} lib={} stack={} key={}",
+                "cond pos={pos} lib={} stack={} term={}",
                 c.in_library,
                 stack_line(&c.stack),
-                next_key.next().expect("one key per collected term")
+                ctx.display(c.term)
             );
         }
-        for (gen, _) in &self.unique_ids {
-            let _ = writeln!(
-                out,
-                "uid gen={gen} key={}",
-                next_key.next().expect("one key per collected term")
-            );
+        for (gen, t) in &self.unique_ids {
+            let _ = writeln!(out, "uid gen={gen} term={}", ctx.display(*t));
         }
-        debug_assert!(next_key.next().is_none(), "all keys must be consumed");
         out
     }
-}
-
-fn sym_desc(v: &SymValue, keys: &mut impl Iterator<Item = String>) -> String {
-    let mut s = format!("{:?}", v.concrete);
-    if v.sym.is_some() {
-        let key = keys.next().expect("one key per collected term");
-        let _ = write!(s, "#{key}");
-    }
-    s
 }
 
 fn stack_line(st: &StackTrace) -> String {
@@ -184,11 +157,24 @@ mod tests {
     }
 
     #[test]
-    fn alpha_renaming_keeps_the_fingerprint() {
+    fn a_renamed_symbol_changes_the_fingerprint() {
+        // Reports print symbol names, so a rename is a content change.
         let mut ctx = Ctx::new();
         let a = trace_with(&mut ctx, "run1");
-        let b = trace_with(&mut ctx, "zz_run2");
-        assert_eq!(a.fingerprint(&ctx), b.fingerprint(&ctx));
+        let b = trace_with(&mut ctx, "run2");
+        assert_ne!(a.fingerprint(&ctx), b.fingerprint(&ctx));
+    }
+
+    #[test]
+    fn equal_names_give_equal_fingerprints_in_any_context() {
+        // Term ids differ between the two contexts; the printed names and
+        // structure do not.
+        let mut ctx = Ctx::new();
+        let a = trace_with(&mut ctx, "p");
+        let mut other = Ctx::new();
+        let _ = trace_with(&mut other, "unrelated");
+        let b = trace_with(&mut other, "p");
+        assert_eq!(a.fingerprint(&ctx), b.fingerprint(&other));
     }
 
     #[test]

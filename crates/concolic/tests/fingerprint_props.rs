@@ -1,9 +1,9 @@
 //! Property tests for `Trace::fingerprint`: the incremental store keys
 //! persisted verdicts by trace fingerprints, so the fingerprint must be
-//! invariant under run-to-run noise (symbol renaming, engine sequence
-//! offsets) and sensitive to every analyzer-visible content change (SQL
-//! templates, path-condition formulas and positions, transaction
-//! boundaries).
+//! sensitive to every analyzer-visible content change (SQL templates,
+//! path-condition formulas and positions, transaction boundaries) and to
+//! symbol names — names are content, not noise, because reports print
+//! them — while two builds of one trace with the same names agree.
 
 use proptest::prelude::*;
 use weseer_concolic::{PathCond, StackTrace, StmtRecord, SymValue, Trace, TxnTrace};
@@ -40,15 +40,23 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
 }
 
 /// Materialize `spec` as a trace whose symbol names all start with
-/// `prefix` — two builds of the same spec under different prefixes are
-/// alpha-renamings of each other.
-fn build(ctx: &mut Ctx, spec: &Spec, prefix: &str) -> Trace {
+/// `prefix`. Symbols are numbered in build order (statement parameters,
+/// then condition variables); the one numbered `renamed`, if any, gets a
+/// name no other build uses.
+fn build(ctx: &mut Ctx, spec: &Spec, prefix: &str, renamed: Option<usize>) -> Trace {
+    let name = |k: usize, base: String| {
+        if renamed == Some(k) {
+            format!("{prefix}renamed")
+        } else {
+            format!("{prefix}{base}")
+        }
+    };
     let statements: Vec<StmtRecord> = spec
         .stmts
         .iter()
         .enumerate()
         .map(|(i, &(sql, val))| {
-            let p = ctx.var(format!("{prefix}p{i}"), Sort::Int);
+            let p = ctx.var(name(i, format!("p{i}")), Sort::Int);
             StmtRecord {
                 index: i + 1,
                 seq: (i as u64 + 1) * 10,
@@ -67,7 +75,7 @@ fn build(ctx: &mut Ctx, spec: &Spec, prefix: &str) -> Trace {
         .iter()
         .enumerate()
         .map(|(j, &(pos, bound))| {
-            let v = ctx.var(format!("{prefix}c{j}"), Sort::Int);
+            let v = ctx.var(name(spec.stmts.len() + j, format!("c{j}")), Sort::Int);
             let b = ctx.int(bound);
             let term = ctx.gt(v, b);
             // seq between statement `pos` and `pos + 1` (statements sit
@@ -99,11 +107,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn alpha_renaming_never_changes_the_fingerprint(spec in spec_strategy()) {
+    fn renaming_one_symbol_changes_the_fingerprint(spec in spec_strategy(), which in 0usize..9) {
         let mut ctx = Ctx::new();
-        let a = build(&mut ctx, &spec, "run1.");
-        let b = build(&mut ctx, &spec, "zz.other_run.");
-        prop_assert_eq!(a.fingerprint(&ctx), b.fingerprint(&ctx));
+        let base = build(&mut ctx, &spec, "p.", None);
+        let symbols = spec.stmts.len() + spec.conds.len();
+        let renamed = build(&mut ctx, &spec, "p.", Some(which % symbols));
+        prop_assert_ne!(base.fingerprint(&ctx), renamed.fingerprint(&ctx));
+    }
+
+    #[test]
+    fn two_builds_with_the_same_names_share_the_fingerprint(spec in spec_strategy()) {
+        let mut ctx = Ctx::new();
+        let a = build(&mut ctx, &spec, "p.", None);
+        // A second context whose term ids are shifted by unrelated terms.
+        let mut other = Ctx::new();
+        let _ = build(&mut other, &spec, "unrelated.", None);
+        let b = build(&mut other, &spec, "p.", None);
+        prop_assert_eq!(a.fingerprint(&ctx), b.fingerprint(&other));
     }
 
     #[test]
@@ -112,7 +132,7 @@ proptest! {
         which in 0usize..4,
     ) {
         let mut ctx = Ctx::new();
-        let base = build(&mut ctx, &spec, "p.");
+        let base = build(&mut ctx, &spec, "p.", None);
         let mut mutated = spec.clone();
         match which {
             // A different SQL template for the first statement.
@@ -128,7 +148,7 @@ proptest! {
             // The transaction boundary itself.
             _ => mutated.committed = !mutated.committed,
         }
-        let other = build(&mut ctx, &mutated, "p.");
+        let other = build(&mut ctx, &mutated, "p.", None);
         prop_assert_ne!(base.fingerprint(&ctx), other.fingerprint(&ctx));
     }
 }

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use weseer_analyzer::{
     coarse_cycle_count, diagnose_with, find_anomaly_candidates, resolve_threads, run_ordered,
-    AnalyzerConfig, AnomalyCandidate, CollectedTrace, Diagnosis, StoreCtx,
+    AnalyzerConfig, AnomalyCandidate, CollectedTrace, DeadlockReport, Diagnosis, StoreCtx,
 };
 use weseer_apps::app::{collect_trace, run_chain};
 use weseer_apps::{classify, AppLocks, ECommerceApp, Fixes, KnownDeadlock};
@@ -324,19 +324,35 @@ impl Weseer {
         self
     }
 
-    /// Per-trace content fingerprints for store keys, with dirty APIs
-    /// salted so their stored outcomes invalidate.
-    fn fingerprints(&self, traces: &[CollectedTrace]) -> Vec<String> {
-        traces
-            .iter()
-            .map(|t| {
-                let mut fp = t.trace.fingerprint(&t.ctx);
-                if self.dirty_apis.contains(t.api()) {
-                    fp.push_str("!dirty");
-                }
-                fp
-            })
-            .collect()
+    /// Diagnose `app`'s `traces` under this configuration — the one place
+    /// store keys are made, for the batch pipeline and the serving daemon
+    /// alike. With a store, every trace is fingerprinted once (dirty APIs
+    /// salted so their stored outcomes invalidate) and keyed under
+    /// `app.name()`; the returned [`StoreCtx`] carries those keys on to
+    /// witness replay. `sink` sees each confirmed report in order, while
+    /// the diagnosis is still running.
+    pub fn diagnose(
+        &self,
+        app: &dyn ECommerceApp,
+        traces: &[CollectedTrace],
+        sink: Option<&mut dyn FnMut(&DeadlockReport)>,
+    ) -> (Diagnosis, Option<StoreCtx<'_>>) {
+        let store = self.store.as_deref().map(|store| StoreCtx {
+            store,
+            fingerprints: traces
+                .iter()
+                .map(|t| {
+                    let mut fp = t.trace.fingerprint(&t.ctx);
+                    if self.dirty_apis.contains(t.api()) {
+                        fp.push_str("!dirty");
+                    }
+                    fp
+                })
+                .collect(),
+            namespace: app.name(),
+        });
+        let diagnosis = diagnose_with(&app.catalog(), traces, &self.config, store.as_ref(), sink);
+        (diagnosis, store)
     }
 
     /// Collect the Table I unit-test traces of an application, chaining
@@ -418,20 +434,7 @@ impl Weseer {
                 path_conds: t.trace.path_conds.len(),
             })
             .collect();
-        let store = self.store.as_ref();
-        let fingerprints = store.map(|_| self.fingerprints(&traces));
-        let store_ctx = store.zip(fingerprints.as_ref()).map(|(s, fps)| StoreCtx {
-            store: s,
-            fingerprints: fps,
-            namespace: app.name(),
-        });
-        let diagnosis = diagnose_with(
-            &app.catalog(),
-            &traces,
-            &self.config,
-            store_ctx.as_ref(),
-            None,
-        );
+        let (diagnosis, store_ctx) = self.diagnose(app, &traces, None);
         let mut groups: BTreeMap<KnownDeadlock, usize> = BTreeMap::new();
         for r in &diagnosis.deadlocks {
             *groups.entry(classify(app.name(), r)).or_insert(0) += 1;
@@ -462,7 +465,7 @@ impl Weseer {
             .isolation
             .filter(|iso| iso.uses_snapshots())
             .map(|iso| Self::anomaly_reports(&bases, &traces, iso, threads));
-        if let Some(s) = store {
+        if let Some(s) = &self.store {
             s.flush().unwrap_or_else(|e| panic!("store flush: {e}"));
         }
         drop(pipeline_span);

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use weseer_analyzer::{diagnose_with, AnalyzerConfig, CollectedTrace, StoreCtx};
+use weseer_analyzer::CollectedTrace;
 use weseer_apps::{Broadleaf, ECommerceApp, Fixes, Shopizer};
 use weseer_core::Weseer;
 use weseer_store::Store;
@@ -106,7 +106,9 @@ struct AnalysisJob {
 pub struct Daemon {
     ingest: Option<SyncSender<IngestMsg>>,
     next_session: AtomicU64,
-    store: Option<Arc<Store>>,
+    /// What every submission is analyzed with: the batch pipeline's
+    /// default configuration on `shards` threads, plus the shared store.
+    weseer: Weseer,
     started: Instant,
     config: DaemonConfig,
     router: Option<std::thread::JoinHandle<()>>,
@@ -117,9 +119,12 @@ impl Daemon {
     /// Start the ingest router and analysis workers (and open the shared
     /// store, when configured).
     pub fn start(config: DaemonConfig) -> io::Result<Daemon> {
-        let store = match &config.store_path {
-            Some(path) => Some(Arc::new(Store::open_live(path)?)),
-            None => None,
+        let weseer = Weseer {
+            store: match &config.store_path {
+                Some(path) => Some(Arc::new(Store::open_live(path)?)),
+                None => None,
+            },
+            ..Weseer::new().with_threads(config.shards.max(1))
         };
         let (ingest_tx, ingest_rx) = sync_channel::<IngestMsg>(config.ingest_capacity.max(1));
         let (work_tx, work_rx) = sync_channel::<AnalysisJob>(config.work_capacity.max(1));
@@ -162,8 +167,7 @@ impl Daemon {
         let mut workers = Vec::with_capacity(config.workers.max(1));
         for w in 0..config.workers.max(1) {
             let work_rx = Arc::clone(&work_rx);
-            let store = store.clone();
-            let shards = config.shards;
+            let weseer = weseer.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve.analysis{w}"))
@@ -173,7 +177,7 @@ impl Daemon {
                             rx.recv()
                         };
                         match job {
-                            Ok(job) => run_analysis(job, store.as_ref(), shards),
+                            Ok(job) => run_analysis(job, &weseer),
                             Err(_) => break,
                         }
                     })
@@ -184,7 +188,7 @@ impl Daemon {
         Ok(Daemon {
             ingest: Some(ingest_tx),
             next_session: AtomicU64::new(0),
-            store,
+            weseer,
             started: Instant::now(),
             config,
             router: Some(router),
@@ -204,7 +208,7 @@ impl Daemon {
 
     /// The shared store handle, when configured.
     pub fn store(&self) -> Option<&Arc<Store>> {
-        self.store.as_ref()
+        self.weseer.store.as_ref()
     }
 
     /// Open a new ingest session for `app`. The client streams traces
@@ -263,7 +267,7 @@ impl Daemon {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        if let Some(store) = &self.store {
+        if let Some(store) = &self.weseer.store {
             let _ = store.flush();
         }
     }
@@ -323,10 +327,10 @@ impl IngestClient {
 }
 
 /// Analyze one submission on an analysis worker, streaming verdicts to
-/// the session's reply channel. Apart from the thread count (which never
-/// changes output) this is the batch pipeline's default
-/// [`AnalyzerConfig`], so verdict bytes match `Weseer::new().analyze`.
-fn run_analysis(job: AnalysisJob, store: Option<&Arc<Store>>, shards: usize) {
+/// the session's reply channel. Keys and configuration are the batch
+/// pipeline's ([`Weseer::diagnose`]), so verdict bytes match
+/// `Weseer::new().analyze`.
+fn run_analysis(job: AnalysisJob, weseer: &Weseer) {
     let wall = Instant::now();
     weseer_obs::incr("serve.analyses");
     let Some(app) = app_by_name(&job.app) else {
@@ -339,27 +343,10 @@ fn run_analysis(job: AnalysisJob, store: Option<&Arc<Store>>, shards: usize) {
         }));
         return;
     };
-    let catalog = app.catalog();
-    let config = AnalyzerConfig {
-        threads: shards.max(1),
-        ..AnalyzerConfig::default()
-    };
-    let fingerprints: Vec<String> = job
-        .traces
-        .iter()
-        .map(|t| t.trace.fingerprint(&t.ctx))
-        .collect();
-    let store_ctx = store.map(|s| StoreCtx {
-        store: s,
-        fingerprints: &fingerprints,
-        namespace: app.name(),
-    });
     let mut verdicts = 0usize;
-    diagnose_with(
-        &catalog,
+    weseer.diagnose(
+        app,
         &job.traces,
-        &config,
-        store_ctx.as_ref(),
         Some(&mut |report| {
             verdicts += 1;
             weseer_obs::incr("serve.verdicts_served");
@@ -370,7 +357,7 @@ fn run_analysis(job: AnalysisJob, store: Option<&Arc<Store>>, shards: usize) {
     );
     let _ = job.reply.send(ServeEvent::Done(AnalysisSummary {
         app: job.app,
-        traces: fingerprints.len(),
+        traces: job.traces.len(),
         verdicts,
         wall: wall.elapsed(),
         error: None,

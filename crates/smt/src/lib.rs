@@ -44,7 +44,6 @@
 //! ```
 
 pub mod arith;
-pub mod canon;
 pub mod incremental;
 pub mod lower;
 pub mod model;
@@ -56,7 +55,6 @@ pub mod solver;
 pub mod strings;
 pub mod term;
 
-pub use canon::Canonical;
 pub use incremental::IncrementalSolver;
 pub use model::{Model, ModelKey, ModelValue};
 pub use presolve::presolve;

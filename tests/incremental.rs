@@ -306,10 +306,31 @@ fn stores_written_by_the_previous_format_still_open() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `[hits, misses]` of the `pair2` and `pair3` lookups when `fix`'s
+/// version is analyzed over the release version's store: the traces a fix
+/// leaves alone keep their records. A store-key change that loses reuse
+/// (or shares records it must not) moves these.
+fn reuse_over_release(fix: Fix) -> [[u64; 2]; 2] {
+    match fix {
+        Fix::F1 => [[15, 2], [190, 0]],
+        Fix::F2 => [[5, 12], [21, 175]],
+        Fix::F3 => [[5, 19], [21, 139]],
+        Fix::F4 => [[5, 12], [21, 81]],
+        Fix::F5 => [[5, 24], [21, 40]],
+        Fix::F6 => [[12, 5], [146, 39]],
+        Fix::F7 => [[12, 9], [146, 16]],
+        Fix::F8 => [[12, 7], [146, 38]],
+        Fix::F9 => [[1, 40], [0, 33]],
+        Fix::F10 => [[10, 11], [6, 27]],
+        Fix::F11 => [[10, 11], [20, 13]],
+    }
+}
+
 /// Real edits through one shared store: each Table II fix changes a few
 /// trace fingerprints. Analyzing the fixed version against a store the
 /// release filled must render exactly what a cold analysis of it renders
-/// (reports and SAT models). After release -> fixed, both versions are
+/// (reports and SAT models), with the per-kind reuse of
+/// [`reuse_over_release`]. After release -> fixed, both versions are
 /// resident: running release and then the fix again solves nothing, misses
 /// nothing and leaves the file untouched.
 #[test]
@@ -349,8 +370,20 @@ fn every_fixed_version_stays_resident_next_to_the_release() {
             let path = store_path(&format!("{fix:?}"));
             std::fs::copy(&release_store, &path).expect("copy the release store");
             let (cold_out, _) = analyze(None, &fixed);
-            let (over_release, _) = analyze(Some(&path), &fixed);
+            let (over_release, m) = analyze(Some(&path), &fixed);
             assert_eq!(over_release, cold_out, "{fix:?} over the release store");
+            let reuse: Vec<[u64; 2]> = ["pair2", "pair3"]
+                .iter()
+                .map(|kind| {
+                    let count = |outcome| m.counter(&format!("store.{outcome}.{kind}"));
+                    [count("hit"), count("miss")]
+                })
+                .collect();
+            assert_eq!(
+                reuse,
+                reuse_over_release(fix),
+                "{fix:?} over the release store"
+            );
             let filled = std::fs::read(&path).expect("store present");
             for (version, expected) in [(&release, &release_out), (&fixed, &cold_out)] {
                 let (out, m) = analyze(Some(&path), version);
